@@ -6,8 +6,7 @@ with operation counts that grow smoothly in ell.  Brute-force oracles,
 operation-count instrumentation, and a CLI round out the package.
 """
 
-from .bits import bit_reverse, bitrev_permute
-from .fft import dft_natural_order, fft_in_place
+from .bits import bit_reverse
 from .instrumentation import (
     AuditBuffer,
     BoundReport,
@@ -35,11 +34,8 @@ __all__ = [
     "PrimeField",
     "TransformPlan",
     "bit_reverse",
-    "bitrev_permute",
     "bound_check",
     "counted_ring",
-    "dft_natural_order",
-    "fft_in_place",
     "itft_in_place",
     "make_plan",
     "measure_transform",

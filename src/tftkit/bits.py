@@ -1,4 +1,4 @@
-"""Bit-reversal helpers for power-of-two index shuffles."""
+"""Bit reversal of transform indices."""
 
 from __future__ import annotations
 
@@ -13,17 +13,3 @@ def bit_reverse(i: int, k: int) -> int:
         i >>= 1
     return out
 
-
-def bitrev_permute(buffer, k: int) -> None:
-    """Reorder buffer[0:2^k] in place so entry i lands at bit_reverse(i, k).
-
-    Swaps each pair once (only where i < bit_reverse(i, k)), so applying it
-    twice restores the original order.
-    """
-    n = 1 << k
-    if len(buffer) != n:
-        raise ValueError(f"buffer length {len(buffer)} is not 2^{k}")
-    for i in range(n):
-        j = bit_reverse(i, k)
-        if i < j:
-            buffer[i], buffer[j] = buffer[j], buffer[i]

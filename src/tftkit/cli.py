@@ -19,6 +19,7 @@ import argparse
 import sys
 
 from .instrumentation import (
+    CSV_HEADER,
     AuditBuffer,
     bound_check,
     measure_transform,
@@ -32,8 +33,6 @@ from .tft import make_plan, tft_in_place
 __all__ = ["main", "xorshift64star"]
 
 _MASK64 = (1 << 64) - 1
-
-CSV_HEADER = "l,kind,mul_root,mul_pow2,add_sub,add_bound,mul_bound,pass"
 
 
 def xorshift64star(seed: int):
@@ -63,10 +62,9 @@ def _read_text(path: str | None) -> str:
 def _parse_residues(tokens, modulus: int) -> list[int]:
     values = []
     for token in tokens:
-        try:
-            value = int(token)
-        except ValueError:
-            raise ValueError(f"not an integer: {token!r}") from None
+        if not (token.isascii() and token.isdigit()):
+            raise ValueError(f"not a decimal integer: {token!r}")
+        value = int(token)
         if not 0 <= value < modulus:
             raise ValueError(f"{value} is not a residue mod {modulus}")
         values.append(value)
@@ -81,7 +79,7 @@ def _transform_command(args, inverse: bool) -> int:
         return _usage_error(str(exc))
     try:
         tokens = _read_text(args.input).split()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _usage_error(str(exc))
     if len(tokens) != args.length:
         return _usage_error(f"expected {args.length} values, got {len(tokens)}")
@@ -112,7 +110,7 @@ def cmd_mul(args) -> int:
         return _usage_error(str(exc))
     try:
         lines = _read_text(args.input).splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _usage_error(str(exc))
     if len(lines) != 2:
         return _usage_error(f"expected 2 coefficient lines, got {len(lines)}")

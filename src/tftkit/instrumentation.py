@@ -22,6 +22,7 @@ from .ring import pow_by_squaring
 from .tft import make_plan, tft_in_place
 
 __all__ = [
+    "CSV_HEADER",
     "OpCounters",
     "CountingField",
     "counted_ring",
@@ -53,8 +54,9 @@ class CountingField:
     methods, which are bound as instance attributes in __init__.  A
     full bound sweep issues hundreds of millions of ring calls, and
     closure access to the tally is measurably cheaper than attribute
-    bookkeeping on self.  Doublings count as additions, matching the
-    cost model the bounds are stated in.
+    bookkeeping on self.  The kernels double as add(x, x), so a
+    doubling counts as an addition, matching the cost model the bounds
+    are stated in.
     """
 
     __slots__ = (
@@ -62,8 +64,6 @@ class CountingField:
         "_tally",
         "add",
         "sub",
-        "neg",
-        "double",
         "mul",
         "mul_root",
         "mul_pow2",
@@ -83,14 +83,6 @@ class CountingField:
             tally[2] += 1
             return (x - y) % p
 
-        def neg(x: int) -> int:
-            tally[2] += 1
-            return -x % p
-
-        def double(x: int) -> int:
-            tally[2] += 1
-            return 2 * x % p
-
         def mul(x: int, y: int) -> int:
             tally[3] += 1
             return x * y % p
@@ -105,8 +97,6 @@ class CountingField:
 
         self.add = add
         self.sub = sub
-        self.neg = neg
-        self.double = double
         self.mul = mul
         self.mul_root = mul_root
         self.mul_pow2 = mul_pow2
@@ -178,6 +168,10 @@ class AuditBuffer:
         self.inner[index] = value
 
 
+# Column names for BoundReport.csv_row, in order.
+CSV_HEADER = "l,kind,mul_root,mul_pow2,add_sub,add_bound,root_bound,pow2_bound,pass"
+
+
 @dataclass(frozen=True, slots=True)
 class BoundReport:
     """Measured counters for one transform next to the bounds they
@@ -204,7 +198,7 @@ class BoundReport:
         c = self.counters
         return (
             f"{self.ell},{self.kind},{c.mul_root},{c.mul_pow2},{c.add_sub},"
-            f"{self.add_bound},{self.root_bound},{int(self.passed)}"
+            f"{self.add_bound},{self.root_bound},{self.pow2_bound},{int(self.passed)}"
         )
 
 
@@ -219,7 +213,8 @@ def bound_check(ell: int, counters: OpCounters, kind: str) -> BoundReport:
     inverse:  add_sub <= ell*floor(lg ell) + 3*ell (no slack);
               mul_root <= (ell/2)*floor(lg ell) + 2*ell + 8*(m+1)^2;
               mul_pow2 <= 2^m + 2*ceil(lg(m+2)) + 4.
-    fft:      add_sub <= n*lg n; mul_root <= (n/2)*lg n + n + 16;
+    fft:      the forward transform at a power of two n;
+              add_sub <= n*lg n; mul_root <= (n/2)*lg n + n + 16;
               mul_pow2 must be 0.
 
     mul_other must be 0 for every kind.  m = ceil(lg ell) throughout.

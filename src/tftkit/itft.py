@@ -24,7 +24,7 @@ Passes, mirroring the forward kernel in reverse:
 
 from __future__ import annotations
 
-from .tft import TransformPlan
+from .tft import TransformPlan, branch_levels
 from .twiddle import pair_stream, twiddle_forward, twiddle_inverse
 
 __all__ = ["itft_in_place"]
@@ -80,13 +80,7 @@ def itft_in_place(plan: TransformPlan, buffer, ring=None) -> None:
                 buffer[jj] = mul(alpha, sub(u, w))
 
     # pass 2: descending recombination of head and borrowed entries
-    for k in range(m - 2, v, -1):
-        q = ell >> (k + 1)
-        r = ell - (q << (k + 1))
-        qp = q - (1 << (m - k - 2))
-        size = 1 << k
-        head = q << (k + 1)
-        alias = (2 * qp + 1) << k
+    for k, q, r, size, head, alias, aliased_head in branch_levels(plan, range(m - 2, v, -1)):
         alpha = twiddle_forward(ring, m, psi, k, q)
         if r > size:
             for j in range(r - size, size):
@@ -94,7 +88,6 @@ def itft_in_place(plan: TransformPlan, buffer, ring=None) -> None:
                     buffer[head + j], mul(alpha, buffer[alias + j])
                 )
         else:
-            aliased_head = qp << (k + 1)
             for j in range(r, size):
                 buffer[aliased_head + j] = mul2(
                     half,
@@ -102,13 +95,7 @@ def itft_in_place(plan: TransformPlan, buffer, ring=None) -> None:
                 )
 
     # pass 3: re-descent finishing the tail entries
-    for k in range(v, m - 1):
-        q = ell >> (k + 1)
-        r = ell - (q << (k + 1))
-        qp = q - (1 << (m - k - 2))
-        size = 1 << k
-        head = q << (k + 1)
-        alias = (2 * qp + 1) << k
+    for k, q, r, size, head, alias, aliased_head in branch_levels(plan, range(v, m - 1)):
         if r > size:
             alpha = twiddle_inverse(ring, m, psi, k, q)
             tail = head + size
@@ -127,7 +114,6 @@ def itft_in_place(plan: TransformPlan, buffer, ring=None) -> None:
             for j in range(r):
                 u = buffer[head + j]
                 buffer[head + j] = sub(add(u, u), mul(alpha, buffer[alias + j]))
-            aliased_head = qp << (k + 1)
             for j in range(r, size):
                 u = buffer[aliased_head + j]
                 buffer[aliased_head + j] = sub(

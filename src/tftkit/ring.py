@@ -10,8 +10,6 @@ this class specifically.  A ring handle must provide
 
     modulus                       attribute, the odd prime p
     add(x, y), sub(x, y)          counted together as additions
-    neg(x)
-    double(x)                     defined as add(x, x), counted as an addition
     mul(x, y)                     general product
     mul_root(x, y)                product tagged "by a root power"
     mul_pow2(x, y)                product tagged "by a power of 2 or 2^-1"
@@ -30,13 +28,16 @@ from dataclasses import dataclass
 
 DEFAULT_MODULUS = 998244353  # 119 * 2^23 + 1
 
-# Deterministic Miller-Rabin witness set; correct for all n < 3.3 * 10^24,
-# far past any modulus a 2^s-point transform here would use.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set.  The primes up to 41 are exact
+# for all n below psi_13, the smallest strong pseudoprime to all of them
+# (Sorenson & Webster, Math. Comp. 2017); the primes up to 37 alone are
+# fooled by psi_12 = 318665857834031151167461.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981  # psi_13, about 3.3e24
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test (exact below 3.3e24)."""
+    """Miller-Rabin test, deterministic (exact) for n < _MR_EXACT_BELOW."""
     if n < 2:
         return False
     for w in _MR_WITNESSES:
@@ -78,12 +79,22 @@ def pow_by_squaring(mul, x: int, e: int) -> int:
     return 1 if acc is None else acc
 
 
+def _require_prime(p: int) -> None:
+    if p >= _MR_EXACT_BELOW:
+        raise ValueError(
+            f"modulus {p} is too large: primality is exact only below {_MR_EXACT_BELOW}"
+        )
+    if p < 3 or p % 2 == 0 or not is_probable_prime(p):
+        raise ValueError(f"modulus must be an odd prime, got {p}")
+
+
 @dataclass(frozen=True, slots=True)
 class PrimeField:
     """Arithmetic handle for Z/p with p an odd prime, p - 1 = odd * 2^s.
 
     Fields:
-        modulus: the prime p.
+        modulus: the prime p, below psi_13 (about 3.3e24) so that the
+            primality check is exact.
         two_adicity: s = ord2(p - 1), the largest power-of-two transform
             size the field supports is 2^s.
         generator_root: an element of multiplicative order exactly 2^s.
@@ -97,8 +108,7 @@ class PrimeField:
         p = self.modulus
         s = self.two_adicity
         g = self.generator_root
-        if p < 3 or p % 2 == 0 or not is_probable_prime(p):
-            raise ValueError(f"modulus must be an odd prime, got {p}")
+        _require_prime(p)
         if s < 1 or (p - 1) % (1 << s) != 0 or ((p - 1) >> s) % 2 == 0:
             raise ValueError(f"two_adicity {s} does not match ord2({p} - 1)")
         if not 0 < g < p or pow(g, 1 << (s - 1), p) != p - 1:
@@ -111,8 +121,7 @@ class PrimeField:
         The generator comes from the smallest quadratic non-residue c as
         c^((p-1)/2^s), so construction is deterministic.
         """
-        if p < 3 or p % 2 == 0 or not is_probable_prime(p):
-            raise ValueError(f"modulus must be an odd prime, got {p}")
+        _require_prime(p)
         odd = p - 1
         s = 0
         while odd % 2 == 0:
@@ -130,12 +139,6 @@ class PrimeField:
 
     def sub(self, x: int, y: int) -> int:
         return (x - y) % self.modulus
-
-    def neg(self, x: int) -> int:
-        return -x % self.modulus
-
-    def double(self, x: int) -> int:
-        return (x + x) % self.modulus
 
     def mul(self, x: int, y: int) -> int:
         return x * y % self.modulus

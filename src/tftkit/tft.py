@@ -76,6 +76,29 @@ def make_plan(field: PrimeField, ell: int) -> TransformPlan:
     )
 
 
+def branch_levels(plan: TransformPlan, ks):
+    """Yield the rightmost-branch geometry of each level k in ks, as
+    (k, q, r, size, head, alias, aliased_head).
+
+    At level k the buffer holds 2q complete blocks of size = 2^k and
+    r = ell - 2^k * 2q entries past them.  With q' = q - 2^(m-k-2):
+
+        head          2^k * 2q       start of the partial block
+        alias         2^k * (2q'+1)  the borrowed slots
+        aliased_head  2^k * 2q'      the head the borrowed slots pair with
+
+    The partial block's own tail, 2^k * (2q+1) = head + size, exists
+    only when r > size, so the kernels derive it there.
+    """
+    ell = plan.ell
+    m = plan.m
+    for k in ks:
+        q = ell >> (k + 1)
+        qp = q - (1 << (m - k - 2))
+        head = q << (k + 1)
+        yield k, q, ell - head, 1 << k, head, (2 * qp + 1) << k, qp << (k + 1)
+
+
 def tft_in_place(plan: TransformPlan, buffer, ring=None) -> None:
     """Overwrite buffer with its truncated Fourier transform.
 
@@ -107,16 +130,10 @@ def tft_in_place(plan: TransformPlan, buffer, ring=None) -> None:
         buffer[jj] = sub(u, w)
 
     # pass 2: rightmost-branch descent (runs only when ell < 2^m)
-    for k in range(m - 2, v - 1, -1):
-        q = ell >> (k + 1)
-        r = ell - (q << (k + 1))
-        qp = q - (1 << (m - k - 2))
-        size = 1 << k
-        head = q << (k + 1)        # 2^k * 2q
-        alias = (2 * qp + 1) << k  # 2^k * (2q'+1), the borrowed slots
+    for k, q, r, size, head, alias, aliased_head in branch_levels(plan, range(m - 2, v - 1, -1)):
         alpha = twiddle_forward(ring, m, psi, k, q)
         if r > size:
-            tail = head + size     # 2^k * (2q+1)
+            tail = head + size
             for j in range(r - size):
                 u = buffer[head + j]
                 w = buffer[tail + j]
@@ -131,7 +148,6 @@ def tft_in_place(plan: TransformPlan, buffer, ring=None) -> None:
                 buffer[head + j] = w
                 buffer[alias + j] = sub(u, mul(alpha, w))
         else:
-            aliased_head = qp << (k + 1)  # 2^k * 2q'
             for j in range(r):
                 buffer[head + j] = add(buffer[head + j], mul(alpha, buffer[alias + j]))
             for j in range(r, size):
@@ -140,13 +156,7 @@ def tft_in_place(plan: TransformPlan, buffer, ring=None) -> None:
                 )
 
     # pass 3: restore the borrowed head entries, bottom level upward
-    for k in range(v + 1, m - 1):
-        q = ell >> (k + 1)
-        r = ell - (q << (k + 1))
-        qp = q - (1 << (m - k - 2))
-        size = 1 << k
-        head = q << (k + 1)
-        alias = (2 * qp + 1) << k
+    for k, q, r, size, head, alias, aliased_head in branch_levels(plan, range(v + 1, m - 1)):
         alpha = twiddle_forward(ring, m, psi, k, q)
         if r > size:
             for j in range(r - size, size):
@@ -157,7 +167,6 @@ def tft_in_place(plan: TransformPlan, buffer, ring=None) -> None:
                 buffer[head + j] = add(add(t, t), w)
                 buffer[alias + j] = u
         else:
-            aliased_head = qp << (k + 1)
             for j in range(r, size):
                 buffer[aliased_head + j] = sub(
                     buffer[aliased_head + j], mul(alpha, buffer[alias + j])

@@ -11,11 +11,11 @@ is seconds.
 import gc
 import random
 import time
+import tracemalloc
 
 import pytest
 
 from tftkit.bits import bit_reverse
-from tftkit.fft import fft_in_place
 from tftkit.instrumentation import (
     AuditBuffer,
     bound_check,
@@ -153,7 +153,7 @@ def test_fft_counts_match_the_closed_form(field):
     for k in range(15):
         n = 1 << k
         ring = counted_ring(field)
-        fft_in_place(k, field.root_of_order(k), [0] * n, ring)
+        tft_in_place(make_plan(field, n), [0] * n, ring)
         c = ring.counters
         if c.add_sub != n * k:
             _verdict(
@@ -166,7 +166,41 @@ def test_fft_counts_match_the_closed_form(field):
     _verdict(
         True,
         "fft baseline",
-        "n = 2^0..2^14: adds exactly n*lg(n), root products within (n/2)*lg(n)+n+16",
+        "tft at n = 2^0..2^14: adds exactly n*lg(n), root products within "
+        "(n/2)*lg(n)+n+16",
+    )
+
+
+SCRATCH_LIMIT = 2048  # bytes; the kernels measure at most 1344
+SCRATCH_LENGTHS = (1, 2, 3, 17, 1000, 1025, 4096, 5000, 16385)
+
+
+def test_scratch_space_is_constant(field):
+    # In place means O(1) auxiliary space: the traced peak above what the
+    # call leaves allocated must stay under one constant at every length.
+    rng = random.Random(SEED + 5)
+    p = field.modulus
+    worst = (0, None, None)
+    start = time.perf_counter()
+    for ell in SCRATCH_LENGTHS:
+        plan = make_plan(field, ell)
+        for kind, kernel in (("forward", tft_in_place), ("inverse", itft_in_place)):
+            buf = [rng.randrange(p) for _ in range(ell)]
+            tracemalloc.start()
+            try:
+                kernel(plan, buf)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            if peak - current > worst[0]:
+                worst = (peak - current, kind, ell)
+    elapsed = time.perf_counter() - start
+    aux, kind, ell = worst
+    _verdict(
+        aux <= SCRATCH_LIMIT,
+        "constant scratch",
+        f"both transforms, l in {SCRATCH_LENGTHS}: worst {aux} B above the output "
+        f"({kind}, l={ell}; limit {SCRATCH_LIMIT} B) ({elapsed:.1f}s)",
     )
 
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from tftkit.bits import bit_reverse, bitrev_permute
+from tftkit.bits import bit_reverse
 
 
 def test_known_reversals():
@@ -32,16 +32,3 @@ def test_reversal_matches_string_reversal():
     for k in range(1, 8):
         for i in range(1 << k):
             assert bit_reverse(i, k) == int(format(i, f"0{k}b")[::-1], 2)
-
-
-def test_permute_round_trips():
-    buf = list(range(16))
-    bitrev_permute(buf, 4)
-    assert buf[1] == 8 and buf[8] == 1
-    bitrev_permute(buf, 4)
-    assert buf == list(range(16))
-
-
-def test_permute_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        bitrev_permute([0, 1, 2], 2)

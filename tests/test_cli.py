@@ -43,10 +43,13 @@ def test_itft_undoes_tft(monkeypatch, capsys):
     assert capsys.readouterr().out == "1\n2\n3\n"
 
 
-def test_transform_usage_errors(monkeypatch, capsys):
+def test_transform_usage_errors(tmp_path, monkeypatch, capsys):
     cases = [
         (["tft", "--modulus", "17", "--length", "4"], "1 2 3"),  # wrong count
         (["tft", "--modulus", "17", "--length", "2"], "1 x"),  # not an integer
+        (["tft", "--modulus", "17", "--length", "2"], "1_0 2"),  # not plain decimal
+        (["tft", "--modulus", "17", "--length", "1"], "\u0663"),  # Arabic-Indic 3
+        (["tft", "--modulus", "17", "--length", "1"], "+3"),
         (["tft", "--modulus", "17", "--length", "2"], "1 17"),  # out of range
         (["tft", "--modulus", "17", "--length", "32"], "0 " * 32),  # too long
         (["tft", "--modulus", "16", "--length", "2"], "1 0"),  # even modulus
@@ -58,6 +61,12 @@ def test_transform_usage_errors(monkeypatch, capsys):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error:")
+    src = tmp_path / "in.txt"
+    src.write_bytes(b"1 \xff\n")  # not ASCII
+    code = main(["tft", "--modulus", "17", "--length", "2", "--input", str(src)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err.startswith("error:")
 
 
 def test_missing_input_file(capsys):
@@ -75,11 +84,22 @@ def test_mul_golden(monkeypatch, capsys):
     assert capsys.readouterr().out == "1 2 1\n"
 
 
-def test_mul_input_errors(monkeypatch, capsys):
-    for text in ("1 2 3\n", "1 2\n\n", "1 2\n3 4\n5\n", "1 2\nbogus 4\n"):
+def test_mul_input_errors(tmp_path, monkeypatch, capsys):
+    for text in (
+        "1 2 3\n",
+        "1 2\n\n",
+        "1 2\n3 4\n5\n",
+        "1 2\nbogus 4\n",
+        "1_0 2\n\u0663\n",  # int() would read these as 10 and 3
+    ):
         code = run_cli(["mul", "--modulus", "17"], text, monkeypatch)
         capsys.readouterr()
         assert code == 2, repr(text)
+    src = tmp_path / "in.txt"
+    src.write_bytes(b"1 2\n3 \xff\n")  # not ASCII
+    code = main(["mul", "--modulus", "17", "--input", str(src)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_counts_csv(monkeypatch, capsys):
@@ -91,7 +111,7 @@ def test_counts_csv(monkeypatch, capsys):
     assert all(line.endswith(",1") for line in out[1:])
     assert out[1].startswith("1,forward,")
     # frozen row: length 4 forward = 1 root product, 8 add/sub
-    assert "4,forward,1,0,8,16,84,1" in out
+    assert "4,forward,1,0,8,16,84,0,1" in out
 
 
 def test_counts_single_kind(capsys):

@@ -27,10 +27,8 @@ def test_counting_field_classifies_operations():
     ring = CountingField(17)
     ring.add(9, 12)
     ring.sub(3, 5)
-    ring.neg(5)
-    ring.double(9)
     c = ring.counters
-    assert c.add_sub == 4 and c.total == 4
+    assert c.add_sub == 2 and c.total == 2
 
     ring.reset()
     ring.mul_root(2, 3)
@@ -101,7 +99,7 @@ def test_bound_report_verdict():
     ok = OpCounters(mul_root=1, mul_pow2=0, add_sub=8, mul_other=0)
     rep = bound_check(4, ok, "forward")
     assert rep.passed
-    assert rep.csv_row() == "4,forward,1,0,8,16,84,1"
+    assert rep.csv_row() == "4,forward,1,0,8,16,84,0,1"
     assert len(rep.csv_row().split(",")) == len(CSV_HEADER.split(","))
 
     stray = OpCounters(mul_root=1, add_sub=8, mul_other=1)

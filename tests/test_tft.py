@@ -5,7 +5,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tftkit.fft import fft_in_place
 from tftkit.instrumentation import AuditBuffer, counted_ring
 from tftkit.oracle import naive_tft
 from tftkit.ring import PrimeField
@@ -80,19 +79,6 @@ def test_matches_oracle_default_field(field):
         buf = list(a)
         tft_in_place(plan, buf)
         assert buf == naive_tft(field, plan.psi, ell, a), ell
-
-
-def test_power_of_two_lengths_equal_the_fft(field):
-    rng = random.Random(3)
-    p = field.modulus
-    for pp in range(7):
-        n = 1 << pp
-        a = [rng.randrange(p) for _ in range(n)]
-        via_tft = list(a)
-        tft_in_place(make_plan(field, n), via_tft)
-        via_fft = list(a)
-        fft_in_place(pp, field.root_of_order(pp), via_fft, field)
-        assert via_tft == via_fft
 
 
 # Exact operation counts for the first few lengths, frozen once the
