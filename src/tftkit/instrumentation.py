@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .itft import itft_in_place
-from .ring import pow_by_squaring
+from .ring import butterfly_loop, fold_loop, inverse_butterfly_loop, pow_by_squaring
 from .tft import make_plan, tft_in_place
 
 __all__ = [
@@ -50,13 +50,16 @@ class OpCounters:
 class CountingField:
     """Ring over Z/modulus that tallies every operation it performs.
 
-    The tallies live in one shared list closed over by the arithmetic
-    methods, which are bound as instance attributes in __init__.  A
-    full bound sweep issues hundreds of millions of ring calls, and
-    closure access to the tally is measurably cheaper than attribute
-    bookkeeping on self.  The kernels double as add(x, x), so a
-    doubling counts as an addition, matching the cost model the bounds
-    are stated in.
+    The tallies live in one shared list closed over by the scalar
+    arithmetic methods, which are bound as instance attributes in
+    __init__: the rightmost-branch passes and the twiddle generator
+    call them once per operation, and closure access to the tally is
+    measurably cheaper than attribute bookkeeping on self.  The block
+    operations run the same loops as PrimeField's and then add to the
+    tallies from the number of butterflies the loop reports: one
+    mul_root and two add_sub per butterfly, two add_sub per fold.  The
+    kernels double as add(x, x), so a doubling counts as an addition,
+    matching the cost model the bounds are stated in.
     """
 
     __slots__ = (
@@ -108,6 +111,19 @@ class CountingField:
     def counters(self) -> OpCounters:
         t = self._tally
         return OpCounters(mul_root=t[0], mul_pow2=t[1], add_sub=t[2], mul_other=t[3])
+
+    def fold(self, buffer, lo: int, hi: int, dist: int) -> None:
+        self._tally[2] += 2 * fold_loop(self.modulus, buffer, lo, hi, dist)
+
+    def butterflies(self, buffer, size: int, pairs) -> None:
+        done = butterfly_loop(self.modulus, buffer, size, pairs)
+        self._tally[0] += done
+        self._tally[2] += 2 * done
+
+    def inverse_butterflies(self, buffer, size: int, pairs) -> None:
+        done = inverse_butterfly_loop(self.modulus, buffer, size, pairs)
+        self._tally[0] += done
+        self._tally[2] += 2 * done
 
     def pow(self, x: int, exponent: int) -> int:
         return pow_by_squaring(self.mul, x, exponent)

@@ -10,21 +10,27 @@ scaled by 2^level: the inverse butterfly then becomes the division-free
 [[1,1],[a',-a']] with a' the reciprocal twiddle, and all the deferred
 halvings collapse into one final scaling pass by powers of 2^-1.
 
-Passes, mirroring the forward kernel in reverse:
+Passes, mirroring the forward kernel in reverse, each a function of
+(plan, buffer, ring):
 
-1. ascending butterfly levels over the completed prefix, reciprocal
-   twiddles drained from the pair generator seeded with psi^-1;
-2. descending rightmost-branch pass recombining head and borrowed
-   entries (x <- x - a*y, and the halving branch x <- (x + a*y)/2);
-3. re-descent finishing the tail entries (x <- 2x - a*y, the doubling
-   an addition);
-4. final scaling of the middle segment by (2^-1)^(m-1) and closing
-   scaled butterflies on the folded head.
+1. ``ascend_levels``: ascending butterfly levels over the completed
+   prefix, reciprocal twiddles drained from the pair generator seeded
+   with psi^-1, run through the ring's block operations (``fold``,
+   ``inverse_butterflies``);
+2. ``branch_recombine``: descending rightmost-branch pass recombining
+   head and borrowed entries (x <- x - a*y, and the halving branch
+   x <- (x + a*y)/2);
+3. ``branch_finish``: re-descent finishing the tail entries
+   (x <- 2x - a*y, the doubling an addition);
+4. ``scale_and_close``: final scaling of the middle segment by
+   (2^-1)^(m-1) and closing scaled butterflies on the folded head.
+
+Passes 2-4 touch O(ell) entries and stay scalar.
 """
 
 from __future__ import annotations
 
-from .tft import TransformPlan, branch_levels
+from .tft import TransformPlan, branch_levels, checked_ring
 from .twiddle import pair_stream, twiddle_forward, twiddle_inverse
 
 __all__ = ["itft_in_place"]
@@ -35,52 +41,45 @@ def itft_in_place(plan: TransformPlan, buffer, ring=None) -> None:
     preimage.
 
     ring defaults to plan.field; pass an instrumented ring with the
-    same modulus to observe operation counts.
+    same modulus to observe operation counts.  Raises ValueError when
+    the buffer length or the ring's modulus does not match the plan,
+    and TypeError when the buffer's first entry is not a Python int.
     """
-    if ring is None:
-        ring = plan.field
-    ell = plan.ell
-    if len(buffer) != ell:
-        raise ValueError(f"buffer length {len(buffer)} != plan length {ell}")
-    if ell == 1:
+    ring = checked_ring(plan, buffer, ring)
+    if plan.ell == 1:
         return
+    ascend_levels(plan, buffer, ring)
+    branch_recombine(plan, buffer, ring)
+    branch_finish(plan, buffer, ring)
+    scale_and_close(plan, buffer, ring)
 
+
+def ascend_levels(plan: TransformPlan, buffer, ring) -> None:
+    """Pass 1: ascending levels; [[1,1],[a,-a]] needs no halving."""
+    ell = plan.ell
     m = plan.m
-    v = plan.v
+    psi_inv = None
+    for k in range(m - 1):
+        size = 1 << k
+        ring.fold(buffer, 0, size, size)
+        q = ell >> (k + 1)
+        if q < 2:
+            continue
+        if psi_inv is None:
+            psi_inv = ring.pow_root(plan.psi, (1 << m) - 1)
+        ring.inverse_butterflies(buffer, size, pair_stream(ring, m, psi_inv, q))
+
+
+def branch_recombine(plan: TransformPlan, buffer, ring) -> None:
+    """Pass 2: descending recombination of head and borrowed entries."""
+    m = plan.m
     psi = plan.psi
     half = plan.half
     add = ring.add
     sub = ring.sub
     mul = ring.mul_root
     mul2 = ring.mul_pow2
-    half_len = 1 << (m - 1)
-
-    # pass 1: ascending levels; [[1,1],[a,-a]] needs no halving
-    psi_inv = None
-    for k in range(m - 1):
-        q = ell >> (k + 1)
-        size = 1 << k
-        for j in range(size):
-            jj = size + j
-            u = buffer[j]
-            w = buffer[jj]
-            buffer[j] = add(u, w)
-            buffer[jj] = sub(u, w)
-        if q < 2:
-            continue
-        if psi_inv is None:
-            psi_inv = ring.pow_root(psi, (1 << m) - 1)
-        for i, alpha in pair_stream(ring, m, psi_inv, q):
-            base = i << (k + 1)
-            for j in range(base, base + size):
-                jj = size + j
-                u = buffer[j]
-                w = buffer[jj]
-                buffer[j] = add(u, w)
-                buffer[jj] = mul(alpha, sub(u, w))
-
-    # pass 2: descending recombination of head and borrowed entries
-    for k, q, r, size, head, alias, aliased_head in branch_levels(plan, range(m - 2, v, -1)):
+    for k, q, r, size, head, alias, aliased_head in branch_levels(plan, range(m - 2, plan.v, -1)):
         alpha = twiddle_forward(ring, m, psi, k, q)
         if r > size:
             for j in range(r - size, size):
@@ -94,8 +93,15 @@ def itft_in_place(plan: TransformPlan, buffer, ring=None) -> None:
                     add(buffer[aliased_head + j], mul(alpha, buffer[alias + j])),
                 )
 
-    # pass 3: re-descent finishing the tail entries
-    for k, q, r, size, head, alias, aliased_head in branch_levels(plan, range(v, m - 1)):
+
+def branch_finish(plan: TransformPlan, buffer, ring) -> None:
+    """Pass 3: re-descent finishing the tail entries."""
+    m = plan.m
+    psi = plan.psi
+    add = ring.add
+    sub = ring.sub
+    mul = ring.mul_root
+    for k, q, r, size, head, alias, aliased_head in branch_levels(plan, range(plan.v, m - 1)):
         if r > size:
             alpha = twiddle_inverse(ring, m, psi, k, q)
             tail = head + size
@@ -120,11 +126,18 @@ def itft_in_place(plan: TransformPlan, buffer, ring=None) -> None:
                     add(u, u), mul(alpha, buffer[alias + j])
                 )
 
-    # pass 4: settle the deferred halvings in one scaling sweep
-    scale = ring.pow_pow2(half, m - 1)
+
+def scale_and_close(plan: TransformPlan, buffer, ring) -> None:
+    """Pass 4: settle the deferred halvings in one scaling sweep."""
+    ell = plan.ell
+    half_len = 1 << (plan.m - 1)
+    add = ring.add
+    sub = ring.sub
+    mul2 = ring.mul_pow2
+    scale = ring.pow_pow2(plan.half, plan.m - 1)
     for j in range(ell - half_len, half_len):
         buffer[j] = mul2(scale, buffer[j])
-    scale = mul2(half, scale)
+    scale = mul2(plan.half, scale)
     for j in range(ell - half_len):
         jj = half_len + j
         u = buffer[j]

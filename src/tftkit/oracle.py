@@ -8,12 +8,12 @@ design; tests keep lengths small.
 
 Fields with modulus below 2^32 get a vectorized numpy path (products
 stay under 2^64 in uint64 since (p-1)*p < 2^64); larger moduli fall
-back to plain Python integers.
+back to plain Python integers.  numpy is imported on the first call
+that needs it, so importing the package (and every CLI command that
+calls no oracle) does not pay for it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 __all__ = ["naive_dft", "naive_tft", "naive_itft_solve", "naive_polymul"]
 
@@ -42,6 +42,8 @@ def naive_dft(field, omega: int, a) -> list[int]:
         powers.append(acc)
         acc = acc * omega % p
     if p < _NUMPY_LIMIT:
+        import numpy as np
+
         table = np.array(powers, dtype=np.uint64)
         data = np.array([x % p for x in a], dtype=np.uint64)
         js = np.arange(n, dtype=np.uint64)
@@ -63,6 +65,8 @@ def naive_tft(field, psi: int, ell: int, a) -> list[int]:
     m = (ell - 1).bit_length()
     points = [pow(psi, _bitrev(i, m), p) for i in range(ell)]
     if p < _NUMPY_LIMIT:
+        import numpy as np
+
         pts = np.array(points, dtype=np.uint64)
         vals = np.zeros(ell, dtype=np.uint64)
         for c in reversed(a):

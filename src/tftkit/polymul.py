@@ -9,6 +9,8 @@ with the output length instead of doubling whenever it crosses one.
 
 from __future__ import annotations
 
+from operator import index
+
 from .instrumentation import counted_ring
 from .itft import itft_in_place
 from .tft import make_plan, tft_in_place
@@ -18,6 +20,9 @@ __all__ = ["tft_polymul", "operation_profile"]
 
 def tft_polymul(f, g, field, ring=None) -> list[int]:
     """Exact product coefficients, length len(f) + len(g) - 1.
+
+    Coefficients may be any integer-like values (anything with
+    __index__, such as numpy integers); they are reduced mod p first.
 
     The output length must not exceed the field's transform capacity
     2^two_adicity.  ring defaults to the field itself; pass a counting
@@ -30,8 +35,9 @@ def tft_polymul(f, g, field, ring=None) -> list[int]:
     p = field.modulus
     ell = len(f) + len(g) - 1
     plan = make_plan(field, ell)
-    fbuf = [x % p for x in f] + [0] * (ell - len(f))
-    gbuf = [x % p for x in g] + [0] * (ell - len(g))
+    # index(), unlike int(), rejects floats instead of truncating them
+    fbuf = [index(x) % p for x in f] + [0] * (ell - len(f))
+    gbuf = [index(x) % p for x in g] + [0] * (ell - len(g))
     tft_in_place(plan, fbuf, ring)
     tft_in_place(plan, gbuf, ring)
     mul = ring.mul

@@ -15,11 +15,24 @@ this class specifically.  A ring handle must provide
     mul_pow2(x, y)                product tagged "by a power of 2 or 2^-1"
     pow(x, e), pow_root(x, e), pow_pow2(x, e)
     inverse(x)
+    fold(buffer, lo, hi, dist)    for j in [lo, hi): (x_j, x_{j+dist}) <-
+                                  (x_j + x_{j+dist}, x_j - x_{j+dist})
+    butterflies(buffer, size, pairs)
+                                  for each (i, a) drawn from pairs, the
+                                  Cooley-Tukey step (x, y) <- (x + a*y, x - a*y)
+                                  on the two halves of block i of size 2*size
+    inverse_butterflies(buffer, size, pairs)
+                                  the same blocks, Gentleman-Sande step
+                                  (x, y) <- (x + y, a*(x - y))
 
 On this plain handle the tagged variants are aliases of the untagged ones;
 the instrumentation module ships a wrapper that gives each tag its own
-counter.  Only the prime-field instantiation ships here, but nothing in the
-kernels assumes more than the protocol above.
+counter.  The three block operations run many butterflies per call, so
+the kernels' O(ell log ell) loops make no method call per butterfly.  A
+custom ring must implement them as well; the cost model counts each
+butterfly as one product by a root power plus two additions, and each
+fold as two additions.  Only the prime-field instantiation ships here,
+but nothing in the kernels assumes more than the protocol above.
 """
 
 from __future__ import annotations
@@ -77,6 +90,52 @@ def pow_by_squaring(mul, x: int, e: int) -> int:
         if e:
             x = mul(x, x)
     return 1 if acc is None else acc
+
+
+def fold_loop(p: int, buffer, lo: int, hi: int, dist: int) -> int:
+    """Replace (x_j, x_{j+dist}) by their sum and difference mod p for
+    j in [lo, hi); return the number of folds done."""
+    for j in range(lo, hi):
+        jj = j + dist
+        u = buffer[j]
+        w = buffer[jj]
+        buffer[j] = (u + w) % p
+        buffer[jj] = (u - w) % p
+    return max(hi - lo, 0)
+
+
+def butterfly_loop(p: int, buffer, size: int, pairs) -> int:
+    """Cooley-Tukey butterflies mod p: for each (i, a) in pairs, pair
+    x_j with y_j = x_{j+size} over block i, j in [2*size*i, 2*size*i + size),
+    and replace them by (x + a*y, x - a*y).  Return the butterflies done."""
+    done = 0
+    for i, alpha in pairs:
+        base = i * 2 * size
+        for j in range(base, base + size):
+            jj = j + size
+            u = buffer[j]
+            t = alpha * buffer[jj] % p
+            buffer[j] = (u + t) % p
+            buffer[jj] = (u - t) % p
+        done += size
+    return done
+
+
+def inverse_butterfly_loop(p: int, buffer, size: int, pairs) -> int:
+    """Gentleman-Sande butterflies mod p over the blocks of
+    butterfly_loop: (x, y) becomes (x + y, a*(x - y)).  Return the
+    butterflies done."""
+    done = 0
+    for i, alpha in pairs:
+        base = i * 2 * size
+        for j in range(base, base + size):
+            jj = j + size
+            u = buffer[j]
+            w = buffer[jj]
+            buffer[j] = (u + w) % p
+            buffer[jj] = alpha * (u - w) % p
+        done += size
+    return done
 
 
 def _require_prime(p: int) -> None:
@@ -157,6 +216,17 @@ class PrimeField:
         if x == 0:
             raise ZeroDivisionError("0 has no inverse")
         return self.pow(x, self.modulus - 2)
+
+    # --- block operations (see the ring protocol above) ---
+
+    def fold(self, buffer, lo: int, hi: int, dist: int) -> None:
+        fold_loop(self.modulus, buffer, lo, hi, dist)
+
+    def butterflies(self, buffer, size: int, pairs) -> None:
+        butterfly_loop(self.modulus, buffer, size, pairs)
+
+    def inverse_butterflies(self, buffer, size: int, pairs) -> None:
+        inverse_butterfly_loop(self.modulus, buffer, size, pairs)
 
     def root_of_order(self, m: int) -> int:
         """Principal 2^m-th root of unity, generator_root^(2^(s-m)).

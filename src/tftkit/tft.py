@@ -7,20 +7,24 @@ psi has order 2^m.  No auxiliary array is allocated: every read and
 write lands inside the buffer, and the scratch state is a handful of
 scalars.
 
-The kernel runs in four passes:
+The kernel runs in four passes, each a function of (plan, buffer, ring):
 
-1. fold the tail half onto the head (the missing inputs beyond ell are
-   zero, so the first butterfly level degenerates to sums/differences
-   that fit in place);
-2. descend the rightmost branch of the butterfly tree, producing the
-   tail entries of each level; where a full butterfly would need a slot
-   that does not exist, a division-free 2x2 step [[0,1],[1,-a]] stashes
-   the surviving combination instead;
-3. walk back up restoring the head entries the descent borrowed, via
-   the inverse step [[2a,1],[1,0]] (the doubling is an addition, so the
-   pass divides by nothing);
-4. run plain butterfly levels over the completed prefix, with twiddles
-   drained from the streaming pair generator.
+1. ``fold_tail``: fold the tail half onto the head (the missing inputs
+   beyond ell are zero, so the first butterfly level degenerates to
+   sums/differences that fit in place);
+2. ``branch_descent``: descend the rightmost branch of the butterfly
+   tree, producing the tail entries of each level; where a full
+   butterfly would need a slot that does not exist, a division-free 2x2
+   step [[0,1],[1,-a]] stashes the surviving combination instead;
+3. ``branch_restore``: walk back up restoring the head entries the
+   descent borrowed, via the inverse step [[2a,1],[1,0]] (the doubling
+   is an addition, so the pass divides by nothing);
+4. ``prefix_levels``: run plain butterfly levels over the completed
+   prefix, with twiddles drained from the streaming pair generator.
+
+Passes 1 and 4 hand whole levels to the ring's block operations
+(``fold``, ``butterflies``); the rightmost-branch passes 2-3 touch
+O(ell) entries and stay scalar, one ring call per operation.
 
 Multiplication counts stay within (ell/2)log2(ell) + O(ell) ring
 multiplications and ell*floor(log2 ell) + 2*ell additions; the exact
@@ -99,38 +103,60 @@ def branch_levels(plan: TransformPlan, ks):
         yield k, q, ell - head, 1 << k, head, (2 * qp + 1) << k, qp << (k + 1)
 
 
+def checked_ring(plan: TransformPlan, buffer, ring):
+    """The ring a kernel runs on, after the O(1) buffer/ring contract
+    checks both kernels share.
+
+    ring defaults to plan.field and must share its modulus; buffer must
+    have plan.ell entries, and its first entry must be a Python int (numpy
+    scalars and floats would compute in their own arithmetic).
+    """
+    if ring is None:
+        ring = plan.field
+    elif ring.modulus != plan.field.modulus:
+        raise ValueError(
+            f"ring modulus {ring.modulus} != plan modulus {plan.field.modulus}"
+        )
+    if len(buffer) != plan.ell:
+        raise ValueError(f"buffer length {len(buffer)} != plan length {plan.ell}")
+    if not isinstance(buffer[0], int):
+        raise TypeError(
+            f"buffer entries must be Python ints, got {type(buffer[0]).__name__}"
+        )
+    return ring
+
+
 def tft_in_place(plan: TransformPlan, buffer, ring=None) -> None:
     """Overwrite buffer with its truncated Fourier transform.
 
     ring defaults to plan.field; pass an instrumented ring with the
-    same modulus to observe operation counts.
+    same modulus to observe operation counts.  Raises ValueError when
+    the buffer length or the ring's modulus does not match the plan,
+    and TypeError when the buffer's first entry is not a Python int.
     """
-    if ring is None:
-        ring = plan.field
-    ell = plan.ell
-    if len(buffer) != ell:
-        raise ValueError(f"buffer length {len(buffer)} != plan length {ell}")
-    if ell == 1:
+    ring = checked_ring(plan, buffer, ring)
+    if plan.ell == 1:
         return
+    fold_tail(plan, buffer, ring)
+    branch_descent(plan, buffer, ring)
+    branch_restore(plan, buffer, ring)
+    prefix_levels(plan, buffer, ring)
 
+
+def fold_tail(plan: TransformPlan, buffer, ring) -> None:
+    """Pass 1: fold the tail half onto the head."""
+    half_len = 1 << (plan.m - 1)
+    ring.fold(buffer, 0, plan.ell - half_len, half_len)
+
+
+def branch_descent(plan: TransformPlan, buffer, ring) -> None:
+    """Pass 2: rightmost-branch descent (runs only when ell < 2^m)."""
     m = plan.m
-    v = plan.v
     psi = plan.psi
     add = ring.add
     sub = ring.sub
     mul = ring.mul_root
-    half_len = 1 << (m - 1)
-
-    # pass 1: fold tail onto head
-    for j in range(ell - half_len):
-        jj = half_len + j
-        u = buffer[j]
-        w = buffer[jj]
-        buffer[j] = add(u, w)
-        buffer[jj] = sub(u, w)
-
-    # pass 2: rightmost-branch descent (runs only when ell < 2^m)
-    for k, q, r, size, head, alias, aliased_head in branch_levels(plan, range(m - 2, v - 1, -1)):
+    for k, q, r, size, head, alias, aliased_head in branch_levels(plan, range(m - 2, plan.v - 1, -1)):
         alpha = twiddle_forward(ring, m, psi, k, q)
         if r > size:
             tail = head + size
@@ -155,8 +181,15 @@ def tft_in_place(plan: TransformPlan, buffer, ring=None) -> None:
                     buffer[aliased_head + j], mul(alpha, buffer[alias + j])
                 )
 
-    # pass 3: restore the borrowed head entries, bottom level upward
-    for k, q, r, size, head, alias, aliased_head in branch_levels(plan, range(v + 1, m - 1)):
+
+def branch_restore(plan: TransformPlan, buffer, ring) -> None:
+    """Pass 3: restore the borrowed head entries, bottom level upward."""
+    m = plan.m
+    psi = plan.psi
+    add = ring.add
+    sub = ring.sub
+    mul = ring.mul_root
+    for k, q, r, size, head, alias, aliased_head in branch_levels(plan, range(plan.v + 1, m - 1)):
         alpha = twiddle_forward(ring, m, psi, k, q)
         if r > size:
             for j in range(r - size, size):
@@ -172,24 +205,16 @@ def tft_in_place(plan: TransformPlan, buffer, ring=None) -> None:
                     buffer[aliased_head + j], mul(alpha, buffer[alias + j])
                 )
 
-    # pass 4: butterfly levels over the completed prefix
+
+def prefix_levels(plan: TransformPlan, buffer, ring) -> None:
+    """Pass 4: butterfly levels over the completed prefix; block 0 is a
+    fold, the twiddles of blocks 1..q-1 come from the pair stream."""
+    ell = plan.ell
+    m = plan.m
+    psi = plan.psi
     for k in range(m - 2, -1, -1):
-        q = ell >> (k + 1)
         size = 1 << k
-        for j in range(size):
-            jj = size + j
-            u = buffer[j]
-            w = buffer[jj]
-            buffer[j] = add(u, w)
-            buffer[jj] = sub(u, w)
-        if q < 2:
-            continue
-        for i, alpha in pair_stream(ring, m, psi, q):
-            base = i << (k + 1)
-            for j in range(base, base + size):
-                jj = size + j
-                u = buffer[j]
-                w = buffer[jj]
-                t = mul(alpha, w)
-                buffer[j] = add(u, t)
-                buffer[jj] = sub(u, t)
+        ring.fold(buffer, 0, size, size)
+        q = ell >> (k + 1)
+        if q > 1:
+            ring.butterflies(buffer, size, pair_stream(ring, m, psi, q))

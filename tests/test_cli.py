@@ -192,3 +192,14 @@ def test_console_script_help():
     assert proc.returncode == 0
     for name in ("tft", "itft", "mul", "counts", "selftest"):
         assert name in proc.stdout
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is most of the CLI's start-up time, and only the oracles use it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tftkit.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

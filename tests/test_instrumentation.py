@@ -63,6 +63,52 @@ def test_counting_field_inverse():
         ring.inverse(17)
 
 
+def _scalar_block_op(p, name, data, args):
+    """The loop each block operation stands for, one element at a time."""
+    buf = list(data)
+    if name == "fold":
+        lo, hi, dist = args
+        for j in range(lo, hi):
+            u, w = buf[j], buf[j + dist]
+            buf[j], buf[j + dist] = (u + w) % p, (u - w) % p
+        return buf
+    size, pairs = args
+    for i, alpha in pairs:
+        for j in range(2 * size * i, 2 * size * i + size):
+            u, w = buf[j], buf[j + size]
+            if name == "butterflies":
+                buf[j], buf[j + size] = (u + alpha * w) % p, (u - alpha * w) % p
+            else:
+                buf[j], buf[j + size] = (u + w) % p, alpha * (u - w) % p
+    return buf
+
+
+def test_block_operations_match_scalar_loops(field):
+    rng = random.Random(9)
+    p = field.modulus
+    n = 64
+    data = [rng.randrange(p) for _ in range(n)]
+    cases = [("fold", (0, 20, 32), 0, 40), ("fold", (5, 9, 4), 0, 8), ("fold", (7, 7, 3), 0, 0)]
+    for size in (1, 4, 16):
+        blocks = rng.sample(range(n // (2 * size)), 2)
+        pairs = [(i, rng.randrange(p)) for i in blocks]
+        for name in ("butterflies", "inverse_butterflies"):
+            cases.append((name, (size, pairs), 2 * size, 4 * size))
+            cases.append((name, (size, []), 0, 0))
+    for name, args, mul_root, add_sub in cases:
+        want = _scalar_block_op(p, name, data, args)
+        for ring in (field, CountingField(p)):
+            buf = AuditBuffer(data)
+            if name == "fold":
+                ring.fold(buf, *args)
+            else:
+                getattr(ring, name)(buf, args[0], iter(args[1]))
+            assert buf.inner == want, (name, args)
+            assert not buf.oob
+            if isinstance(ring, CountingField):
+                assert ring.counters == OpCounters(mul_root=mul_root, add_sub=add_sub)
+
+
 def test_counted_ring_is_fresh(field):
     ring = counted_ring(field)
     assert ring.modulus == field.modulus

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -50,6 +51,17 @@ def test_matches_schoolbook(field, f17):
 
 def test_unreduced_inputs_are_canonicalized(f17):
     assert tft_polymul([18], [19], f17) == naive_polymul(f17, [18], [19]) == [2]
+
+
+def test_integer_like_coefficients(field):
+    f = list(range(900000000, 900000100))
+    g = [3, 1, 4]
+    want = naive_polymul(field, f, g)
+    for dtype in ("uint64", "int32"):
+        out = tft_polymul(np.array(f, dtype=dtype), np.array(g, dtype=dtype), field)
+        assert out == want and all(type(x) is int for x in out)
+    with pytest.raises(TypeError):
+        tft_polymul([1.0, 2.0], g, field)
 
 
 def test_counted_run_reports_all_classes(field):

@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tftkit.instrumentation import AuditBuffer, counted_ring
+from tftkit.instrumentation import AuditBuffer, CountingField, counted_ring
+from tftkit.itft import itft_in_place
 from tftkit.oracle import naive_tft
 from tftkit.ring import PrimeField
 from tftkit.tft import TransformPlan, make_plan, tft_in_place
@@ -107,7 +109,9 @@ def test_frozen_operation_counts(field):
 
 def test_never_multiplies_by_one(field):
     # On an all-zero buffer every product has a twiddle operand, so an
-    # operand equal to 1 means an identity twiddle slipped through.
+    # operand equal to 1 means an identity twiddle slipped through.  The
+    # block operations multiply inside the ring, so their twiddles are
+    # checked as they are drawn from the pair stream.
     class Guard:
         def __init__(self, inner):
             self.inner = inner
@@ -120,8 +124,36 @@ def test_never_multiplies_by_one(field):
             assert x != 1 and y != 1, (x, y)
             return self.inner.mul_root(x, y)
 
-    for ell in range(1, 129):
-        tft_in_place(make_plan(field, ell), [0] * ell, Guard(field))
+        def butterflies(self, buffer, size, pairs):
+            self.inner.butterflies(buffer, size, self._checked(pairs))
+
+        def inverse_butterflies(self, buffer, size, pairs):
+            self.inner.inverse_butterflies(buffer, size, self._checked(pairs))
+
+        @staticmethod
+        def _checked(pairs):
+            for i, alpha in pairs:
+                assert alpha != 1, (i, alpha)
+                yield i, alpha
+
+    for kernel in (tft_in_place, itft_in_place):
+        for ell in range(1, 129):
+            kernel(make_plan(field, ell), [0] * ell, Guard(field))
+
+
+def test_buffer_ring_contract(field):
+    # numpy integers would wrap in their dtype, floats would compute in
+    # floating point, and a ring over another prime gives wrong values
+    plan = make_plan(field, 100)
+    values = range(900000000, 900000100)
+    for kernel in (tft_in_place, itft_in_place):
+        for dtype in ("uint64", "int32"):
+            with pytest.raises(TypeError):
+                kernel(plan, np.array(values, dtype=dtype))
+        with pytest.raises(TypeError):
+            kernel(plan, [float(x) for x in values])
+        with pytest.raises(ValueError):
+            kernel(plan, list(values), CountingField(7340033))  # 7 * 2^20 + 1
 
 
 def test_stays_inside_the_buffer(field):
