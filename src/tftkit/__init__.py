@@ -13,7 +13,6 @@ from .instrumentation import (
     CountingField,
     OpCounters,
     bound_check,
-    counted_ring,
     measure_transform,
 )
 from .itft import itft_in_place
@@ -35,7 +34,6 @@ __all__ = [
     "TransformPlan",
     "bit_reverse",
     "bound_check",
-    "counted_ring",
     "itft_in_place",
     "make_plan",
     "measure_transform",

@@ -18,14 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .itft import itft_in_place
-from .ring import butterfly_loop, fold_loop, inverse_butterfly_loop, pow_by_squaring
+from .ring import butterfly_loop, fold_loop, inverse_butterfly_loop
 from .tft import make_plan, tft_in_place
 
 __all__ = [
     "CSV_HEADER",
     "OpCounters",
     "CountingField",
-    "counted_ring",
     "AuditBuffer",
     "BoundReport",
     "bound_check",
@@ -59,7 +58,10 @@ class CountingField:
     tallies from the number of butterflies the loop reports: one
     mul_root and two add_sub per butterfly, two add_sub per fold.  The
     kernels double as add(x, x), so a doubling counts as an addition,
-    matching the cost model the bounds are stated in.
+    matching the cost model the bounds are stated in.  Powers have no
+    method here: ``pow_by_squaring`` over mul_root or mul_pow2 counts
+    each of its products in that class.  A new instance starts with
+    every tally at zero.
     """
 
     __slots__ = (
@@ -124,25 +126,6 @@ class CountingField:
         done = inverse_butterfly_loop(self.modulus, buffer, size, pairs)
         self._tally[0] += done
         self._tally[2] += 2 * done
-
-    def pow(self, x: int, exponent: int) -> int:
-        return pow_by_squaring(self.mul, x, exponent)
-
-    def pow_root(self, x: int, exponent: int) -> int:
-        return pow_by_squaring(self.mul_root, x, exponent)
-
-    def pow_pow2(self, x: int, exponent: int) -> int:
-        return pow_by_squaring(self.mul_pow2, x, exponent)
-
-    def inverse(self, x: int) -> int:
-        if x % self.modulus == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return self.pow(x, self.modulus - 2)
-
-
-def counted_ring(field) -> CountingField:
-    """Fresh zeroed counting ring over the field's modulus."""
-    return CountingField(field.modulus)
 
 
 class AuditBuffer:
@@ -266,7 +249,7 @@ def measure_transform(field, ell: int, kind: str) -> OpCounters:
     measures the true cost.
     """
     plan = make_plan(field, ell)
-    ring = counted_ring(field)
+    ring = CountingField(field.modulus)
     buffer = [0] * ell
     if kind == "forward":
         tft_in_place(plan, buffer, ring)

@@ -30,6 +30,7 @@ Passes 2-4 touch O(ell) entries and stay scalar.
 
 from __future__ import annotations
 
+from .ring import pow_by_squaring
 from .tft import TransformPlan, branch_levels, checked_ring
 from .twiddle import pair_stream, twiddle_forward, twiddle_inverse
 
@@ -66,7 +67,7 @@ def ascend_levels(plan: TransformPlan, buffer, ring) -> None:
         if q < 2:
             continue
         if psi_inv is None:
-            psi_inv = ring.pow_root(plan.psi, (1 << m) - 1)
+            psi_inv = pow_by_squaring(ring.mul_root, plan.psi, (1 << m) - 1)
         ring.inverse_butterflies(buffer, size, pair_stream(ring, m, psi_inv, q))
 
 
@@ -134,7 +135,7 @@ def scale_and_close(plan: TransformPlan, buffer, ring) -> None:
     add = ring.add
     sub = ring.sub
     mul2 = ring.mul_pow2
-    scale = ring.pow_pow2(plan.half, plan.m - 1)
+    scale = pow_by_squaring(mul2, plan.half, plan.m - 1)
     for j in range(ell - half_len, half_len):
         buffer[j] = mul2(scale, buffer[j])
     scale = mul2(plan.half, scale)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from operator import index
 
-from .instrumentation import counted_ring
+from .instrumentation import CountingField
 from .itft import itft_in_place
 from .tft import make_plan, tft_in_place
 
@@ -61,7 +61,7 @@ def operation_profile(field, lengths) -> dict[int, int]:
             raise ValueError("output lengths must be at least 1")
         size_f = (ell + 2) // 2
         size_g = ell + 1 - size_f
-        ring = counted_ring(field)
+        ring = CountingField(field.modulus)
         tft_polymul([0] * size_f, [0] * size_g, field, ring)
         profile[ell] = ring.counters.total
     return profile

@@ -1,20 +1,19 @@
 """Prime-field arithmetic for NTT-friendly moduli.
 
-A field handle bundles the modulus p with its two-adicity s = ord2(p - 1)
-and a fixed generator of the 2^s-torsion subgroup.  Elements themselves are
-plain canonical ints in [0, p); they carry no reference back to the field,
-so a buffer of residues costs nothing beyond the ints it holds.
+A field handle is fixed by its modulus p; from p it derives the
+two-adicity s = ord2(p - 1) and a fixed generator of the 2^s-torsion
+subgroup.  Elements themselves are plain canonical ints in [0, p); they
+carry no reference back to the field, so a buffer of residues costs
+nothing beyond the ints it holds.
 
 The transform kernels are generic over a small ring protocol rather than
-this class specifically.  A ring handle must provide
+this class specifically.  A ring handle must provide exactly
 
     modulus                       attribute, the odd prime p
     add(x, y), sub(x, y)          counted together as additions
     mul(x, y)                     general product
     mul_root(x, y)                product tagged "by a root power"
     mul_pow2(x, y)                product tagged "by a power of 2 or 2^-1"
-    pow(x, e), pow_root(x, e), pow_pow2(x, e)
-    inverse(x)
     fold(buffer, lo, hi, dist)    for j in [lo, hi): (x_j, x_{j+dist}) <-
                                   (x_j + x_{j+dist}, x_j - x_{j+dist})
     butterflies(buffer, size, pairs)
@@ -26,18 +25,21 @@ this class specifically.  A ring handle must provide
                                   (x, y) <- (x + y, a*(x - y))
 
 On this plain handle the tagged variants are aliases of the untagged ones;
-the instrumentation module ships a wrapper that gives each tag its own
-counter.  The three block operations run many butterflies per call, so
-the kernels' O(ell log ell) loops make no method call per butterfly.  A
-custom ring must implement them as well; the cost model counts each
-butterfly as one product by a root power plus two additions, and each
-fold as two additions.  Only the prime-field instantiation ships here,
-but nothing in the kernels assumes more than the protocol above.
+the instrumentation module ships a ring that gives each tag its own
+counter.  Exponentiation is not a ring member: callers run
+``pow_by_squaring`` over the tagged product the power belongs to, so
+each of its products is counted in that product's class.  The three
+block operations run many butterflies per call, so the kernels'
+O(ell log ell) loops make no method call per butterfly.  A custom ring
+must implement them as well; the cost model counts each butterfly as one
+product by a root power plus two additions, and each fold as two
+additions.  Only the prime-field instantiation ships here, but nothing
+in the kernels assumes more than the protocol above.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 DEFAULT_MODULUS = 998244353  # 119 * 2^23 + 1
 
@@ -151,35 +153,25 @@ def _require_prime(p: int) -> None:
 class PrimeField:
     """Arithmetic handle for Z/p with p an odd prime, p - 1 = odd * 2^s.
 
+    PrimeField(p) takes the modulus only; the other two fields are
+    derived from it and cannot be passed.
+
     Fields:
         modulus: the prime p, below psi_13 (about 3.3e24) so that the
             primality check is exact.
         two_adicity: s = ord2(p - 1), the largest power-of-two transform
             size the field supports is 2^s.
-        generator_root: an element of multiplicative order exactly 2^s.
+        generator_root: an element of multiplicative order exactly 2^s,
+            c^((p-1)/2^s) for the smallest quadratic non-residue c, so
+            construction is deterministic.
     """
 
     modulus: int
-    two_adicity: int
-    generator_root: int
+    two_adicity: int = field(init=False)
+    generator_root: int = field(init=False)
 
     def __post_init__(self) -> None:
         p = self.modulus
-        s = self.two_adicity
-        g = self.generator_root
-        _require_prime(p)
-        if s < 1 or (p - 1) % (1 << s) != 0 or ((p - 1) >> s) % 2 == 0:
-            raise ValueError(f"two_adicity {s} does not match ord2({p} - 1)")
-        if not 0 < g < p or pow(g, 1 << (s - 1), p) != p - 1:
-            raise ValueError("generator_root must have order exactly 2^two_adicity")
-
-    @classmethod
-    def from_modulus(cls, p: int) -> "PrimeField":
-        """Derive two_adicity and a generator of the 2^s subgroup from p.
-
-        The generator comes from the smallest quadratic non-residue c as
-        c^((p-1)/2^s), so construction is deterministic.
-        """
         _require_prime(p)
         odd = p - 1
         s = 0
@@ -189,7 +181,13 @@ class PrimeField:
         c = 2
         while pow(c, (p - 1) // 2, p) != p - 1:
             c += 1
-        return cls(p, s, pow(c, odd, p))
+        object.__setattr__(self, "two_adicity", s)
+        object.__setattr__(self, "generator_root", pow(c, odd, p))
+
+    @classmethod
+    def from_modulus(cls, p: int) -> "PrimeField":
+        """The field of modulus p; the same as PrimeField(p)."""
+        return cls(p)
 
     # --- element arithmetic (elements are canonical ints in [0, p)) ---
 
@@ -202,20 +200,9 @@ class PrimeField:
     def mul(self, x: int, y: int) -> int:
         return x * y % self.modulus
 
-    # Tag aliases; the counting wrapper separates these.
+    # Tag aliases; CountingField separates these.
     mul_root = mul
     mul_pow2 = mul
-
-    def pow(self, x: int, e: int) -> int:
-        return pow_by_squaring(self.mul, x, e)
-
-    pow_root = pow
-    pow_pow2 = pow
-
-    def inverse(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self.pow(x, self.modulus - 2)
 
     # --- block operations (see the ring protocol above) ---
 
@@ -228,6 +215,8 @@ class PrimeField:
     def inverse_butterflies(self, buffer, size: int, pairs) -> None:
         inverse_butterfly_loop(self.modulus, buffer, size, pairs)
 
+    # --- field-only helpers: not ring members, so builtin pow ---
+
     def root_of_order(self, m: int) -> int:
         """Principal 2^m-th root of unity, generator_root^(2^(s-m)).
 
@@ -237,4 +226,10 @@ class PrimeField:
             raise ValueError(
                 f"no root of order 2^{m}: field supports at most 2^{self.two_adicity}"
             )
-        return self.pow(self.generator_root, 1 << (self.two_adicity - m))
+        return pow(self.generator_root, 1 << (self.two_adicity - m), self.modulus)
+
+    def inverse(self, x: int) -> int:
+        """x^-1 mod p; ZeroDivisionError when x is a multiple of p."""
+        if x % self.modulus == 0:
+            raise ZeroDivisionError(f"{x} is 0 mod {self.modulus} and has no inverse")
+        return pow(x, self.modulus - 2, self.modulus)

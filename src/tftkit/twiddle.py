@@ -16,11 +16,15 @@ transform kernels consume them through two channels:
   square-and-multiply at O(m) multiplications each.  The inverse uses
   the complementary positive exponent ``2^k * (2^(m-k) - bit_reverse(q,
   m-k-1))``, so no field inversion is needed.
+
+Every product, powers included, is a ``ring.mul_root``: powers run
+``pow_by_squaring`` over it, so a counting ring sees each one.
 """
 
 from __future__ import annotations
 
 from .bits import bit_reverse
+from .ring import pow_by_squaring
 
 __all__ = ["pair_stream", "twiddle_forward", "twiddle_inverse"]
 
@@ -42,8 +46,8 @@ def _pairs(ring, m, psi, q):
     bits = q.bit_length() - 1
     scale = 1
     lift = min(m - 1 - bits, 1)
-    seed = ring.pow_root(psi, 1 << (m - 1 - bits - lift))
-    step = ring.pow_root(seed, 1 << lift)
+    seed = pow_by_squaring(ring.mul_root, psi, 1 << (m - 1 - bits - lift))
+    step = pow_by_squaring(ring.mul_root, seed, 1 << lift)
     term = scale
     rev = 0
     for j in range(1, 1 << bits):
@@ -61,7 +65,7 @@ def _pairs(ring, m, psi, q):
         prev_bits = bits
         bits = (q - offset).bit_length() - 1
         scale = seed if scale == 1 else ring.mul_root(scale, seed)
-        seed = ring.pow_root(seed, 1 << (prev_bits - bits))
+        seed = pow_by_squaring(ring.mul_root, seed, 1 << (prev_bits - bits))
         step = ring.mul_root(seed, seed)
         term = scale
         yield offset, term
@@ -83,7 +87,7 @@ def twiddle_forward(ring, m: int, psi: int, k: int, q: int) -> int:
         raise ValueError("k must lie in [0, m-1]")
     if not 0 <= q < 1 << (m - k - 1):
         raise ValueError("q must lie in [0, 2^(m-k-1))")
-    return ring.pow_root(psi, (1 << k) * bit_reverse(q, m - k - 1))
+    return pow_by_squaring(ring.mul_root, psi, (1 << k) * bit_reverse(q, m - k - 1))
 
 
 def twiddle_inverse(ring, m: int, psi: int, k: int, q: int) -> int:
@@ -97,4 +101,4 @@ def twiddle_inverse(ring, m: int, psi: int, k: int, q: int) -> int:
     if not 0 <= q < 1 << (m - k - 1):
         raise ValueError("q must lie in [0, 2^(m-k-1))")
     exponent = (1 << k) * ((1 << (m - k)) - bit_reverse(q, m - k - 1))
-    return ring.pow_root(psi, exponent)
+    return pow_by_squaring(ring.mul_root, psi, exponent)

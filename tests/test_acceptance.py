@@ -19,7 +19,7 @@ from tftkit.bits import bit_reverse
 from tftkit.instrumentation import (
     AuditBuffer,
     bound_check,
-    counted_ring,
+    CountingField,
     measure_transform,
 )
 from tftkit.itft import itft_in_place
@@ -152,7 +152,7 @@ def test_multiplication_counts_meet_declared_bounds(bound_sweep):
 def test_fft_counts_match_the_closed_form(field):
     for k in range(15):
         n = 1 << k
-        ring = counted_ring(field)
+        ring = CountingField(field.modulus)
         tft_in_place(make_plan(field, n), [0] * n, ring)
         c = ring.counters
         if c.add_sub != n * k:
@@ -236,7 +236,7 @@ def test_pair_generator_matches_brute_force(field):
     for m in range(1, 11):
         psi = field.root_of_order(m)
         for q in range(1, (1 << (m - 1)) + 1):
-            ring = counted_ring(field)
+            ring = CountingField(field.modulus)
             got = set(pair_stream(ring, m, psi, q))
             want = {
                 (i, pow(omega, bit_reverse(2 * i, s), p)) for i in range(1, q)
@@ -291,7 +291,7 @@ def test_counts_are_input_independent(field):
         for kind, kernel in (("forward", tft_in_place), ("inverse", itft_in_place)):
             seen = set()
             for _ in range(2):
-                ring = counted_ring(field)
+                ring = CountingField(field.modulus)
                 kernel(plan, [rng.randrange(p) for _ in range(ell)], ring)
                 seen.add(ring.counters)
             if len(seen) != 1:

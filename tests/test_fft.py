@@ -6,7 +6,7 @@ import random
 import pytest
 
 from tftkit.bits import bit_reverse
-from tftkit.instrumentation import counted_ring
+from tftkit.instrumentation import CountingField
 from tftkit.itft import itft_in_place
 from tftkit.oracle import naive_dft
 from tftkit.tft import make_plan, tft_in_place
@@ -57,13 +57,13 @@ def test_operation_counts(field):
     # adds are exactly n log2 n; root products within (n/2) log2 n + n + 16
     for pp in range(11):
         n = 1 << pp
-        ring = counted_ring(field)
+        ring = CountingField(field.modulus)
         tft_in_place(make_plan(field, n), [0] * n, ring)
         c = ring.counters
         assert c.add_sub == n * pp
         assert c.mul_root <= (n // 2) * pp + n + 16
         assert c.mul_pow2 == 0 and c.mul_other == 0
-    ring = counted_ring(field)
+    ring = CountingField(field.modulus)
     tft_in_place(make_plan(field, 8), [0] * 8, ring)
     assert ring.counters.mul_root == 8
 

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tftkit.instrumentation import AuditBuffer, counted_ring
+from tftkit.instrumentation import AuditBuffer, CountingField
 from tftkit.itft import itft_in_place
 from tftkit.oracle import naive_itft_solve
 from tftkit.ring import PrimeField
@@ -87,7 +87,7 @@ INVERSE_COUNTS = {
 
 def test_frozen_operation_counts(field):
     for ell, want in INVERSE_COUNTS.items():
-        ring = counted_ring(field)
+        ring = CountingField(field.modulus)
         itft_in_place(make_plan(field, ell), [0] * ell, ring)
         c = ring.counters
         assert (c.mul_root, c.mul_pow2, c.add_sub) == want, ell

@@ -1,7 +1,40 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from tftkit.instrumentation import CountingField
+from tftkit.itft import itft_in_place
+from tftkit.polymul import tft_polymul
 from tftkit.ring import DEFAULT_MODULUS, PrimeField, is_probable_prime, pow_by_squaring
+from tftkit.tft import make_plan, tft_in_place
+
+PROTOCOL = (
+    "modulus",
+    "add",
+    "sub",
+    "mul",
+    "mul_root",
+    "mul_pow2",
+    "fold",
+    "butterflies",
+    "inverse_butterflies",
+)
+
+
+class MinimalRing:
+    """Exactly the documented ring protocol, delegating to a CountingField.
+
+    No __getattr__: a kernel that reaches for any other member fails
+    with AttributeError.
+    """
+
+    __slots__ = PROTOCOL + ("inner",)
+
+    def __init__(self, modulus):
+        self.inner = CountingField(modulus)
+        for name in PROTOCOL:
+            setattr(self, name, getattr(self.inner, name))
 
 
 def test_from_modulus_small(f17):
@@ -28,32 +61,30 @@ def test_rejects_bad_moduli():
 
 
 def test_rejects_inconsistent_parameters():
-    good = PrimeField.from_modulus(17)
     with pytest.raises(ValueError):
-        PrimeField(17, 3, good.generator_root)  # wrong two-adicity
-    with pytest.raises(ValueError):
-        PrimeField(17, 4, 2)  # 2 is a square mod 17, order too small
-    with pytest.raises(ValueError):
-        PrimeField(15, 1, 14)  # composite
+        PrimeField(15)  # composite
+    with pytest.raises(TypeError):
+        PrimeField(17, 4, 3)  # two_adicity and generator_root are derived
 
 
 def test_basic_arithmetic(f17):
     assert f17.add(9, 12) == 4
     assert f17.sub(3, 5) == 15
     assert f17.mul(5, 7) == 1
-    assert f17.pow(3, 16) == 1
     assert f17.inverse(2) == 9
 
 
 def test_inverse_of_zero(f17):
     with pytest.raises(ZeroDivisionError):
         f17.inverse(0)
+    for multiple in (17, 34):
+        with pytest.raises(ZeroDivisionError):
+            f17.inverse(multiple)
 
 
 def test_tagged_products_are_plain_products():
     assert PrimeField.mul_root is PrimeField.mul
     assert PrimeField.mul_pow2 is PrimeField.mul
-    assert PrimeField.pow_root is PrimeField.pow
 
 
 def test_root_of_order(f17):
@@ -115,3 +146,25 @@ def test_probable_prime_spot_checks():
     assert not is_probable_prime(998244353 * 3)
     assert not is_probable_prime(3215031751)  # strong pseudoprime to 2,3,5,7
     assert not is_probable_prime(318665857834031151167461)  # psi_12
+
+
+def test_kernels_need_only_the_ring_protocol(field):
+    p = field.modulus
+    rng = random.Random(5)
+    assert {n for n in dir(MinimalRing(p)) if not n.startswith("_")} == {*PROTOCOL, "inner"}
+    for kernel in (tft_in_place, itft_in_place):
+        for ell in range(1, 131):
+            plan = make_plan(field, ell)
+            data = [rng.randrange(p) for _ in range(ell)]
+            minimal, direct = MinimalRing(p), CountingField(p)
+            got, want = list(data), list(data)
+            kernel(plan, got, minimal)
+            kernel(plan, want, direct)
+            assert got == want, (kernel.__name__, ell)
+            assert minimal.inner.counters == direct.counters, (kernel.__name__, ell)
+    for size_f, size_g in ((1, 1), (3, 5), (64, 64)):
+        f = [rng.randrange(p) for _ in range(size_f)]
+        g = [rng.randrange(p) for _ in range(size_g)]
+        minimal, direct = MinimalRing(p), CountingField(p)
+        assert tft_polymul(f, g, field, minimal) == tft_polymul(f, g, field, direct)
+        assert minimal.inner.counters == direct.counters
