@@ -15,8 +15,7 @@ costs anything when a plain PrimeField is passed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen
 from .itft import itft_in_place
 from .ring import butterfly_loop, fold_loop, inverse_butterfly_loop
 from .tft import make_plan, tft_in_place
@@ -32,14 +31,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class OpCounters:
+class OpCounters(Frozen):
     """Snapshot of the four operation-class tallies."""
 
-    mul_root: int = 0
-    mul_pow2: int = 0
-    add_sub: int = 0
-    mul_other: int = 0
+    __slots__ = ("mul_root", "mul_pow2", "add_sub", "mul_other")
+
+    def __init__(
+        self, mul_root: int = 0, mul_pow2: int = 0, add_sub: int = 0, mul_other: int = 0
+    ) -> None:
+        object.__setattr__(self, "mul_root", mul_root)
+        object.__setattr__(self, "mul_pow2", mul_pow2)
+        object.__setattr__(self, "add_sub", add_sub)
+        object.__setattr__(self, "mul_other", mul_other)
 
     @property
     def total(self) -> int:
@@ -171,17 +174,27 @@ class AuditBuffer:
 CSV_HEADER = "l,kind,mul_root,mul_pow2,add_sub,add_bound,root_bound,pow2_bound,pass"
 
 
-@dataclass(frozen=True, slots=True)
-class BoundReport:
+class BoundReport(Frozen):
     """Measured counters for one transform next to the bounds they
     must satisfy."""
 
-    ell: int
-    kind: str
-    counters: OpCounters
-    add_bound: int
-    root_bound: int
-    pow2_bound: int
+    __slots__ = ("ell", "kind", "counters", "add_bound", "root_bound", "pow2_bound")
+
+    def __init__(
+        self,
+        ell: int,
+        kind: str,
+        counters: OpCounters,
+        add_bound: int,
+        root_bound: int,
+        pow2_bound: int,
+    ) -> None:
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "counters", counters)
+        object.__setattr__(self, "add_bound", add_bound)
+        object.__setattr__(self, "root_bound", root_bound)
+        object.__setattr__(self, "pow2_bound", pow2_bound)
 
     @property
     def passed(self) -> bool:

@@ -39,7 +39,7 @@ in the kernels assumes more than the protocol above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from ._frozen import Frozen
 
 DEFAULT_MODULUS = 998244353  # 119 * 2^23 + 1
 
@@ -149,29 +149,25 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"modulus must be an odd prime, got {p}")
 
 
-@dataclass(frozen=True, slots=True)
-class PrimeField:
+class PrimeField(Frozen):
     """Arithmetic handle for Z/p with p an odd prime, p - 1 = odd * 2^s.
 
-    PrimeField(p) takes the modulus only; the other two fields are
-    derived from it and cannot be passed.
+    PrimeField(p) takes the modulus only and derives the other two
+    attributes from it:
 
-    Fields:
-        modulus: the prime p, below psi_13 (about 3.3e24) so that the
-            primality check is exact.
-        two_adicity: s = ord2(p - 1), the largest power-of-two transform
-            size the field supports is 2^s.
-        generator_root: an element of multiplicative order exactly 2^s,
-            c^((p-1)/2^s) for the smallest quadratic non-residue c, so
-            construction is deterministic.
+        modulus         the prime p, below psi_13 (about 3.3e24) so that
+                        the primality check is exact.
+        two_adicity     s = ord2(p - 1); the largest power-of-two
+                        transform size the field supports is 2^s.
+        generator_root  an element of multiplicative order exactly 2^s,
+                        c^((p-1)/2^s) for the smallest quadratic
+                        non-residue c, so construction is deterministic.
     """
 
-    modulus: int
-    two_adicity: int = field(init=False)
-    generator_root: int = field(init=False)
+    __slots__ = ("modulus", "two_adicity", "generator_root")
 
-    def __post_init__(self) -> None:
-        p = self.modulus
+    def __init__(self, modulus: int) -> None:
+        p = modulus
         _require_prime(p)
         odd = p - 1
         s = 0
@@ -181,6 +177,7 @@ class PrimeField:
         c = 2
         while pow(c, (p - 1) // 2, p) != p - 1:
             c += 1
+        object.__setattr__(self, "modulus", p)
         object.__setattr__(self, "two_adicity", s)
         object.__setattr__(self, "generator_root", pow(c, odd, p))
 

@@ -33,18 +33,17 @@ bounds are asserted in the test suite against instrumented rings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen
 from .ring import PrimeField
 from .twiddle import pair_stream, twiddle_forward
 
 __all__ = ["TransformPlan", "make_plan", "tft_in_place"]
 
 
-@dataclass(frozen=True, slots=True)
-class TransformPlan:
+class TransformPlan(Frozen):
     """Shared per-length state for the forward and inverse transforms.
 
+    field -- the PrimeField the transforms run over
     ell   -- transform length, 1 <= ell <= 2^field.two_adicity
     m     -- ceil(log2 ell); 0 when ell = 1
     v     -- largest v with 2^v dividing ell
@@ -52,12 +51,17 @@ class TransformPlan:
     half  -- inverse of 2, used only by the inverse transform
     """
 
-    field: PrimeField
-    ell: int
-    m: int
-    v: int
-    psi: int
-    half: int
+    __slots__ = ("field", "ell", "m", "v", "psi", "half")
+
+    def __init__(
+        self, field: PrimeField, ell: int, m: int, v: int, psi: int, half: int
+    ) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "half", half)
 
 
 def make_plan(field: PrimeField, ell: int) -> TransformPlan:
@@ -70,14 +74,9 @@ def make_plan(field: PrimeField, ell: int) -> TransformPlan:
             f"capacity of the field"
         )
     v = (ell & -ell).bit_length() - 1
-    return TransformPlan(
-        field=field,
-        ell=ell,
-        m=m,
-        v=v,
-        psi=field.root_of_order(m),
-        half=field.inverse(2),
-    )
+    # (p + 1) / 2 is the inverse of 2 for odd p, without an exponentiation
+    half = (field.modulus + 1) // 2
+    return TransformPlan(field, ell, m, v, field.root_of_order(m), half)
 
 
 def branch_levels(plan: TransformPlan, ks):

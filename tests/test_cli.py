@@ -3,9 +3,11 @@
 import io
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tftkit
 from tftkit.cli import CSV_HEADER, main, xorshift64star
 
 
@@ -203,3 +205,19 @@ def test_import_leaves_numpy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_cli_import_skips_unused_stdlib():
+    # -S keeps site hooks from preloading modules, so the check sees what
+    # tftkit.cli itself imports; each of these costs CLI start-up time
+    src = str(Path(tftkit.__file__).resolve().parent.parent)
+    unused = ("dataclasses", "inspect", "typing", "numpy")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import tftkit.cli; "
+        f"print([name for name in {unused!r} if name in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -21,6 +22,29 @@ def test_counters_default_to_zero():
     assert (c.mul_root, c.mul_pow2, c.add_sub, c.mul_other) == (0, 0, 0, 0)
     assert c.total == 0
     assert OpCounters(mul_root=2, add_sub=5).total == 7
+
+
+def test_counters_and_reports_are_frozen_values():
+    c = OpCounters(mul_root=1, add_sub=8)
+    with pytest.raises(AttributeError):
+        c.add_sub = 9
+    assert c == OpCounters(1, 0, 8, 0) and hash(c) == hash(OpCounters(1, 0, 8, 0))
+    assert c != OpCounters(mul_root=1, add_sub=9)
+    assert OpCounters() == OpCounters(0, 0, 0, 0)
+    assert OpCounters(1, 2, 3, 4).total == 10
+    assert repr(c) == "OpCounters(mul_root=1, mul_pow2=0, add_sub=8, mul_other=0)"
+
+    rep = bound_check(4, c, "forward")
+    with pytest.raises(AttributeError):
+        rep.ell = 5
+    same = BoundReport(4, "forward", c, 16, 84, 0)
+    assert rep == same and hash(rep) == hash(same)
+    assert rep != bound_check(4, c, "inverse")
+    assert repr(rep) == (
+        f"BoundReport(ell=4, kind='forward', counters={c!r}, "
+        "add_bound=16, root_bound=84, pow2_bound=0)"
+    )
+    assert pickle.loads(pickle.dumps(rep)) == rep
 
 
 def test_counting_field_classifies_operations():

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -65,6 +66,17 @@ def test_rejects_inconsistent_parameters():
         PrimeField(15)  # composite
     with pytest.raises(TypeError):
         PrimeField(17, 4, 3)  # two_adicity and generator_root are derived
+
+
+def test_field_is_a_frozen_value(f17, field):
+    with pytest.raises(AttributeError):
+        f17.modulus = 19
+    same = PrimeField(17)
+    assert same == f17 and hash(same) == hash(f17)
+    assert {f17: "f17"}[same] == "f17"
+    assert f17 != field and f17 != PrimeField(97)
+    assert repr(f17) == "PrimeField(modulus=17, two_adicity=4, generator_root=3)"
+    assert pickle.loads(pickle.dumps(field)) == field
 
 
 def test_basic_arithmetic(f17):

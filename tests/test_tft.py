@@ -1,5 +1,6 @@
 """Forward truncated transform: plan construction, values, counts."""
 
+import pickle
 import random
 
 import numpy as np
@@ -35,6 +36,23 @@ def test_plan_is_immutable(f17):
     plan = make_plan(f17, 5)
     with pytest.raises(AttributeError):
         plan.ell = 6
+
+
+def test_plans_compare_by_value(f17, field):
+    a, b = make_plan(field, 1000), make_plan(field, 1000)
+    assert a == b and hash(a) == hash(b)
+    assert a != make_plan(field, 1001)
+    assert make_plan(f17, 5) != make_plan(PrimeField(97), 5)
+    assert repr(make_plan(f17, 5)) == (
+        "TransformPlan(field=PrimeField(modulus=17, two_adicity=4, "
+        "generator_root=3), ell=5, m=3, v=0, psi=9, half=9)"
+    )
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_plan_half_inverts_two(f17, field):
+    for fld in (f17, field):
+        assert 2 * make_plan(fld, 3).half % fld.modulus == 1
 
 
 def test_hand_checked_values(f17):
