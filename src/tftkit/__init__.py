@@ -6,7 +6,6 @@ with operation counts that grow smoothly in ell.  Brute-force oracles,
 operation-count instrumentation, and a CLI round out the package.
 """
 
-from .bits import bit_reverse
 from .instrumentation import (
     AuditBuffer,
     BoundReport,
@@ -20,7 +19,7 @@ from .oracle import naive_dft, naive_itft_solve, naive_polymul, naive_tft
 from .polymul import operation_profile, tft_polymul
 from .ring import DEFAULT_MODULUS, PrimeField, pow_by_squaring
 from .tft import TransformPlan, make_plan, tft_in_place
-from .twiddle import pair_stream, twiddle_forward, twiddle_inverse
+from .twiddle import bit_reverse, pair_stream, twiddle_forward, twiddle_inverse
 
 __version__ = "0.1.0"
 

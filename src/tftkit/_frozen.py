@@ -10,14 +10,27 @@ from __future__ import annotations
 class Frozen:
     """Immutable value class over the fields named in ``__slots__``.
 
-    A subclass lists its fields in ``__slots__`` and sets each one in
-    ``__init__`` with ``object.__setattr__``; afterwards assignment and
-    deletion raise AttributeError.  Equality, hashing, the repr and
-    pickling go by the field values in slot order, as they do for a
-    frozen dataclass.
+    A subclass lists its fields in ``__slots__``; the constructor takes
+    one value per field, positionally in slot order or by name, and
+    raises TypeError for a missing, repeated or unknown field.
+    Afterwards assignment and deletion raise AttributeError.  Equality,
+    hashing, the repr and pickling go by the field values in slot
+    order, as they do for a frozen dataclass.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
+        if len(args) != len(names) or kwargs:
+            raise TypeError(
+                f"{type(self).__name__}() takes the fields ({', '.join(names)}); "
+                f"got {len(args)} of them, and {sorted(kwargs)} left over"
+            )
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -44,5 +57,4 @@ class Frozen:
         return self._values()
 
     def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
+        Frozen.__init__(self, *state)

@@ -71,23 +71,23 @@ def _parse_residues(tokens, modulus: int) -> list[int]:
     return values
 
 
-def _transform_command(args, inverse: bool) -> int:
+# tft, itft and mul check their input in order and report the first problem
+# as a usage error: a bad modulus or length, an unreadable file (OSError, or
+# UnicodeDecodeError, a ValueError), a wrong count, a bad token, or a
+# product longer than the field's transform capacity.
+
+
+def cmd_transform(args) -> int:
     try:
         field = PrimeField.from_modulus(args.modulus)
         plan = make_plan(field, args.length)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    try:
         tokens = _read_text(args.input).split()
-    except (OSError, UnicodeDecodeError) as exc:
-        return _usage_error(str(exc))
-    if len(tokens) != args.length:
-        return _usage_error(f"expected {args.length} values, got {len(tokens)}")
-    try:
+        if len(tokens) != args.length:
+            raise ValueError(f"expected {args.length} values, got {len(tokens)}")
         buffer = _parse_residues(tokens, field.modulus)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _usage_error(str(exc))
-    if inverse:
+    if args.inverse:
         itft_in_place(plan, buffer)
     else:
         tft_in_place(plan, buffer)
@@ -95,35 +95,18 @@ def _transform_command(args, inverse: bool) -> int:
     return 0
 
 
-def cmd_tft(args) -> int:
-    return _transform_command(args, inverse=False)
-
-
-def cmd_itft(args) -> int:
-    return _transform_command(args, inverse=True)
-
-
 def cmd_mul(args) -> int:
     try:
         field = PrimeField.from_modulus(args.modulus)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    try:
         lines = _read_text(args.input).splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        return _usage_error(str(exc))
-    if len(lines) != 2:
-        return _usage_error(f"expected 2 coefficient lines, got {len(lines)}")
-    try:
+        if len(lines) != 2:
+            raise ValueError(f"expected 2 coefficient lines, got {len(lines)}")
         f = _parse_residues(lines[0].split(), field.modulus)
         g = _parse_residues(lines[1].split(), field.modulus)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    if not f or not g:
-        return _usage_error("coefficient lines must be nonempty")
-    try:
+        if not f or not g:
+            raise ValueError("coefficient lines must be nonempty")
         product = tft_polymul(f, g, field)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _usage_error(str(exc))
     print(" ".join(map(str, product)))
     return 0
@@ -157,37 +140,51 @@ def cmd_selftest(args) -> int:
     rng = xorshift64star(args.seed)
     print(f"seed: {args.seed}")
     failures = []
+    for family, check in _SELFTEST_FAMILIES:
+        detail = check(field, rng, args.max)
+        if detail is None:
+            print(f"{family}: ok")
+        else:
+            print(f"{family}: FAIL ({detail})")
+            failures.append(f"{family}: {detail}")
+    for line in failures:
+        print(line, file=sys.stderr)
+    return 1 if failures else 0
 
-    detail = None
-    for ell in range(1, args.max + 1):
+
+# Each selftest family checks lengths 1..max_len, drawing its inputs from
+# the shared stream in turn, and returns the first failure's detail or None.
+
+
+def _check_oracle(field, rng, max_len: int) -> str | None:
+    for ell in range(1, max_len + 1):
         plan = make_plan(field, ell)
         data = [next(rng) % field.modulus for _ in range(ell)]
         buffer = list(data)
         tft_in_place(plan, buffer)
         if buffer != naive_tft(field, plan.psi, ell, data):
-            detail = f"length {ell}: forward transform disagrees with direct evaluation"
-            break
-    _report("oracle-equivalence", detail, failures)
+            return f"length {ell}: forward transform disagrees with direct evaluation"
+    return None
 
-    detail = None
-    for ell in range(1, args.max + 1):
+
+def _check_round_trip(field, rng, max_len: int) -> str | None:
+    for ell in range(1, max_len + 1):
         plan = make_plan(field, ell)
         data = [next(rng) % field.modulus for _ in range(ell)]
         buffer = list(data)
         tft_in_place(plan, buffer)
         itft_in_place(plan, buffer)
         if buffer != data:
-            detail = f"length {ell}: inverse(forward) is not the identity"
-            break
+            return f"length {ell}: inverse(forward) is not the identity"
         itft_in_place(plan, buffer)
         tft_in_place(plan, buffer)
         if buffer != data:
-            detail = f"length {ell}: forward(inverse) is not the identity"
-            break
-    _report("round-trip", detail, failures)
+            return f"length {ell}: forward(inverse) is not the identity"
+    return None
 
-    detail = None
-    for ell in range(1, args.max + 1):
+
+def _check_access(field, rng, max_len: int) -> str | None:
+    for ell in range(1, max_len + 1):
         plan = make_plan(field, ell)
         audited = AuditBuffer(next(rng) % field.modulus for _ in range(ell))
         try:
@@ -196,34 +193,24 @@ def cmd_selftest(args) -> int:
         except IndexError:
             pass
         if audited.oob:
-            detail = f"length {ell}: transform touched an index outside [0, {ell})"
-            break
-    _report("access-audit", detail, failures)
+            return f"length {ell}: transform touched an index outside [0, {ell})"
+    return None
 
-    detail = None
-    for ell in range(1, args.max + 1):
+
+def _check_bounds(field, rng, max_len: int) -> str | None:
+    for ell in range(1, max_len + 1):
         for kind in ("forward", "inverse"):
-            report = bound_check(ell, measure_transform(field, ell, kind), kind)
-            if not report.passed:
-                detail = f"length {ell}: {kind} counts exceed the declared bounds"
-                break
-        if detail is not None:
-            break
-    _report("operation-bounds", detail, failures)
-
-    if failures:
-        for line in failures:
-            print(line, file=sys.stderr)
-        return 1
-    return 0
+            if not bound_check(ell, measure_transform(field, ell, kind), kind).passed:
+                return f"length {ell}: {kind} counts exceed the declared bounds"
+    return None
 
 
-def _report(family: str, detail: str | None, failures: list[str]) -> None:
-    if detail is None:
-        print(f"{family}: ok")
-    else:
-        print(f"{family}: FAIL ({detail})")
-        failures.append(f"{family}: {detail}")
+_SELFTEST_FAMILIES = (
+    ("oracle-equivalence", _check_oracle),
+    ("round-trip", _check_round_trip),
+    ("access-audit", _check_access),
+    ("operation-bounds", _check_bounds),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,13 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    tft_cmd = commands.add_parser("tft", help="forward transform of L residues")
-    _transform_flags(tft_cmd)
-    tft_cmd.set_defaults(func=cmd_tft)
-
-    itft_cmd = commands.add_parser("itft", help="inverse transform of L residues")
-    _transform_flags(itft_cmd)
-    itft_cmd.set_defaults(func=cmd_itft)
+    for name, inverse in (("tft", False), ("itft", True)):
+        direction = "inverse" if inverse else "forward"
+        transform_cmd = commands.add_parser(name, help=f"{direction} transform of L residues")
+        transform_cmd.add_argument("--modulus", type=int, default=DEFAULT_MODULUS)
+        transform_cmd.add_argument("--length", type=int, required=True, help="transform length")
+        transform_cmd.add_argument(
+            "--input", metavar="FILE", help="read residues from FILE instead of stdin"
+        )
+        transform_cmd.set_defaults(func=cmd_transform, inverse=inverse)
 
     mul_cmd = commands.add_parser(
         "mul", help="multiply two polynomials given as coefficient lines"
@@ -269,9 +258,3 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     return args.func(args)
-
-
-def _transform_flags(subparser) -> None:
-    subparser.add_argument("--modulus", type=int, default=DEFAULT_MODULUS)
-    subparser.add_argument("--length", type=int, required=True, help="transform length")
-    subparser.add_argument("--input", metavar="FILE", help="read residues from FILE instead of stdin")

@@ -39,15 +39,12 @@ __all__ = ["itft_in_place"]
 
 def itft_in_place(plan: TransformPlan, buffer, ring=None) -> None:
     """Overwrite buffer, holding a forward-transform image, with its
-    preimage.
-
-    ring defaults to plan.field; pass an instrumented ring with the
-    same modulus to observe operation counts.  Raises ValueError when
-    the buffer length or the ring's modulus does not match the plan,
-    and TypeError when the buffer's first entry is not a Python int.
+    preimage.  ring, the errors raised and the ell = 1 case are as for
+    ``tft_in_place``.
     """
     ring = checked_ring(plan, buffer, ring)
     if plan.ell == 1:
+        buffer[0] %= ring.modulus
         return
     ascend_levels(plan, buffer, ring)
     branch_recombine(plan, buffer, ring)

@@ -58,11 +58,8 @@ def is_probable_prime(n: int) -> bool:
     for w in _MR_WITNESSES:
         if n % w == 0:
             return n == w
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r, d odd
+    d = (n - 1) >> r
     for w in _MR_WITNESSES:
         x = pow(w, d, n)
         if x == 1 or x == n - 1:
@@ -169,17 +166,12 @@ class PrimeField(Frozen):
     def __init__(self, modulus: int) -> None:
         p = modulus
         _require_prime(p)
-        odd = p - 1
-        s = 0
-        while odd % 2 == 0:
-            odd //= 2
-            s += 1
+        s = ((p - 1) & (1 - p)).bit_length() - 1
+        odd = (p - 1) >> s
         c = 2
         while pow(c, (p - 1) // 2, p) != p - 1:
             c += 1
-        object.__setattr__(self, "modulus", p)
-        object.__setattr__(self, "two_adicity", s)
-        object.__setattr__(self, "generator_root", pow(c, odd, p))
+        super().__init__(p, s, pow(c, odd, p))
 
     @classmethod
     def from_modulus(cls, p: int) -> "PrimeField":

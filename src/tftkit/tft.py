@@ -53,16 +53,6 @@ class TransformPlan(Frozen):
 
     __slots__ = ("field", "ell", "m", "v", "psi", "half")
 
-    def __init__(
-        self, field: PrimeField, ell: int, m: int, v: int, psi: int, half: int
-    ) -> None:
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "half", half)
-
 
 def make_plan(field: PrimeField, ell: int) -> TransformPlan:
     if ell < 1:
@@ -103,12 +93,13 @@ def branch_levels(plan: TransformPlan, ks):
 
 
 def checked_ring(plan: TransformPlan, buffer, ring):
-    """The ring a kernel runs on, after the O(1) buffer/ring contract
-    checks both kernels share.
+    """The ring a kernel runs on, after the buffer/ring contract checks
+    both kernels share.
 
     ring defaults to plan.field and must share its modulus; buffer must
-    have plan.ell entries, and its first entry must be a Python int (numpy
-    scalars and floats would compute in their own arithmetic).
+    have plan.ell entries, each of type int exactly (numpy scalars and
+    floats would compute in their own arithmetic; bool is refused with
+    them).  The scan allocates a few hundred bytes, freed before pass 1.
     """
     if ring is None:
         ring = plan.field
@@ -118,10 +109,10 @@ def checked_ring(plan: TransformPlan, buffer, ring):
         )
     if len(buffer) != plan.ell:
         raise ValueError(f"buffer length {len(buffer)} != plan length {plan.ell}")
-    if not isinstance(buffer[0], int):
-        raise TypeError(
-            f"buffer entries must be Python ints, got {type(buffer[0]).__name__}"
-        )
+    bad = set(map(type, buffer)) - {int}
+    if bad:
+        names = ", ".join(sorted(kind.__name__ for kind in bad))
+        raise TypeError(f"buffer entries must be Python ints, got {names}")
     return ring
 
 
@@ -131,10 +122,12 @@ def tft_in_place(plan: TransformPlan, buffer, ring=None) -> None:
     ring defaults to plan.field; pass an instrumented ring with the
     same modulus to observe operation counts.  Raises ValueError when
     the buffer length or the ring's modulus does not match the plan,
-    and TypeError when the buffer's first entry is not a Python int.
+    and TypeError when an entry is not a Python int.  At ell = 1 the
+    transform is the identity, so the entry is only reduced mod p.
     """
     ring = checked_ring(plan, buffer, ring)
     if plan.ell == 1:
+        buffer[0] %= ring.modulus
         return
     fold_tail(plan, buffer, ring)
     branch_descent(plan, buffer, ring)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from tftkit.bits import bit_reverse
+from tftkit import bit_reverse
 
 
 def test_known_reversals():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tftkit.bits import bit_reverse
+from tftkit import bit_reverse
 from tftkit.instrumentation import CountingField
 from tftkit.itft import itft_in_place
 from tftkit.oracle import naive_dft

@@ -174,6 +174,38 @@ def test_buffer_ring_contract(field):
             kernel(plan, list(values), CountingField(7340033))  # 7 * 2^20 + 1
 
 
+def test_every_entry_is_type_checked(field):
+    # the scan covers the whole buffer, not only its first entry; bool is
+    # an int subclass but is refused with the other int look-alikes
+    plan = make_plan(field, 5)
+    for kernel in (tft_in_place, itft_in_place):
+        for index in (1, 4):
+            buf = [1, 2, 3, 4, 5]
+            buf[index] = 2.5
+            with pytest.raises(TypeError, match="float"):
+                kernel(plan, buf)
+            assert buf[:index] == [1, 2, 3, 4, 5][:index]  # nothing computed
+        with pytest.raises(TypeError, match="bool"):
+            kernel(plan, [1, True, 3, 4, 5])
+        audited = AuditBuffer([1, 2, 3, 4, 5])
+        kernel(plan, audited)
+        assert not audited.oob and (audited.lo, audited.hi) == (0, 4)
+
+
+def test_length_one_reduces_its_entry(field):
+    # at l = 1 the transform is the identity on residues: the entry comes
+    # back canonical, as every entry does at l >= 2, with no ring call
+    p = field.modulus
+    plan = make_plan(field, 1)
+    for kernel in (tft_in_place, itft_in_place):
+        for value, want in ((p + 5, 5), (-1, p - 1), (7, 7)):
+            buf = [value]
+            ring = CountingField(p)
+            kernel(plan, buf, ring)
+            assert buf == [want], (kernel.__name__, value)
+            assert ring.counters.total == 0
+
+
 def test_stays_inside_the_buffer(field):
     rng = random.Random(4)
     for ell in (1, 2, 3, 5, 12, 31, 64, 100):

@@ -1,9 +1,11 @@
 """The streaming pair generator and the one-off butterfly coefficients.
 
 The generator's contract: pairs (i, psi^bit_reverse(i, m-1)) for
-i = 1 .. q-1, any order, at most q + 4m multiplications for a full
-drain, O(1) state.  The brute-force comparison recomputes every factor
-from scratch with builtin pow.
+i = 1 .. q-1, at most q + 4m multiplications for a full drain, O(1)
+state.  Consumers may not rely on the order, but it is pinned here: runs
+along the binary digits of q, bit-reversed inside each run.  The
+brute-force comparisons recompute every factor from scratch with
+builtin pow.
 """
 
 import pytest
@@ -18,6 +20,21 @@ def _bitrev(i, k):
 
 def brute_pairs(p, psi, m, q):
     return {(i, pow(psi, _bitrev(i, m - 1), p)) for i in range(1, q)}
+
+
+def ordered_brute_pairs(p, psi, m, q):
+    # one run per binary digit of q, highest first; inside a run of 2^b
+    # indices the low b bits count in bit-reversed order, and i = 0 is skipped
+    out = []
+    offset = 0
+    while offset < q:
+        b = (q - offset).bit_length() - 1
+        for j in range(1 << b):
+            i = offset + _bitrev(j, b)
+            if i:
+                out.append((i, pow(psi, _bitrev(i, m - 1), p)))
+        offset += 1 << b
+    return out
 
 
 def test_small_field_drain_order(f17):
@@ -37,6 +54,15 @@ def test_matches_brute_force(field):
         for q in range(1, (1 << (m - 1)) + 1):
             got = set(pair_stream(field, m, psi, q))
             assert got == brute_pairs(p, psi, m, q), (m, q)
+
+
+def test_matches_ordered_reference(field):
+    p = field.modulus
+    for m in range(1, 9):
+        psi = field.root_of_order(m)
+        for q in range(1, (1 << (m - 1)) + 1):
+            want = ordered_brute_pairs(p, psi, m, q)
+            assert list(pair_stream(field, m, psi, q)) == want, (m, q)
 
 
 def test_drain_multiplication_budget(field):
