@@ -22,10 +22,10 @@ Passes, mirroring the forward kernel in reverse, each a function of
    x <- (x + a*y)/2);
 3. ``branch_finish``: re-descent finishing the tail entries
    (x <- 2x - a*y, the doubling an addition);
-4. ``scale_and_close``: final scaling of the middle segment by
-   (2^-1)^(m-1) and closing scaled butterflies on the folded head.
+4. ``scale_and_close``: the forward kernel's pass-1 fold, then one
+   sweep by (2^-1)^m, or by (2^-1)^(m-1) on the entries the fold skips.
 
-Passes 2-4 touch O(ell) entries and stay scalar.
+Passes 2-3 touch O(ell) entries and stay scalar.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ def branch_recombine(plan: TransformPlan, buffer, ring) -> None:
     sub = ring.sub
     mul = ring.mul_root
     mul2 = ring.mul_pow2
-    for k, q, r, size, head, alias, aliased_head in branch_levels(plan, range(m - 2, plan.v, -1)):
-        alpha = twiddle_forward(ring, m, psi, k, q)
+    for q, r, size, head, alias, aliased_head in branch_levels(plan, range(m - 2, plan.v, -1)):
+        alpha = twiddle_forward(ring, m, psi, q)
         if r > size:
             for j in range(r - size, size):
                 buffer[alias + j] = sub(
@@ -99,9 +99,9 @@ def branch_finish(plan: TransformPlan, buffer, ring) -> None:
     add = ring.add
     sub = ring.sub
     mul = ring.mul_root
-    for k, q, r, size, head, alias, aliased_head in branch_levels(plan, range(plan.v, m - 1)):
+    for q, r, size, head, alias, aliased_head in branch_levels(plan, range(plan.v, m - 1)):
         if r > size:
-            alpha = twiddle_inverse(ring, m, psi, k, q)
+            alpha = twiddle_inverse(ring, m, psi, q)
             tail = head + size
             for j in range(r - size):
                 u = buffer[head + j]
@@ -114,7 +114,7 @@ def branch_finish(plan: TransformPlan, buffer, ring) -> None:
                 buffer[head + j] = add(u, w)
                 buffer[alias + j] = mul(alpha, sub(u, w))
         else:
-            alpha = twiddle_forward(ring, m, psi, k, q)
+            alpha = twiddle_forward(ring, m, psi, q)
             for j in range(r):
                 u = buffer[head + j]
                 buffer[head + j] = sub(add(u, u), mul(alpha, buffer[alias + j]))
@@ -126,19 +126,16 @@ def branch_finish(plan: TransformPlan, buffer, ring) -> None:
 
 
 def scale_and_close(plan: TransformPlan, buffer, ring) -> None:
-    """Pass 4: settle the deferred halvings in one scaling sweep."""
-    ell = plan.ell
-    half_len = 1 << (plan.m - 1)
-    add = ring.add
-    sub = ring.sub
+    """Pass 4: the forward kernel's pass-1 fold closes the top level, then
+    one sweep settles the deferred halvings."""
+    m = plan.m
+    half = plan.half
+    half_len = 1 << (m - 1)
+    lo = plan.ell - half_len
     mul2 = ring.mul_pow2
-    scale = pow_by_squaring(mul2, plan.half, plan.m - 1)
-    for j in range(ell - half_len, half_len):
-        buffer[j] = mul2(scale, buffer[j])
-    scale = mul2(plan.half, scale)
-    for j in range(ell - half_len):
-        jj = half_len + j
-        u = buffer[j]
-        w = buffer[jj]
-        buffer[j] = mul2(scale, add(u, w))
-        buffer[jj] = mul2(scale, sub(u, w))
+    ring.fold(buffer, 0, lo, half_len)
+    middle = pow_by_squaring(mul2, half, m - 1)
+    # at m = 1 no entry is in the middle and middle is 1: take half itself
+    folded = mul2(half, middle) if m > 1 else half
+    for j in range(plan.ell):
+        buffer[j] = mul2(middle if lo <= j < half_len else folded, buffer[j])

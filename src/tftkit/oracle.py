@@ -6,10 +6,9 @@ string, arithmetic through builtin pow and explicit remainders.  All
 functions are pure and leave their inputs untouched.  They are slow by
 design; tests keep lengths small.
 
-Fields with modulus below 2^32 get a vectorized numpy path (products
-stay under 2^64 in uint64 since (p-1)*p < 2^64); larger moduli fall
-back to plain Python integers.  numpy is imported on the first call
-that needs it, so importing the package (and every CLI command that
+Only ``naive_tft`` has a numpy path, for moduli below 2^32 (products
+stay under 2^64 in uint64 since (p-1)*p < 2^64); it imports numpy on
+its first call, so importing the package (and every CLI command that
 calls no oracle) does not pay for it.
 """
 
@@ -36,18 +35,7 @@ def naive_dft(field, omega: int, a) -> list[int]:
         raise ValueError("input length must be a power of two")
     if pow(omega, n, p) != 1 or (n > 1 and pow(omega, n // 2, p) != p - 1):
         raise ValueError("omega must have order equal to the input length")
-    powers = []
-    acc = 1
-    for _ in range(n):
-        powers.append(acc)
-        acc = acc * omega % p
-    if p < _NUMPY_LIMIT:
-        import numpy as np
-
-        table = np.array(powers, dtype=np.uint64)
-        data = np.array([x % p for x in a], dtype=np.uint64)
-        js = np.arange(n, dtype=np.uint64)
-        return [int((data * table[i * js % n] % p).sum() % p) for i in range(n)]
+    powers = [pow(omega, j, p) for j in range(n)]
     return [
         sum(x % p * powers[i * j % n] for j, x in enumerate(a)) % p
         for i in range(n)

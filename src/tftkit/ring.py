@@ -204,7 +204,7 @@ class PrimeField(Frozen):
     def inverse_butterflies(self, buffer, size: int, pairs) -> None:
         inverse_butterfly_loop(self.modulus, buffer, size, pairs)
 
-    # --- field-only helpers: not ring members, so builtin pow ---
+    # --- field-only helper: not a ring member, so builtin pow ---
 
     def root_of_order(self, m: int) -> int:
         """Principal 2^m-th root of unity, generator_root^(2^(s-m)).
@@ -216,9 +216,3 @@ class PrimeField(Frozen):
                 f"no root of order 2^{m}: field supports at most 2^{self.two_adicity}"
             )
         return pow(self.generator_root, 1 << (self.two_adicity - m), self.modulus)
-
-    def inverse(self, x: int) -> int:
-        """x^-1 mod p; ZeroDivisionError when x is a multiple of p."""
-        if x % self.modulus == 0:
-            raise ZeroDivisionError(f"{x} is 0 mod {self.modulus} and has no inverse")
-        return pow(x, self.modulus - 2, self.modulus)

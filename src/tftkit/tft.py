@@ -33,6 +33,8 @@ bounds are asserted in the test suite against instrumented rings.
 
 from __future__ import annotations
 
+from operator import index
+
 from ._frozen import Frozen
 from .ring import PrimeField
 from .twiddle import pair_stream, twiddle_forward
@@ -55,6 +57,7 @@ class TransformPlan(Frozen):
 
 
 def make_plan(field: PrimeField, ell: int) -> TransformPlan:
+    ell = index(ell)
     if ell < 1:
         raise ValueError("transform length must be at least 1")
     m = (ell - 1).bit_length()
@@ -71,10 +74,12 @@ def make_plan(field: PrimeField, ell: int) -> TransformPlan:
 
 def branch_levels(plan: TransformPlan, ks):
     """Yield the rightmost-branch geometry of each level k in ks, as
-    (k, q, r, size, head, alias, aliased_head).
+    (q, r, size, head, alias, aliased_head).
 
     At level k the buffer holds 2q complete blocks of size = 2^k and
-    r = ell - 2^k * 2q entries past them.  With q' = q - 2^(m-k-2):
+    r = ell - 2^k * 2q entries past them, in the partial butterfly block
+    q; its twiddle is twiddle_forward(ring, m, psi, q), as every level's
+    block q has.  With q' = q - 2^(m-k-2):
 
         head          2^k * 2q       start of the partial block
         alias         2^k * (2q'+1)  the borrowed slots
@@ -89,7 +94,7 @@ def branch_levels(plan: TransformPlan, ks):
         q = ell >> (k + 1)
         qp = q - (1 << (m - k - 2))
         head = q << (k + 1)
-        yield k, q, ell - head, 1 << k, head, (2 * qp + 1) << k, qp << (k + 1)
+        yield q, ell - head, 1 << k, head, (2 * qp + 1) << k, qp << (k + 1)
 
 
 def checked_ring(plan: TransformPlan, buffer, ring):
@@ -148,8 +153,8 @@ def branch_descent(plan: TransformPlan, buffer, ring) -> None:
     add = ring.add
     sub = ring.sub
     mul = ring.mul_root
-    for k, q, r, size, head, alias, aliased_head in branch_levels(plan, range(m - 2, plan.v - 1, -1)):
-        alpha = twiddle_forward(ring, m, psi, k, q)
+    for q, r, size, head, alias, aliased_head in branch_levels(plan, range(m - 2, plan.v - 1, -1)):
+        alpha = twiddle_forward(ring, m, psi, q)
         if r > size:
             tail = head + size
             for j in range(r - size):
@@ -181,8 +186,8 @@ def branch_restore(plan: TransformPlan, buffer, ring) -> None:
     add = ring.add
     sub = ring.sub
     mul = ring.mul_root
-    for k, q, r, size, head, alias, aliased_head in branch_levels(plan, range(plan.v + 1, m - 1)):
-        alpha = twiddle_forward(ring, m, psi, k, q)
+    for q, r, size, head, alias, aliased_head in branch_levels(plan, range(plan.v + 1, m - 1)):
+        alpha = twiddle_forward(ring, m, psi, q)
         if r > size:
             for j in range(r - size, size):
                 # [[2a,1],[1,0]] undoes the parking step; 2au = au + au

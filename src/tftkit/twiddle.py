@@ -1,7 +1,9 @@
 """Twiddle factor production for the truncated transforms.
 
-Butterfly coefficients are powers of a root psi of order 2^m.  The
-transform kernels consume them through two channels:
+Butterfly coefficients are powers of a root psi of order 2^m, and a
+coefficient depends only on its block index: at every level, block i
+uses psi^bit_reverse(i, m-1).  The transform kernels consume them
+through two channels:
 
 * ``pair_stream`` -- a generator yielding ``(i, psi^bit_reverse(i, m-1))``
   for ``i = 1, ..., q-1``.  Pairs are produced blockwise: q is split
@@ -11,17 +13,19 @@ transform kernels consume them through two channels:
   multiplications and O(1) space.  Block-internal order is
   bit-reversed; consumers must not rely on ascending ``i``.
 
-* ``twiddle_forward`` / ``twiddle_inverse`` -- one-off factors
-  ``psi^(2^k * bit_reverse(q, m-k-1))`` and its reciprocal, computed by
-  square-and-multiply at O(m) multiplications each.  The inverse uses
-  the complementary positive exponent ``2^m - 2^k * bit_reverse(q,
-  m-k-1)``, so no field inversion is needed.
+* ``twiddle_forward`` / ``twiddle_inverse`` -- the factor
+  ``psi^bit_reverse(q, m-1)`` of one block q and its reciprocal,
+  computed by square-and-multiply at O(m) multiplications each.  The
+  inverse uses the complementary positive exponent
+  ``2^m - bit_reverse(q, m-1)``, so no field inversion is needed.
 
 Every product, powers included, is a ``ring.mul_root``: powers run
 ``pow_by_squaring`` over it, so a counting ring sees each one.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 from .ring import pow_by_squaring
 
@@ -32,23 +36,24 @@ def bit_reverse(i: int, k: int) -> int:
     """Reverse the k low bits of i.  Requires 0 <= i < 2^k."""
     if k < 0 or i >> k:
         raise ValueError(f"index {i} does not fit in {k} bits")
+    # loop over i's own bits, then shift: no int in the loop outgrows i
+    n = i.bit_length()
     out = 0
-    for _ in range(k):
+    for _ in range(n):
         out = (out << 1) | (i & 1)
         i >>= 1
-    return out
+    return out << (k - n)
 
 
 def pair_stream(ring, m: int, psi: int, q: int):
     """Yield (i, psi^bit_reverse(i, m-1)) for i = 1, ..., q-1.
 
-    psi must have order 2^m in the ring and q must lie in
-    [1, 2^(m-1)].  Yields nothing when q = 1.
+    psi must have order 2^m in the ring; m and q must be integers with q
+    in [1, 2^(m-1)].  Yields nothing when q = 1.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if not 1 <= q <= 1 << (m - 1):
-        raise ValueError("q must lie in [1, 2^(m-1)]")
+    m, q = index(m), index(q)
+    if m < 1 or not 1 <= q <= 1 << (m - 1):
+        raise ValueError(f"need m >= 1 and q in [1, 2^(m-1)], got m={m}, q={q}")
     return _pairs(ring, m, psi, q)
 
 
@@ -88,23 +93,14 @@ def _pairs(ring, m, psi, q):
         step = ring.mul_root(seed, seed)
 
 
-def twiddle_forward(ring, m: int, psi: int, k: int, q: int) -> int:
-    """Return psi^(2^k * bit_reverse(q, m-k-1))."""
-    return pow_by_squaring(ring.mul_root, psi, _exponent(m, k, q))
+def twiddle_forward(ring, m: int, psi: int, q: int) -> int:
+    """Return psi^bit_reverse(q, m-1), the factor of block q.  ValueError
+    unless m >= 1 and 0 <= q < 2^(m-1)."""
+    return pow_by_squaring(ring.mul_root, psi, bit_reverse(q, m - 1))
 
 
-def twiddle_inverse(ring, m: int, psi: int, k: int, q: int) -> int:
-    """Return psi^(-2^k * bit_reverse(q, m-k-1)), as a positive power.
-
-    The exponent used is 2^m - 2^k * bit_reverse(q, m-k-1), which is
-    congruent mod the order 2^m of psi, so no inversion is required.
-    """
-    return pow_by_squaring(ring.mul_root, psi, (1 << m) - _exponent(m, k, q))
-
-
-def _exponent(m: int, k: int, q: int) -> int:
-    if not 0 <= k <= m - 1:
-        raise ValueError("k must lie in [0, m-1]")
-    if not 0 <= q < 1 << (m - k - 1):
-        raise ValueError("q must lie in [0, 2^(m-k-1))")
-    return (1 << k) * bit_reverse(q, m - k - 1)
+def twiddle_inverse(ring, m: int, psi: int, q: int) -> int:
+    """Return psi^-bit_reverse(q, m-1) as the positive power
+    psi^(2^m - bit_reverse(q, m-1)), so no inversion is required; m and
+    q are checked as for ``twiddle_forward``."""
+    return pow_by_squaring(ring.mul_root, psi, (1 << m) - bit_reverse(q, m - 1))

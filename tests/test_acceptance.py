@@ -9,6 +9,7 @@ is seconds.
 """
 
 import gc
+import hashlib
 import random
 import time
 import tracemalloc
@@ -214,8 +215,17 @@ def test_fft_counts_match_the_closed_form(field):
     )
 
 
-SCRATCH_LIMIT = 1536  # bytes; the kernels measure at most 1080
+SCRATCH_LIMIT = 1536  # bytes; the kernels measure at most 1072
 SCRATCH_LENGTHS = (1, 2, 3, 17, 1000, 1025, 4096, 5000, 16385)
+
+
+def _refill_free_lists():
+    # tracemalloc does not see an object the interpreter hands out from a
+    # free list, so whatever earlier code left on those lists would move
+    # the measured peak by tens of bytes; a fixed burst, made and dropped
+    # before each traced call, puts them in the same state every time
+    burst = [((i,) * (1 + i % 7), [i], {i: i}, i + 0.5, 1 << (64 + i % 64)) for i in range(2000)]
+    del burst
 
 
 def test_scratch_space_is_constant(field):
@@ -229,6 +239,7 @@ def test_scratch_space_is_constant(field):
         plan = make_plan(field, ell)
         for kind, kernel in (("forward", tft_in_place), ("inverse", itft_in_place)):
             buf = [rng.randrange(p) for _ in range(ell)]
+            _refill_free_lists()
             tracemalloc.start()
             try:
                 kernel(plan, buf)
@@ -244,6 +255,43 @@ def test_scratch_space_is_constant(field):
         "constant scratch",
         f"both transforms, l in {SCRATCH_LENGTHS}: worst {aux} B above the output "
         f"({kind}, l={ell}; limit {SCRATCH_LIMIT} B) ({elapsed:.1f}s)",
+    )
+
+
+# sha256 of the comma-joined forward outputs of the seeded inputs below,
+# recorded from kernels whose outputs the oracle and round-trip claims
+# check up to 512; a changed digest is a changed transform
+PINNED_FORWARD_DIGESTS = {
+    1000: "cd3be32e6cd468c2fcab761600d38ea7206fd17f5b1818603cda18fc799bc11a",
+    1024: "6bec9ae3844a7f09fc8852b6c5d090abb95e37b47f35b668f9111c5b904c1a3e",
+    1025: "44e798784285212ce53ff721148639b7aeb6545447117af32c05d9c8ca12e233",
+    4096: "341525b3d584e5581f0d8d7eb69ec8725d3388828f3d8ad2e83e15290dbefb93",
+    5000: "c448e0dc129aa602699992c88f245a8894c7f2679cf57a1c0f836c6417516f1d",
+    65536: "c702fe2ab991aa7bfe72c09359a89b6771f2ca64d32fa3cec402bce3cc31ca9d",
+    100000: "7872ca86bedc842d6b692140f72a56869908b1a4b002ce6b51ca646ea85e30d4",
+}
+
+
+def test_outputs_are_pinned_beyond_the_oracle_range(field):
+    p = field.modulus
+    start = time.perf_counter()
+    for ell, want in PINNED_FORWARD_DIGESTS.items():
+        rng = random.Random(SEED + ell)
+        a = [rng.randrange(p) for _ in range(ell)]
+        plan = make_plan(field, ell)
+        buf = list(a)
+        tft_in_place(plan, buf)
+        if hashlib.sha256(",".join(map(str, buf)).encode()).hexdigest() != want:
+            _verdict(False, "pinned outputs", f"forward digest changed at length {ell}")
+        itft_in_place(plan, buf)
+        if buf != a:
+            _verdict(False, "pinned outputs", f"inverse(forward) broke at length {ell}")
+    elapsed = time.perf_counter() - start
+    _verdict(
+        True,
+        "pinned outputs",
+        f"l in {tuple(PINNED_FORWARD_DIGESTS)}: forward sha256 as recorded, "
+        f"inverse restores the input ({elapsed:.1f}s)",
     )
 
 

@@ -75,7 +75,7 @@ def test_matches_gaussian_elimination(f17, field):
 INVERSE_COUNTS = {
     # ell: (mul_root, mul_pow2, add_sub)
     1: (0, 0, 0),
-    2: (0, 3, 2),
+    2: (0, 2, 2),
     3: (1, 4, 6),
     4: (3, 5, 8),
     5: (12, 8, 17),

@@ -83,15 +83,6 @@ def test_basic_arithmetic(f17):
     assert f17.add(9, 12) == 4
     assert f17.sub(3, 5) == 15
     assert f17.mul(5, 7) == 1
-    assert f17.inverse(2) == 9
-
-
-def test_inverse_of_zero(f17):
-    with pytest.raises(ZeroDivisionError):
-        f17.inverse(0)
-    for multiple in (17, 34):
-        with pytest.raises(ZeroDivisionError):
-            f17.inverse(multiple)
 
 
 def test_tagged_products_are_plain_products():
@@ -109,12 +100,6 @@ def test_root_of_order(f17):
         f17.root_of_order(5)
     with pytest.raises(ValueError):
         f17.root_of_order(-1)
-
-
-@given(st.integers(min_value=1, max_value=16))
-def test_inverse_multiplies_to_one(x):
-    f = PrimeField.from_modulus(17)
-    assert f.mul(x, f.inverse(x)) == 1
 
 
 @given(

@@ -30,6 +30,10 @@ def test_plan_rejects_bad_lengths(f17):
         make_plan(f17, 0)
     with pytest.raises(ValueError):
         make_plan(f17, 17)  # needs order-32 roots, field caps at 2^4
+    for bad in (5.0, "5"):
+        with pytest.raises(TypeError):
+            make_plan(f17, bad)
+    assert type(make_plan(f17, True).ell) is int
 
 
 def test_plan_is_immutable(f17):
@@ -126,8 +130,8 @@ def test_frozen_operation_counts(field):
 
 
 def test_never_multiplies_by_one(field):
-    # On an all-zero buffer every product has a twiddle operand, so an
-    # operand equal to 1 means an identity twiddle slipped through.  The
+    # On an all-zero buffer every product has a twiddle or scale operand,
+    # so an operand equal to 1 means an identity factor slipped through.  The
     # block operations multiply inside the ring, so their twiddles are
     # checked as they are drawn from the pair stream.
     class Guard:
@@ -141,6 +145,10 @@ def test_never_multiplies_by_one(field):
         def mul_root(self, x, y):
             assert x != 1 and y != 1, (x, y)
             return self.inner.mul_root(x, y)
+
+        def mul_pow2(self, x, y):
+            assert x != 1 and y != 1, (x, y)
+            return self.inner.mul_pow2(x, y)
 
         def butterflies(self, buffer, size, pairs):
             self.inner.butterflies(buffer, size, self._checked(pairs))

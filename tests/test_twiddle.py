@@ -104,29 +104,37 @@ def test_validation_is_eager(f17):
         pair_stream(f17, 3, 9, 0)
     with pytest.raises(ValueError):
         pair_stream(f17, 3, 9, 5)  # q > 2^(m-1)
+    with pytest.raises(TypeError):
+        pair_stream(f17, 3, 9, 2.0)
+    with pytest.raises(TypeError):
+        pair_stream(f17, 3.0, 9, 2)
+    with pytest.raises(TypeError):
+        pair_stream(f17, "3", 9, 2)
 
 
 def test_one_off_factors_small_field(f17):
-    assert twiddle_forward(f17, 2, 13, 0, 1) == 13
-    assert twiddle_forward(f17, 3, 9, 1, 1) == 13
-    assert twiddle_inverse(f17, 2, 13, 0, 1) == 4  # 13 * 4 = 52 = 1 mod 17
+    assert twiddle_forward(f17, 2, 13, 1) == 13
+    assert twiddle_forward(f17, 3, 9, 1) == 13  # 9^bit_reverse(1, 2) = 9^2
+    assert twiddle_inverse(f17, 2, 13, 1) == 4  # 13 * 4 = 52 = 1 mod 17
 
 
 def test_forward_inverse_cancel(field):
     for m in range(1, 7):
         psi = field.root_of_order(m)
-        for k in range(m):
-            for q in range(1 << (m - k - 1)):
-                a = twiddle_forward(field, m, psi, k, q)
-                b = twiddle_inverse(field, m, psi, k, q)
-                assert field.mul(a, b) == 1
+        for q in range(1 << (m - 1)):
+            a = twiddle_forward(field, m, psi, q)
+            b = twiddle_inverse(field, m, psi, q)
+            assert a == pow(psi, _bitrev(q, m - 1), field.modulus)
+            assert field.mul(a, b) == 1
 
 
 def test_one_off_factor_range_checks(f17):
     for fn in (twiddle_forward, twiddle_inverse):
         with pytest.raises(ValueError):
-            fn(f17, 3, 9, 3, 0)  # k = m
+            fn(f17, 3, 9, 4)  # q >= 2^(m-1)
         with pytest.raises(ValueError):
-            fn(f17, 3, 9, -1, 0)
+            fn(f17, 3, 9, -1)
         with pytest.raises(ValueError):
-            fn(f17, 3, 9, 1, 2)  # q >= 2^(m-k-1)
+            fn(f17, 0, 1, 0)  # m < 1
+        with pytest.raises(TypeError):
+            fn(f17, 3, 9, 1.0)
