@@ -4,7 +4,7 @@ The cost claims this package makes are stated per operation class:
 additions/subtractions, multiplications by powers of the root, and
 multiplications by powers of 2 or its inverse.  ``CountingField``
 implements the ring protocol with one counter per class so a transform
-run becomes a measurement; ``bound_check`` turns the measured counters
+run becomes a measurement; ``BoundReport`` turns the measured counters
 into a pass/fail verdict against the declared bounds.  ``AuditBuffer``
 wraps the data array to prove the in-place claim: any index outside
 [0, len) raises and is flagged.
@@ -14,6 +14,8 @@ costs anything when a plain PrimeField is passed.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 from ._frozen import Frozen
 from .itft import itft_in_place
@@ -61,14 +63,14 @@ class CountingField:
     matching the cost model the bounds are stated in.  Powers have no
     method here: ``pow_by_squaring`` over mul_root or mul_pow2 counts
     each of its products in that class.  A new instance starts with
-    every tally at zero.
+    every tally at zero; operator.index converts the modulus.
     """
 
     __slots__ = ("modulus", "_tally", "add", "sub", "mul", "mul_root", "mul_pow2")
 
     def __init__(self, modulus: int) -> None:
-        self.modulus = modulus
-        p = modulus
+        p = index(modulus)
+        self.modulus = p
         tally = [0, 0, 0, 0]  # mul_root, mul_pow2, add_sub, mul_other
         self._tally = tally
 
@@ -163,10 +165,44 @@ CSV_HEADER = "l,kind,mul_root,mul_pow2,add_sub,add_bound,root_bound,pow2_bound,p
 
 
 class BoundReport(Frozen):
-    """Measured counters for one transform next to the bounds they
-    must satisfy."""
+    """Measured counters for one length-ell transform next to the three
+    per-class bounds, which it derives from ell and kind:
+
+    forward:  add_sub <= ell*floor(lg ell) + 2*ell (no slack);
+              mul_root <= sum over the power-of-two split ell = sum l_r
+              of (l_r/2)*lg(l_r), plus 2*ell + 8*(m+1)^2 slack;
+              mul_pow2 must be 0.
+    inverse:  add_sub <= ell*floor(lg ell) + 3*ell (no slack);
+              mul_root <= (ell/2)*floor(lg ell) + 2*ell + 8*(m+1)^2;
+              mul_pow2 <= 2^m + 2*ceil(lg(m+2)) + 4.
+
+    mul_other must be 0 for both kinds; m = ceil(lg ell) throughout.
+    operator.index refuses a float ell; ell < 1 or any other kind raises
+    ValueError.  The sharper claim at a power of two n, exactly n*lg n
+    additions, is gated by the tests.
+    """
 
     __slots__ = ("ell", "kind", "counters", "add_bound", "root_bound", "pow2_bound")
+
+    def __init__(self, ell: int, counters: OpCounters, kind: str) -> None:
+        ell = index(ell)
+        if ell < 1:
+            raise ValueError("ell must be at least 1")
+        floor_log = ell.bit_length() - 1
+        m = (ell - 1).bit_length()
+        slack = 8 * (m + 1) ** 2
+        if kind == "forward":
+            add_bound = ell * floor_log + 2 * ell
+            split = sum((1 << e) * e // 2 for e in range(ell.bit_length()) if ell >> e & 1)
+            root_bound = split + 2 * ell + slack
+            pow2_bound = 0
+        elif kind == "inverse":
+            add_bound = ell * floor_log + 3 * ell
+            root_bound = ell * floor_log // 2 + 2 * ell + slack
+            pow2_bound = (1 << m) + 2 * (m + 1).bit_length() + 4
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+        super().__init__(ell, kind, counters, add_bound, root_bound, pow2_bound)
 
     @property
     def passed(self) -> bool:
@@ -187,38 +223,8 @@ class BoundReport(Frozen):
 
 
 def bound_check(ell: int, counters: OpCounters, kind: str) -> BoundReport:
-    """Evaluate counters from one length-ell transform against the
-    declared per-class bounds.
-
-    forward:  add_sub <= ell*floor(lg ell) + 2*ell (no slack);
-              mul_root <= sum over the power-of-two split ell = sum l_r
-              of (l_r/2)*lg(l_r), plus 2*ell + 8*(m+1)^2 slack;
-              mul_pow2 must be 0.
-    inverse:  add_sub <= ell*floor(lg ell) + 3*ell (no slack);
-              mul_root <= (ell/2)*floor(lg ell) + 2*ell + 8*(m+1)^2;
-              mul_pow2 <= 2^m + 2*ceil(lg(m+2)) + 4.
-
-    mul_other must be 0 for both kinds; any other kind raises
-    ValueError.  m = ceil(lg ell) throughout.  The sharper claim at a
-    power of two n, exactly n*lg n additions, is gated by the tests.
-    """
-    if ell < 1:
-        raise ValueError("ell must be at least 1")
-    floor_log = ell.bit_length() - 1
-    m = (ell - 1).bit_length()
-    slack = 8 * (m + 1) ** 2
-    if kind == "forward":
-        add_bound = ell * floor_log + 2 * ell
-        split = sum((1 << e) * e // 2 for e in range(ell.bit_length()) if ell >> e & 1)
-        root_bound = split + 2 * ell + slack
-        pow2_bound = 0
-    elif kind == "inverse":
-        add_bound = ell * floor_log + 3 * ell
-        root_bound = ell * floor_log // 2 + 2 * ell + slack
-        pow2_bound = (1 << m) + 2 * (m + 1).bit_length() + 4
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return BoundReport(ell, kind, counters, add_bound, root_bound, pow2_bound)
+    """The same as BoundReport(ell, counters, kind)."""
+    return BoundReport(ell, counters, kind)
 
 
 def measure_transform(field, ell: int, kind: str) -> OpCounters:

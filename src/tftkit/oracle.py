@@ -6,10 +6,11 @@ string, arithmetic through builtin pow and explicit remainders.  All
 functions are pure and leave their inputs untouched.  They are slow by
 design; tests keep lengths small.
 
-Only ``naive_tft`` has a numpy path, for moduli below 2^32 (products
-stay under 2^64 in uint64 since (p-1)*p < 2^64); it imports numpy on
-its first call, so importing the package (and every CLI command that
-calls no oracle) does not pay for it.
+Only ``naive_tft`` uses numpy: one Horner loop over an array of
+evaluation points, in uint64 for moduli below 2^32 (products stay
+under 2^64 since (p-1)*p < 2^64) and over Python ints (dtype=object)
+above.  It imports numpy on its first call, so importing the package
+(and every CLI command that calls no oracle) does not pay for it.
 """
 
 from __future__ import annotations
@@ -52,21 +53,14 @@ def naive_tft(field, psi: int, ell: int, a) -> list[int]:
     _check_point_generator(p, psi, ell, a)
     m = (ell - 1).bit_length()
     points = [pow(psi, _bitrev(i, m), p) for i in range(ell)]
-    if p < _NUMPY_LIMIT:
-        import numpy as np
+    import numpy as np
 
-        pts = np.array(points, dtype=np.uint64)
-        vals = np.zeros(ell, dtype=np.uint64)
-        for c in reversed(a):
-            vals = (vals * pts + c % p) % p
-        return [int(x) for x in vals]
-    out = []
-    for pt in points:
-        acc = 0
-        for c in reversed(a):
-            acc = (acc * pt + c) % p
-        out.append(acc)
-    return out
+    dtype = np.uint64 if p < _NUMPY_LIMIT else object
+    pts = np.array(points, dtype=dtype)
+    vals = np.zeros(ell, dtype=dtype)
+    for c in reversed(a):
+        vals = (vals * pts + c % p) % p
+    return [int(x) for x in vals]
 
 
 def naive_itft_solve(field, psi: int, ell: int, values) -> list[int]:

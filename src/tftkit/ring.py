@@ -39,6 +39,8 @@ in the kernels assumes more than the protocol above.
 
 from __future__ import annotations
 
+from operator import index
+
 from ._frozen import Frozen
 
 DEFAULT_MODULUS = 998244353  # 119 * 2^23 + 1
@@ -152,8 +154,8 @@ class PrimeField(Frozen):
     PrimeField(p) takes the modulus only and derives the other two
     attributes from it:
 
-        modulus         the prime p, below psi_13 (about 3.3e24) so that
-                        the primality check is exact.
+        modulus         the prime p, through operator.index, below psi_13
+                        (about 3.3e24) so that primality is exact.
         two_adicity     s = ord2(p - 1); the largest power-of-two
                         transform size the field supports is 2^s.
         generator_root  an element of multiplicative order exactly 2^s,
@@ -164,7 +166,7 @@ class PrimeField(Frozen):
     __slots__ = ("modulus", "two_adicity", "generator_root")
 
     def __init__(self, modulus: int) -> None:
-        p = modulus
+        p = index(modulus)
         _require_prime(p)
         s = ((p - 1) & (1 - p)).bit_length() - 1
         odd = (p - 1) >> s

@@ -43,10 +43,11 @@ __all__ = ["TransformPlan", "make_plan", "tft_in_place"]
 
 
 class TransformPlan(Frozen):
-    """Shared per-length state for the forward and inverse transforms.
+    """Per-length state for both transforms, derived from (field, ell).
 
     field -- the PrimeField the transforms run over
-    ell   -- transform length, 1 <= ell <= 2^field.two_adicity
+    ell   -- transform length, 1 <= ell <= 2^field.two_adicity (else
+             ValueError); operator.index refuses a float or a str
     m     -- ceil(log2 ell); 0 when ell = 1
     v     -- largest v with 2^v dividing ell
     psi   -- element of order 2^m (the evaluation-point generator)
@@ -55,21 +56,25 @@ class TransformPlan(Frozen):
 
     __slots__ = ("field", "ell", "m", "v", "psi", "half")
 
+    def __init__(self, field: PrimeField, ell: int) -> None:
+        ell = index(ell)
+        if ell < 1:
+            raise ValueError("transform length must be at least 1")
+        m = (ell - 1).bit_length()
+        if m > field.two_adicity:
+            raise ValueError(
+                f"length {ell} exceeds the 2^{field.two_adicity} transform "
+                f"capacity of the field"
+            )
+        v = (ell & -ell).bit_length() - 1
+        # (p + 1) / 2 is the inverse of 2 for odd p, without an exponentiation
+        half = (field.modulus + 1) // 2
+        super().__init__(field, ell, m, v, field.root_of_order(m), half)
+
 
 def make_plan(field: PrimeField, ell: int) -> TransformPlan:
-    ell = index(ell)
-    if ell < 1:
-        raise ValueError("transform length must be at least 1")
-    m = (ell - 1).bit_length()
-    if m > field.two_adicity:
-        raise ValueError(
-            f"length {ell} exceeds the 2^{field.two_adicity} transform "
-            f"capacity of the field"
-        )
-    v = (ell & -ell).bit_length() - 1
-    # (p + 1) / 2 is the inverse of 2 for odd p, without an exponentiation
-    half = (field.modulus + 1) // 2
-    return TransformPlan(field, ell, m, v, field.root_of_order(m), half)
+    """The same as TransformPlan(field, ell)."""
+    return TransformPlan(field, ell)
 
 
 def branch_levels(plan: TransformPlan, ks):

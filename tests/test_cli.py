@@ -145,6 +145,31 @@ def test_selftest_small(capsys):
     ]
 
 
+def test_selftest_reports_failures(monkeypatch, capsys):
+    # a forward kernel that is off by one in its first entry breaks the
+    # two families that call it; the other two run their own kernels
+    real = tftkit.cli.tft_in_place
+
+    def off_by_one(plan, buffer, ring=None):
+        real(plan, buffer, ring)
+        buffer[0] = (buffer[0] + 1) % plan.field.modulus
+
+    monkeypatch.setattr(tftkit.cli, "tft_in_place", off_by_one)
+    code = main(["selftest", "--max", "8", "--seed", "5"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    oracle = "length 1: forward transform disagrees with direct evaluation"
+    round_trip = "length 1: inverse(forward) is not the identity"
+    assert out.splitlines() == [
+        "seed: 5",
+        f"oracle-equivalence: FAIL ({oracle})",
+        f"round-trip: FAIL ({round_trip})",
+        "access-audit: ok",
+        "operation-bounds: ok",
+    ]
+    assert err.splitlines() == [f"oracle-equivalence: {oracle}", f"round-trip: {round_trip}"]
+
+
 def test_selftest_degenerate(capsys):
     assert main(["selftest", "--max", "1"]) == 0
     capsys.readouterr()

@@ -37,7 +37,7 @@ def test_counters_and_reports_are_frozen_values():
     rep = bound_check(4, c, "forward")
     with pytest.raises(AttributeError):
         rep.ell = 5
-    same = BoundReport(4, "forward", c, 16, 84, 0)
+    same = BoundReport(4, c, "forward")
     assert rep == same and hash(rep) == hash(same)
     assert rep != bound_check(4, c, "inverse")
     assert repr(rep) == (
@@ -181,6 +181,12 @@ def test_bound_check_kinds():
         bound_check(0, c, "forward")
     with pytest.raises(ValueError):
         bound_check(8, c, "sideways")
+    # the bounds are derived from ell and kind, never passed in
+    with pytest.raises(TypeError):
+        BoundReport(4, "forward", c, 16, 84, 0)
+    with pytest.raises(TypeError):
+        BoundReport(4.0, c, "forward")
+    assert BoundReport(ell=8, counters=c, kind="inverse") == bound_check(8, c, "inverse")
 
 
 def test_forward_bound_uses_binary_split():

@@ -1,6 +1,8 @@
 """The brute-force references themselves deserve a few checks: they are
-the ground truth everything else is compared against, and they have two
-code paths (vectorized below 2^32, big-int above)."""
+the ground truth everything else is compared against.  ``naive_tft``
+runs one numpy Horner loop, in uint64 below 2^32 and over Python ints
+(dtype=object) above; ``naive_dft`` computes with Python ints at every
+modulus, and a 64-bit modulus checks both against direct evaluation."""
 
 import random
 
@@ -10,7 +12,7 @@ from tftkit.oracle import naive_dft, naive_itft_solve, naive_polymul, naive_tft
 from tftkit.ring import PrimeField
 from tftkit.tft import make_plan, tft_in_place
 
-# 2^64 - 2^32 + 1, two-adicity 32: exercises the non-numpy fallback
+# 2^64 - 2^32 + 1, two-adicity 32: runs naive_tft's loop over Python ints
 BIG_P = 18446744069414584321
 
 

@@ -1,0 +1,65 @@
+"""The package's public names, and the names the benchmark tracer rebinds.
+
+``perfbench/spans.py`` traces a run by rebinding names such as
+``tftkit.polymul.make_plan`` in each module that calls them.  A home
+name that goes makes the traced run fail; a caller module that stops
+holding the original is skipped without an error, so its layer would
+vanish from the traces.  These tests catch both in the tier-1 suite.
+"""
+
+import importlib
+from pathlib import Path
+
+import tftkit
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _spans_namespace() -> dict:
+    # compiled from the source text: importing it would write bytecode
+    # next to the benchmark files; it imports only the standard library
+    namespace = {"__name__": "perfbench_spans"}
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), namespace)
+    return namespace
+
+
+def test_public_names_are_pinned():
+    assert sorted(tftkit.__all__) == [
+        "AuditBuffer",
+        "BoundReport",
+        "CountingField",
+        "DEFAULT_MODULUS",
+        "OpCounters",
+        "PrimeField",
+        "TransformPlan",
+        "bit_reverse",
+        "bound_check",
+        "itft_in_place",
+        "make_plan",
+        "measure_transform",
+        "naive_dft",
+        "naive_itft_solve",
+        "naive_polymul",
+        "naive_tft",
+        "operation_profile",
+        "pair_stream",
+        "pow_by_squaring",
+        "tft_in_place",
+        "tft_polymul",
+        "twiddle_forward",
+        "twiddle_inverse",
+    ]
+    for name in tftkit.__all__:
+        assert hasattr(tftkit, name), name
+
+
+def test_traced_names_are_bound_in_every_caller():
+    targets = _spans_namespace()["TARGETS"]
+    assert targets
+    for span, (home, attr, callers) in targets.items():
+        original = getattr(importlib.import_module(home), attr)
+        for caller in callers:
+            held = getattr(importlib.import_module(caller), attr, None)
+            assert held is original, f"{span}: {caller}.{attr}"
+    cli = importlib.import_module("tftkit.cli")
+    assert callable(cli.PrimeField.from_modulus)

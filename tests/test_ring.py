@@ -1,6 +1,7 @@
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -66,6 +67,11 @@ def test_rejects_inconsistent_parameters():
         PrimeField(15)  # composite
     with pytest.raises(TypeError):
         PrimeField(17, 4, 3)  # two_adicity and generator_root are derived
+    for bad in (7.0, 17.0, "17"):
+        with pytest.raises(TypeError):
+            PrimeField(bad)
+    converted = PrimeField(np.int64(17))
+    assert converted == PrimeField(17) and type(converted.modulus) is int
 
 
 def test_field_is_a_frozen_value(f17, field):

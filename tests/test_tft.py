@@ -34,6 +34,11 @@ def test_plan_rejects_bad_lengths(f17):
         with pytest.raises(TypeError):
             make_plan(f17, bad)
     assert type(make_plan(f17, True).ell) is int
+    # m, v, psi and half are derived from ell, never passed in: psi = 13
+    # has order 4, half = 8 is not the inverse of 2
+    for derived in ((3, 0, 13, 9), (3, 0, 9, 8)):
+        with pytest.raises(TypeError):
+            TransformPlan(f17, 5, *derived)
 
 
 def test_plan_is_immutable(f17):
@@ -47,6 +52,7 @@ def test_plans_compare_by_value(f17, field):
     assert a == b and hash(a) == hash(b)
     assert a != make_plan(field, 1001)
     assert make_plan(f17, 5) != make_plan(PrimeField(97), 5)
+    assert TransformPlan(f17, 5) == make_plan(f17, 5) == TransformPlan(field=f17, ell=5)
     assert repr(make_plan(f17, 5)) == (
         "TransformPlan(field=PrimeField(modulus=17, two_adicity=4, "
         "generator_root=3), ell=5, m=3, v=0, psi=9, half=9)"
@@ -180,6 +186,13 @@ def test_buffer_ring_contract(field):
             kernel(plan, [float(x) for x in values])
         with pytest.raises(ValueError):
             kernel(plan, list(values), CountingField(7340033))  # 7 * 2^20 + 1
+        # a float modulus would compare equal to the plan's and compute in
+        # floating point; a numpy integer one is converted to an int
+        with pytest.raises(TypeError):
+            kernel(plan, list(values), CountingField(float(field.modulus)))
+        buf = list(values)
+        kernel(plan, buf, CountingField(np.int64(field.modulus)))
+        assert {type(x) for x in buf} == {int}
 
 
 def test_every_entry_is_type_checked(field):
