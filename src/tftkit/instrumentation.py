@@ -19,7 +19,13 @@ from operator import index
 
 from ._frozen import Frozen
 from .itft import itft_in_place
-from .ring import butterfly_loop, fold_loop, inverse_butterfly_loop
+from .ring import (
+    butterfly_loop,
+    fold_loop,
+    inverse_butterfly_loop,
+    inverse_radix4_loop,
+    radix4_loop,
+)
 from .tft import make_plan, tft_in_place
 
 __all__ = [
@@ -57,8 +63,10 @@ class CountingField:
     call them once per operation, and closure access to the tally is
     measurably cheaper than attribute bookkeeping on self.  The block
     operations run the same loops as PrimeField's and then add to the
-    tallies from the number of butterflies the loop reports: one
-    mul_root and two add_sub per butterfly, two add_sub per fold.  The
+    tallies from the number of folds the fold loop reports and the
+    number of blocks the other loops draw from pairs: one mul_root and
+    two add_sub per butterfly, two add_sub per fold, and two more
+    mul_root per radix-4 block for its twiddles b*b and b*iota.  The
     kernels double as add(x, x), so a doubling counts as an addition,
     matching the cost model the bounds are stated in.  Powers have no
     method here: ``pow_by_squaring`` over mul_root or mul_pow2 counts
@@ -107,14 +115,32 @@ class CountingField:
         self._tally[2] += 2 * fold_loop(self.modulus, buffer, lo, hi, dist)
 
     def butterflies(self, buffer, size: int, pairs) -> None:
-        done = butterfly_loop(self.modulus, buffer, size, pairs)
-        self._tally[0] += done
-        self._tally[2] += 2 * done
+        self._blocks(butterfly_loop, (buffer, size), pairs, size, 2 * size)
 
     def inverse_butterflies(self, buffer, size: int, pairs) -> None:
-        done = inverse_butterfly_loop(self.modulus, buffer, size, pairs)
-        self._tally[0] += done
-        self._tally[2] += 2 * done
+        self._blocks(inverse_butterfly_loop, (buffer, size), pairs, size, 2 * size)
+
+    def radix4(self, buffer, size: int, iota: int, pairs) -> None:
+        self._blocks(radix4_loop, (buffer, size, iota), pairs, 4 * size + 2, 8 * size)
+
+    def inverse_radix4(self, buffer, size: int, iota: int, pairs) -> None:
+        self._blocks(inverse_radix4_loop, (buffer, size, iota), pairs, 4 * size + 2, 8 * size)
+
+    def _blocks(self, loop, args, pairs, roots: int, adds: int) -> None:
+        """Run loop(modulus, *args, pairs) and tally roots mul_root and
+        adds add_sub per block it draws from pairs.  The loops keep no
+        count, which would add to the kernels' scratch, so the blocks
+        are counted as they go by."""
+        blocks = [0]
+
+        def counted():
+            for pair in pairs:
+                blocks[0] += 1
+                yield pair
+
+        loop(self.modulus, *args, counted())
+        self._tally[0] += blocks[0] * roots
+        self._tally[2] += blocks[0] * adds
 
 
 class AuditBuffer:

@@ -14,9 +14,10 @@ Passes, mirroring the forward kernel in reverse, each a function of
 (plan, buffer, ring):
 
 1. ``ascend_levels``: ascending butterfly levels over the completed
-   prefix, reciprocal twiddles drained from the pair generator seeded
-   with psi^-1, run through the ring's block operations (``fold``,
-   ``inverse_butterflies``);
+   prefix, two per sweep through the ring's ``inverse_radix4``, with
+   reciprocal twiddles drained from the pair generator seeded with
+   psi^-1; the edge blocks of each level pair go through ``fold`` and
+   ``inverse_butterflies``;
 2. ``branch_recombine``: descending rightmost-branch pass recombining
    head and borrowed entries (x <- x - a*y, and the halving branch
    x <- (x + a*y)/2);
@@ -53,19 +54,37 @@ def itft_in_place(plan: TransformPlan, buffer, ring=None) -> None:
 
 
 def ascend_levels(plan: TransformPlan, buffer, ring) -> None:
-    """Pass 1: ascending levels; [[1,1],[a,-a]] needs no halving."""
+    """Pass 1: the forward pass 4 in reverse, level pair by level pair
+    from the bottom, then the unpaired top level; [[1,1],[a,-a]] needs
+    no halving.  The reciprocal twiddles come from the pair stream
+    seeded with psi^-1 (built once, and only when a radix-4 block needs
+    it; the leftover block's twiddle is then a power of it too), and
+    iota^-1 = -iota = p - iota."""
     ell = plan.ell
     m = plan.m
+    iota = plan.iota
     psi_inv = None
-    for k in range(m - 1):
-        size = 1 << k
+    for k in range(1, m - 1, 2):
+        size = 1 << (k - 1)
         ring.fold(buffer, 0, size, size)
+        ring.inverse_butterflies(buffer, size, ((1, ring.modulus - iota),))
         q = ell >> (k + 1)
-        if q < 2:
-            continue
-        if psi_inv is None:
+        if q > 1 and psi_inv is None:
             psi_inv = pow_by_squaring(ring.mul_root, plan.psi, (1 << m) - 1)
-        ring.inverse_butterflies(buffer, size, pair_stream(ring, m, psi_inv, q))
+        if ell >> k & 1:
+            if psi_inv is None:
+                alpha = twiddle_inverse(ring, m, plan.psi, 2 * q)
+            else:
+                alpha = twiddle_forward(ring, m, psi_inv, 2 * q)
+            ring.inverse_butterflies(buffer, size, ((2 * q, alpha),))
+        ring.fold(buffer, 0, 2 * size, 2 * size)
+        if q > 1:
+            ring.inverse_radix4(buffer, size, iota, pair_stream(ring, m - 1, psi_inv, q))
+    if m % 2 == 0:
+        size = 1 << (m - 2)
+        ring.fold(buffer, 0, size, size)
+        if ell >> (m - 1) > 1:
+            ring.inverse_butterflies(buffer, size, ((1, ring.modulus - iota),))
 
 
 def branch_recombine(plan: TransformPlan, buffer, ring) -> None:

@@ -23,18 +23,36 @@ this class specifically.  A ring handle must provide exactly
     inverse_butterflies(buffer, size, pairs)
                                   the same blocks, Gentleman-Sande step
                                   (x, y) <- (x + y, a*(x - y))
+    radix4(buffer, size, iota, pairs)
+                                  two levels in one sweep: for each (i, b)
+                                  drawn from pairs, block i of size 4*size
+                                  takes the Cooley-Tukey step with b*b on
+                                  its halves, then with b and b*iota on
+                                  its quarters
+    inverse_radix4(buffer, size, iota, pairs)
+                                  the same blocks, Gentleman-Sande steps
+                                  in the reverse order: b on the first
+                                  quarter pair, b*iota with the
+                                  subtraction reversed (iota^-1 = -iota
+                                  for iota of order 4) on the second,
+                                  then b*b on the halves
 
 On this plain handle the tagged variants are aliases of the untagged ones;
 the instrumentation module ships a ring that gives each tag its own
 counter.  Exponentiation is not a ring member: callers run
 ``pow_by_squaring`` over the tagged product the power belongs to, so
-each of its products is counted in that product's class.  The three
+each of its products is counted in that product's class.  The five
 block operations run many butterflies per call, so the kernels'
 O(ell log ell) loops make no method call per butterfly.  A custom ring
 must implement them as well; the cost model counts each butterfly as one
 product by a root power plus two additions, and each fold as two
-additions.  Only the prime-field instantiation ships here, but nothing
-in the kernels assumes more than the protocol above.
+additions.  A radix-4 block is 4*size butterflies, so 4*size products
+by a root power and 8*size additions, plus the two products b*b and
+b*iota that give its other twiddles.  The radix-2 operations serve the
+few blocks a level pair does not cover: block 0, a leftover half block
+and an unpaired top level, one block per call.  Only the prime-field
+instantiation ships here, but nothing in the kernels assumes more than
+the protocol above.
 """
 
 from __future__ import annotations
@@ -105,11 +123,10 @@ def fold_loop(p: int, buffer, lo: int, hi: int, dist: int) -> int:
     return max(hi - lo, 0)
 
 
-def butterfly_loop(p: int, buffer, size: int, pairs) -> int:
+def butterfly_loop(p: int, buffer, size: int, pairs) -> None:
     """Cooley-Tukey butterflies mod p: for each (i, a) in pairs, pair
     x_j with y_j = x_{j+size} over block i, j in [2*size*i, 2*size*i + size),
-    and replace them by (x + a*y, x - a*y).  Return the butterflies done."""
-    done = 0
+    and replace them by (x + a*y, x - a*y)."""
     for i, alpha in pairs:
         base = i * 2 * size
         for j in range(base, base + size):
@@ -118,15 +135,11 @@ def butterfly_loop(p: int, buffer, size: int, pairs) -> int:
             t = alpha * buffer[jj] % p
             buffer[j] = (u + t) % p
             buffer[jj] = (u - t) % p
-        done += size
-    return done
 
 
-def inverse_butterfly_loop(p: int, buffer, size: int, pairs) -> int:
+def inverse_butterfly_loop(p: int, buffer, size: int, pairs) -> None:
     """Gentleman-Sande butterflies mod p over the blocks of
-    butterfly_loop: (x, y) becomes (x + y, a*(x - y)).  Return the
-    butterflies done."""
-    done = 0
+    butterfly_loop: (x, y) becomes (x + y, a*(x - y))."""
     for i, alpha in pairs:
         base = i * 2 * size
         for j in range(base, base + size):
@@ -135,8 +148,58 @@ def inverse_butterfly_loop(p: int, buffer, size: int, pairs) -> int:
             w = buffer[jj]
             buffer[j] = (u + w) % p
             buffer[jj] = alpha * (u - w) % p
-        done += size
-    return done
+
+
+def radix4_loop(p: int, buffer, size: int, iota: int, pairs) -> None:
+    """Two Cooley-Tukey levels mod p in one sweep: for each (i, b) in
+    pairs, block i holds the quarters x0, x1, x2, x3 of size entries
+    from 4*size*i on; the upper level pairs (x0, x2) and (x1, x3) with
+    twiddle b*b, the lower one (x0, x1) with b and (x2, x3) with b*iota.
+    """
+    # each name is rebound as soon as its value is spent, and u and t
+    # to what was stored, so an input's int is freed by the store into
+    # its slot and the traced scratch stays at radix-2's
+    for i, b in pairs:
+        a = b * b % p
+        c = b * iota % p
+        for j in range(4 * size * i, 4 * size * i + size):
+            u = buffer[j]
+            w = buffer[j + size]
+            t = a * buffer[j + 2 * size] % p
+            s = a * buffer[j + 3 * size] % p
+            x = c * (w - s) % p
+            s = b * (w + s) % p
+            w = u - t
+            t += u
+            u = buffer[j] = (t + s) % p
+            t = buffer[j + size] = (t - s) % p
+            buffer[j + 2 * size] = (w + x) % p
+            buffer[j + 3 * size] = (w - x) % p
+
+
+def inverse_radix4_loop(p: int, buffer, size: int, iota: int, pairs) -> None:
+    """Gentleman-Sande mirror of radix4_loop over the same blocks, with b
+    a reciprocal twiddle: (x0, x1) with b, (x2, x3) with b*iota^-1 =
+    -b*iota, then (x0, x2) and (x1, x3) with b*b."""
+    # the upper level's outputs are formed from the four inputs
+    # directly, and u and x are rebound to what was stored, so an
+    # input's int is freed by the store into its slot and the traced
+    # scratch stays at radix-2's
+    for i, b in pairs:
+        a = b * b % p
+        c = b * iota % p
+        for j in range(4 * size * i, 4 * size * i + size):
+            u = buffer[j]
+            w = buffer[j + size]
+            x = buffer[j + 2 * size]
+            t = buffer[j + 3 * size]
+            s = b * (u - w) % p
+            v = a * (u + w - x - t) % p
+            u = buffer[j] = (u + w + x + t) % p
+            w = c * (t - x) % p
+            x = buffer[j + 2 * size] = v
+            buffer[j + size] = (s + w) % p
+            buffer[j + 3 * size] = a * (s - w) % p
 
 
 def _require_prime(p: int) -> None:
@@ -205,6 +268,12 @@ class PrimeField(Frozen):
 
     def inverse_butterflies(self, buffer, size: int, pairs) -> None:
         inverse_butterfly_loop(self.modulus, buffer, size, pairs)
+
+    def radix4(self, buffer, size: int, iota: int, pairs) -> None:
+        radix4_loop(self.modulus, buffer, size, iota, pairs)
+
+    def inverse_radix4(self, buffer, size: int, iota: int, pairs) -> None:
+        inverse_radix4_loop(self.modulus, buffer, size, iota, pairs)
 
     # --- field-only helper: not a ring member, so builtin pow ---
 

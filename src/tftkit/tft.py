@@ -19,11 +19,13 @@ The kernel runs in four passes, each a function of (plan, buffer, ring):
 3. ``branch_restore``: walk back up restoring the head entries the
    descent borrowed, via the inverse step [[2a,1],[1,0]] (the doubling
    is an addition, so the pass divides by nothing);
-4. ``prefix_levels``: run plain butterfly levels over the completed
-   prefix, with twiddles drained from the streaming pair generator.
+4. ``prefix_levels``: run the butterfly levels over the completed
+   prefix two at a time, each pair in one radix-4 sweep whose twiddles
+   come from one streaming pair generator.
 
 Passes 1 and 4 hand whole levels to the ring's block operations
-(``fold``, ``butterflies``); the rightmost-branch passes 2-3 touch
+(``fold``, ``radix4``, and ``butterflies`` for the few radix-2 blocks
+at the edges of a level pair); the rightmost-branch passes 2-3 touch
 O(ell) entries and stay scalar, one ring call per operation.
 
 Multiplication counts stay within (ell/2)log2(ell) + O(ell) ring
@@ -52,9 +54,12 @@ class TransformPlan(Frozen):
     v     -- largest v with 2^v dividing ell
     psi   -- element of order 2^m (the evaluation-point generator)
     half  -- inverse of 2, used only by the inverse transform
+    iota  -- field.root_of_order(2), which is psi^(2^(m-2)) whenever
+             m >= 2: the twiddle ratio inside a radix-4 block; None when
+             the field's two-adicity is below 2 (then m <= 1)
     """
 
-    __slots__ = ("field", "ell", "m", "v", "psi", "half")
+    __slots__ = ("field", "ell", "m", "v", "psi", "half", "iota")
 
     def __init__(self, field: PrimeField, ell: int) -> None:
         ell = index(ell)
@@ -69,7 +74,8 @@ class TransformPlan(Frozen):
         v = (ell & -ell).bit_length() - 1
         # (p + 1) / 2 is the inverse of 2 for odd p, without an exponentiation
         half = (field.modulus + 1) // 2
-        super().__init__(field, ell, m, v, field.root_of_order(m), half)
+        iota = field.root_of_order(2) if field.two_adicity >= 2 else None
+        super().__init__(field, ell, m, v, field.root_of_order(m), half, iota)
 
 
 def make_plan(field: PrimeField, ell: int) -> TransformPlan:
@@ -209,14 +215,35 @@ def branch_restore(plan: TransformPlan, buffer, ring) -> None:
 
 
 def prefix_levels(plan: TransformPlan, buffer, ring) -> None:
-    """Pass 4: butterfly levels over the completed prefix; block 0 is a
-    fold, the twiddles of blocks 1..q-1 come from the pair stream."""
+    """Pass 4: butterfly levels m-2 .. 0 over the completed prefix, two
+    per sweep, paired from the bottom: (1, 0), (3, 2), ...
+
+    A pair (k, k-1) with size = 2^(k-1) and q = ell >> (k+1) runs
+    blocks 1..q-1 of 4*size entries through ``ring.radix4``, each with
+    b = psi^bit_reverse(i, m-2) from the pair stream of m-1: level k's
+    twiddle is b*b and level k-1's are b and b*iota.  Block 0 is two
+    folds and one radix-2 block with twiddle iota; when bit k of ell is
+    set, the level-(k-1) block 2q is left over, with its own twiddle.
+    An odd level count leaves level m-2 unpaired: a fold, and block 1
+    when ell = 2^m.
+    """
     ell = plan.ell
     m = plan.m
     psi = plan.psi
-    for k in range(m - 2, -1, -1):
-        size = 1 << k
+    iota = plan.iota
+    if m % 2 == 0:
+        size = 1 << (m - 2)
         ring.fold(buffer, 0, size, size)
+        if ell >> (m - 1) > 1:
+            ring.butterflies(buffer, size, ((1, iota),))
+    for k in reversed(range(1, m - 1, 2)):
+        size = 1 << (k - 1)
+        ring.fold(buffer, 0, 2 * size, 2 * size)
+        ring.fold(buffer, 0, size, size)
+        ring.butterflies(buffer, size, ((1, iota),))
         q = ell >> (k + 1)
         if q > 1:
-            ring.butterflies(buffer, size, pair_stream(ring, m, psi, q))
+            ring.radix4(buffer, size, iota, pair_stream(ring, m - 1, psi, q))
+        if ell >> k & 1:
+            alpha = twiddle_forward(ring, m, psi, 2 * q)
+            ring.butterflies(buffer, size, ((2 * q, alpha),))

@@ -2,11 +2,15 @@
 
 Butterfly coefficients are powers of a root psi of order 2^m, and a
 coefficient depends only on its block index: at every level, block i
-uses psi^bit_reverse(i, m-1).  The transform kernels consume them
+uses psi^bit_reverse(i, m-1).  The radix-4 step over levels (k, k-1)
+needs, for its block i, b = psi^bit_reverse(2i, m-1) =
+psi^bit_reverse(i, m-2): the level-k twiddle is b*b and the level-(k-1)
+ones are b and b*psi^(2^(m-2)).  The transform kernels consume them
 through two channels:
 
 * ``pair_stream`` -- a generator yielding ``(i, psi^bit_reverse(i, m-1))``
-  for ``i = 1, ..., q-1``.  Pairs are produced blockwise: q is split
+  for ``i = 1, ..., q-1``, which the radix-4 step draws with m-1 in
+  place of m and the same psi.  Pairs are produced blockwise: q is split
   along its binary digits, and within each block the factors form a
   geometric progression, so each pair after the first in a block costs
   one multiplication.  A full drain costs at most ``q + 4m``
@@ -48,8 +52,11 @@ def bit_reverse(i: int, k: int) -> int:
 def pair_stream(ring, m: int, psi: int, q: int):
     """Yield (i, psi^bit_reverse(i, m-1)) for i = 1, ..., q-1.
 
-    psi must have order 2^m in the ring; m and q must be integers with q
-    in [1, 2^(m-1)].  Yields nothing when q = 1.
+    The exponents hold for any psi; the order of psi only gives them a
+    meaning.  With psi of order 2^m these are the butterfly twiddles of
+    one level; with psi of order 2^(m+1) they are the radix-4 block
+    twiddles b.  m and q must be integers with q in [1, 2^(m-1)].
+    Yields nothing when q = 1.
     """
     m, q = index(m), index(q)
     if m < 1 or not 1 <= q <= 1 << (m - 1):

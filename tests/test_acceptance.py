@@ -215,7 +215,7 @@ def test_fft_counts_match_the_closed_form(field):
     )
 
 
-SCRATCH_LIMIT = 1536  # bytes; the kernels measure at most 1072
+SCRATCH_LIMIT = 1536  # bytes; the kernels measure at most 1080
 SCRATCH_LENGTHS = (1, 2, 3, 17, 1000, 1025, 4096, 5000, 16385)
 
 

@@ -65,7 +65,7 @@ def test_operation_counts(field):
         assert c.mul_pow2 == 0 and c.mul_other == 0
     ring = CountingField(field.modulus)
     tft_in_place(make_plan(field, 8), [0] * 8, ring)
-    assert ring.counters.mul_root == 8
+    assert ring.counters.mul_root == 7
 
 
 def test_rejects_bad_arguments(f17):

@@ -13,7 +13,7 @@ from tftkit.instrumentation import (
     measure_transform,
 )
 from tftkit.itft import itft_in_place
-from tftkit.ring import pow_by_squaring
+from tftkit.ring import butterfly_loop, inverse_butterfly_loop, pow_by_squaring
 from tftkit.tft import make_plan, tft_in_place
 
 
@@ -121,6 +121,41 @@ def test_block_operations_match_scalar_loops(field):
             assert not buf.oob
             if isinstance(ring, CountingField):
                 assert ring.counters == OpCounters(mul_root=mul_root, add_sub=add_sub)
+
+
+def test_radix4_step_is_two_radix2_levels(field):
+    # one radix-4 sweep over blocks of 4*size equals the two radix-2
+    # levels it merges: forward 2*size then size, inverse size then 2*size
+    rng = random.Random(10)
+    p = field.modulus
+    iota = field.root_of_order(2)
+    for size in (1, 2, 4, 32):
+        n = 4 * size * 5
+        data = [rng.randrange(p) for _ in range(n)]
+        pairs = [(i, rng.randrange(2, p)) for i in (3, 1, 4)]
+        upper = [(i, b * b % p) for i, b in pairs]
+        lower = [(j, b * t % p) for i, b in pairs for j, t in ((2 * i, 1), (2 * i + 1, iota))]
+        inverse_lower = [(j, b * t % p) for i, b in pairs for j, t in ((2 * i, 1), (2 * i + 1, p - iota))]
+        forward = list(data)
+        butterfly_loop(p, forward, 2 * size, upper)
+        butterfly_loop(p, forward, size, lower)
+        inverse = list(data)
+        inverse_butterfly_loop(p, inverse, size, inverse_lower)
+        inverse_butterfly_loop(p, inverse, 2 * size, upper)
+        for name, want in (("radix4", forward), ("inverse_radix4", inverse)):
+            for ring in (field, CountingField(p)):
+                buf = AuditBuffer(data)
+                getattr(ring, name)(buf, size, iota, iter(pairs))
+                assert buf.inner == want, (name, size)
+                assert not buf.oob and (buf.lo, buf.hi) == (4 * size, 20 * size - 1)
+                if isinstance(ring, CountingField):
+                    want_counts = OpCounters(mul_root=3 * (4 * size + 2), add_sub=3 * 8 * size)
+                    assert ring.counters == want_counts, (name, size)
+            ring = CountingField(p)
+            buf = AuditBuffer(data)
+            getattr(ring, name)(buf, size, iota, iter([]))
+            assert buf.inner == data and buf.lo is None
+            assert ring.counters == OpCounters()
 
 
 def test_counted_ring_is_fresh(field):

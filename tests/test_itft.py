@@ -77,11 +77,11 @@ INVERSE_COUNTS = {
     1: (0, 0, 0),
     2: (0, 2, 2),
     3: (1, 4, 6),
-    4: (3, 5, 8),
-    5: (12, 8, 17),
-    6: (12, 8, 18),
-    7: (19, 9, 23),
-    8: (12, 10, 24),
+    4: (1, 5, 8),
+    5: (7, 8, 17),
+    6: (9, 8, 18),
+    7: (16, 9, 23),
+    8: (11, 10, 24),
 }
 
 

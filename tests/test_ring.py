@@ -21,6 +21,8 @@ PROTOCOL = (
     "fold",
     "butterflies",
     "inverse_butterflies",
+    "radix4",
+    "inverse_radix4",
 )
 
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from tftkit.instrumentation import AuditBuffer, CountingField
 from tftkit.itft import itft_in_place
-from tftkit.oracle import naive_tft
+from tftkit.oracle import naive_polymul, naive_tft
+from tftkit.polymul import tft_polymul
 from tftkit.ring import PrimeField
 from tftkit.tft import TransformPlan, make_plan, tft_in_place
 
@@ -55,7 +56,7 @@ def test_plans_compare_by_value(f17, field):
     assert TransformPlan(f17, 5) == make_plan(f17, 5) == TransformPlan(field=f17, ell=5)
     assert repr(make_plan(f17, 5)) == (
         "TransformPlan(field=PrimeField(modulus=17, two_adicity=4, "
-        "generator_root=3), ell=5, m=3, v=0, psi=9, half=9)"
+        "generator_root=3), ell=5, m=3, v=0, psi=9, half=9, iota=13)"
     )
     assert pickle.loads(pickle.dumps(a)) == a
 
@@ -119,10 +120,10 @@ FORWARD_COUNTS = {
     2: (0, 0, 2),
     3: (1, 0, 5),
     4: (1, 0, 8),
-    5: (8, 0, 14),
-    6: (8, 0, 16),
-    7: (13, 0, 22),
-    8: (8, 0, 24),
+    5: (7, 0, 14),
+    6: (5, 0, 16),
+    7: (10, 0, 22),
+    8: (7, 0, 24),
 }
 
 
@@ -171,6 +172,56 @@ def test_never_multiplies_by_one(field):
     for kernel in (tft_in_place, itft_in_place):
         for ell in range(1, 129):
             kernel(make_plan(field, ell), [0] * ell, Guard(field))
+
+
+def test_radix4_twiddles_are_never_one(field):
+    # the radix-4 step forms b*b and b*iota inside the ring, so the guard
+    # checks all three twiddles of each block as the pair stream yields b
+    class Guard:
+        def __init__(self, inner):
+            self.inner = inner
+            self.modulus = inner.modulus
+
+        def __getattr__(self, name):
+            return getattr(self.inner, name)
+
+        def radix4(self, buffer, size, iota, pairs):
+            self.inner.radix4(buffer, size, iota, self._checked(pairs, iota))
+
+        def inverse_radix4(self, buffer, size, iota, pairs):
+            self.inner.inverse_radix4(buffer, size, iota, self._checked(pairs, iota))
+
+        def _checked(self, pairs, iota):
+            p = self.modulus
+            for i, b in pairs:
+                assert 1 not in (b, b * b % p, b * iota % p, (p - b) * iota % p), (i, b)
+                yield i, b
+
+    for kernel in (tft_in_place, itft_in_place):
+        for ell in range(1, 129):
+            kernel(make_plan(field, ell), [0] * ell, Guard(field))
+
+
+def test_fields_with_small_two_adicity():
+    # p - 1 = odd * 2^s with s = 1, 2, 1, 2, 3: every length up to 2^s,
+    # where a field with s < 2 has no iota and pass 4 has at most one level
+    rng = random.Random(15)
+    for p, s in ((3, 1), (5, 2), (7, 1), (13, 2), (41, 3)):
+        f = PrimeField(p)
+        assert f.two_adicity == s
+        for ell in range(1, (1 << s) + 1):
+            plan = make_plan(f, ell)
+            assert (plan.iota is None) == (s < 2)
+            for _ in range(4):
+                a = [rng.randrange(p) for _ in range(ell)]
+                buf = list(a)
+                tft_in_place(plan, buf)
+                assert buf == naive_tft(f, plan.psi, ell, a), (p, ell)
+                itft_in_place(plan, buf)
+                assert buf == a, (p, ell)
+        g = [rng.randrange(p) for _ in range(1 << (s - 1))]
+        h = [rng.randrange(p) for _ in range((1 << (s - 1)) + 1)]
+        assert tft_polymul(g, h, f) == naive_polymul(f, g, h), p
 
 
 def test_buffer_ring_contract(field):

@@ -1,11 +1,12 @@
 """The streaming pair generator and the one-off butterfly coefficients.
 
 The generator's contract: pairs (i, psi^bit_reverse(i, m-1)) for
-i = 1 .. q-1, at most q + 4m multiplications for a full drain, O(1)
-state.  Consumers may not rely on the order, but it is pinned here: runs
-along the binary digits of q, bit-reversed inside each run.  The
-brute-force comparisons recompute every factor from scratch with
-builtin pow.
+i = 1 .. q-1, for any psi, at most q + 4m multiplications for a full
+drain, O(1) state.  Consumers may not rely on the order, but it is
+pinned here: runs along the binary digits of q, bit-reversed inside
+each run.  The brute-force comparisons recompute every factor from
+scratch with builtin pow, for psi of order 2^m and of order 2^(m+1),
+the root the radix-4 step passes with m-1 in place of m.
 """
 
 import pytest
@@ -50,19 +51,21 @@ def test_q_one_yields_nothing(f17):
 def test_matches_brute_force(field):
     p = field.modulus
     for m in range(1, 9):
-        psi = field.root_of_order(m)
-        for q in range(1, (1 << (m - 1)) + 1):
-            got = set(pair_stream(field, m, psi, q))
-            assert got == brute_pairs(p, psi, m, q), (m, q)
+        for order in (m, m + 1):
+            psi = field.root_of_order(order)
+            for q in range(1, (1 << (m - 1)) + 1):
+                got = set(pair_stream(field, m, psi, q))
+                assert got == brute_pairs(p, psi, m, q), (m, order, q)
 
 
 def test_matches_ordered_reference(field):
     p = field.modulus
     for m in range(1, 9):
-        psi = field.root_of_order(m)
-        for q in range(1, (1 << (m - 1)) + 1):
-            want = ordered_brute_pairs(p, psi, m, q)
-            assert list(pair_stream(field, m, psi, q)) == want, (m, q)
+        for order in (m, m + 1):
+            psi = field.root_of_order(order)
+            for q in range(1, (1 << (m - 1)) + 1):
+                want = ordered_brute_pairs(p, psi, m, q)
+                assert list(pair_stream(field, m, psi, q)) == want, (m, order, q)
 
 
 def test_drain_multiplication_budget(field):
