@@ -59,19 +59,19 @@ class CountingField:
 
     The tallies live in one shared list closed over by the scalar
     arithmetic methods, which are bound as instance attributes in
-    __init__: the rightmost-branch passes and the twiddle generator
-    call them once per operation, and closure access to the tally is
-    measurably cheaper than attribute bookkeeping on self.  The block
-    operations run the same loops as PrimeField's and then add to the
-    tallies from the number of folds the fold loop reports and the
-    number of blocks the other loops draw from pairs: one mul_root and
-    two add_sub per butterfly, two add_sub per fold, and two more
-    mul_root per radix-4 block for its twiddles b*b and b*iota.  The
-    kernels double as add(x, x), so a doubling counts as an addition,
-    matching the cost model the bounds are stated in.  Powers have no
-    method here: ``pow_by_squaring`` over mul_root or mul_pow2 counts
-    each of its products in that class.  A new instance starts with
-    every tally at zero; operator.index converts the modulus.
+    __init__: the branch passes' special steps and the twiddle
+    generator call them once per operation, and closure access to the
+    tally is measurably cheaper than attribute bookkeeping on self.  The
+    block operations run the same loops as PrimeField's, then tally
+    from their arguments the max(hi - lo, 0) folds or butterflies of a
+    radix-2 call, or each radix-4 block as the loop draws it from pairs:
+    one mul_root and two add_sub per butterfly, two add_sub per fold,
+    and two more mul_root per radix-4 block for its twiddles b*b and
+    b*iota.  The kernels double as add(x, x), so a doubling counts as
+    an addition, matching the cost model the bounds are stated in.
+    Powers have no method here: ``pow_by_squaring`` over mul_root or
+    mul_pow2 counts each of its products in that class.  A new instance
+    starts with every tally at zero; operator.index converts the modulus.
     """
 
     __slots__ = ("modulus", "_tally", "add", "sub", "mul", "mul_root", "mul_pow2")
@@ -112,35 +112,33 @@ class CountingField:
         return OpCounters(mul_root=t[0], mul_pow2=t[1], add_sub=t[2], mul_other=t[3])
 
     def fold(self, buffer, lo: int, hi: int, dist: int) -> None:
-        self._tally[2] += 2 * fold_loop(self.modulus, buffer, lo, hi, dist)
+        fold_loop(self.modulus, buffer, lo, hi, dist)
+        self._tally[2] += 2 * max(hi - lo, 0)
 
-    def butterflies(self, buffer, size: int, pairs) -> None:
-        self._blocks(butterfly_loop, (buffer, size), pairs, size, 2 * size)
+    def butterflies(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+        butterfly_loop(self.modulus, buffer, lo, hi, dist, alpha)
+        self._tally[0] += max(hi - lo, 0)
+        self._tally[2] += 2 * max(hi - lo, 0)
 
-    def inverse_butterflies(self, buffer, size: int, pairs) -> None:
-        self._blocks(inverse_butterfly_loop, (buffer, size), pairs, size, 2 * size)
+    def inverse_butterflies(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+        inverse_butterfly_loop(self.modulus, buffer, lo, hi, dist, alpha)
+        self._tally[0] += max(hi - lo, 0)
+        self._tally[2] += 2 * max(hi - lo, 0)
 
     def radix4(self, buffer, size: int, iota: int, pairs) -> None:
-        self._blocks(radix4_loop, (buffer, size, iota), pairs, 4 * size + 2, 8 * size)
+        radix4_loop(self.modulus, buffer, size, iota, self._drawn(pairs, size))
 
     def inverse_radix4(self, buffer, size: int, iota: int, pairs) -> None:
-        self._blocks(inverse_radix4_loop, (buffer, size, iota), pairs, 4 * size + 2, 8 * size)
+        inverse_radix4_loop(self.modulus, buffer, size, iota, self._drawn(pairs, size))
 
-    def _blocks(self, loop, args, pairs, roots: int, adds: int) -> None:
-        """Run loop(modulus, *args, pairs) and tally roots mul_root and
-        adds add_sub per block it draws from pairs.  The loops keep no
-        count, which would add to the kernels' scratch, so the blocks
-        are counted as they go by."""
-        blocks = [0]
-
-        def counted():
-            for pair in pairs:
-                blocks[0] += 1
-                yield pair
-
-        loop(self.modulus, *args, counted())
-        self._tally[0] += blocks[0] * roots
-        self._tally[2] += blocks[0] * adds
+    def _drawn(self, pairs, size: int):
+        """Yield pairs, tallying each radix-4 block as the loop draws it:
+        4*size butterflies and the twiddle products b*b and b*iota."""
+        tally = self._tally
+        for pair in pairs:
+            tally[0] += 4 * size + 2
+            tally[2] += 8 * size
+            yield pair
 
 
 class AuditBuffer:

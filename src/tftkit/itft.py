@@ -26,7 +26,9 @@ Passes, mirroring the forward kernel in reverse, each a function of
 4. ``scale_and_close``: the forward kernel's pass-1 fold, then one
    sweep by (2^-1)^m, or by (2^-1)^(m-1) on the entries the fold skips.
 
-Passes 2-3 touch O(ell) entries and stay scalar.
+Passes 2-3 touch O(ell) entries.  Pass 3 hands its full butterflies to
+``inverse_butterflies``; the special recombine and closing steps stay
+scalar, one ring call per operation.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def ascend_levels(plan: TransformPlan, buffer, ring) -> None:
     for k in range(1, m - 1, 2):
         size = 1 << (k - 1)
         ring.fold(buffer, 0, size, size)
-        ring.inverse_butterflies(buffer, size, ((1, ring.modulus - iota),))
+        ring.inverse_butterflies(buffer, 2 * size, 3 * size, size, ring.modulus - iota)
         q = ell >> (k + 1)
         if q > 1 and psi_inv is None:
             psi_inv = pow_by_squaring(ring.mul_root, plan.psi, (1 << m) - 1)
@@ -76,7 +78,7 @@ def ascend_levels(plan: TransformPlan, buffer, ring) -> None:
                 alpha = twiddle_inverse(ring, m, plan.psi, 2 * q)
             else:
                 alpha = twiddle_forward(ring, m, psi_inv, 2 * q)
-            ring.inverse_butterflies(buffer, size, ((2 * q, alpha),))
+            ring.inverse_butterflies(buffer, 4 * q * size, (4 * q + 1) * size, size, alpha)
         ring.fold(buffer, 0, 2 * size, 2 * size)
         if q > 1:
             ring.inverse_radix4(buffer, size, iota, pair_stream(ring, m - 1, psi_inv, q))
@@ -84,7 +86,7 @@ def ascend_levels(plan: TransformPlan, buffer, ring) -> None:
         size = 1 << (m - 2)
         ring.fold(buffer, 0, size, size)
         if ell >> (m - 1) > 1:
-            ring.inverse_butterflies(buffer, size, ((1, ring.modulus - iota),))
+            ring.inverse_butterflies(buffer, 2 * size, 3 * size, size, ring.modulus - iota)
 
 
 def branch_recombine(plan: TransformPlan, buffer, ring) -> None:
@@ -112,7 +114,9 @@ def branch_recombine(plan: TransformPlan, buffer, ring) -> None:
 
 
 def branch_finish(plan: TransformPlan, buffer, ring) -> None:
-    """Pass 3: re-descent finishing the tail entries."""
+    """Pass 3: re-descent finishing the tail entries; when r > size, two
+    butterfly runs, the second with the borrowed slots (dist < 0)."""
+    ell = plan.ell
     m = plan.m
     psi = plan.psi
     add = ring.add
@@ -121,17 +125,8 @@ def branch_finish(plan: TransformPlan, buffer, ring) -> None:
     for q, r, size, head, alias, aliased_head in branch_levels(plan, range(plan.v, m - 1)):
         if r > size:
             alpha = twiddle_inverse(ring, m, psi, q)
-            tail = head + size
-            for j in range(r - size):
-                u = buffer[head + j]
-                w = buffer[tail + j]
-                buffer[head + j] = add(u, w)
-                buffer[tail + j] = mul(alpha, sub(u, w))
-            for j in range(r - size, size):
-                u = buffer[head + j]
-                w = buffer[alias + j]
-                buffer[head + j] = add(u, w)
-                buffer[alias + j] = mul(alpha, sub(u, w))
+            ring.inverse_butterflies(buffer, head, ell - size, size, alpha)
+            ring.inverse_butterflies(buffer, ell - size, head + size, alias - head, alpha)
         else:
             alpha = twiddle_forward(ring, m, psi, q)
             for j in range(r):

@@ -16,12 +16,12 @@ this class specifically.  A ring handle must provide exactly
     mul_pow2(x, y)                product tagged "by a power of 2 or 2^-1"
     fold(buffer, lo, hi, dist)    for j in [lo, hi): (x_j, x_{j+dist}) <-
                                   (x_j + x_{j+dist}, x_j - x_{j+dist})
-    butterflies(buffer, size, pairs)
-                                  for each (i, a) drawn from pairs, the
-                                  Cooley-Tukey step (x, y) <- (x + a*y, x - a*y)
-                                  on the two halves of block i of size 2*size
-    inverse_butterflies(buffer, size, pairs)
-                                  the same blocks, Gentleman-Sande step
+    butterflies(buffer, lo, hi, dist, alpha)
+                                  for j in [lo, hi), the Cooley-Tukey step
+                                  (x, y) <- (x + a*y, x - a*y) on
+                                  (x_j, x_{j+dist}); dist may be negative
+    inverse_butterflies(buffer, lo, hi, dist, alpha)
+                                  the same pairs, Gentleman-Sande step
                                   (x, y) <- (x + y, a*(x - y))
     radix4(buffer, size, iota, pairs)
                                   two levels in one sweep: for each (i, b)
@@ -48,9 +48,10 @@ must implement them as well; the cost model counts each butterfly as one
 product by a root power plus two additions, and each fold as two
 additions.  A radix-4 block is 4*size butterflies, so 4*size products
 by a root power and 8*size additions, plus the two products b*b and
-b*iota that give its other twiddles.  The radix-2 operations serve the
-few blocks a level pair does not cover: block 0, a leftover half block
-and an unpaired top level, one block per call.  Only the prime-field
+b*iota that give its other twiddles.  Every other full butterfly is a
+radix-2 run with one twiddle: the blocks a level pair does not cover
+(block 1 with iota, a leftover half block, an unpaired top level) and
+the rightmost-branch passes' full runs.  Only the prime-field
 instantiation ships here, but nothing in the kernels assumes more than
 the protocol above.
 """
@@ -111,43 +112,39 @@ def pow_by_squaring(mul, x: int, e: int) -> int:
     return 1 if acc is None else acc
 
 
-def fold_loop(p: int, buffer, lo: int, hi: int, dist: int) -> int:
+def fold_loop(p: int, buffer, lo: int, hi: int, dist: int) -> None:
     """Replace (x_j, x_{j+dist}) by their sum and difference mod p for
-    j in [lo, hi); return the number of folds done."""
+    j in [lo, hi)."""
     for j in range(lo, hi):
         jj = j + dist
         u = buffer[j]
         w = buffer[jj]
         buffer[j] = (u + w) % p
         buffer[jj] = (u - w) % p
-    return max(hi - lo, 0)
 
 
-def butterfly_loop(p: int, buffer, size: int, pairs) -> None:
-    """Cooley-Tukey butterflies mod p: for each (i, a) in pairs, pair
-    x_j with y_j = x_{j+size} over block i, j in [2*size*i, 2*size*i + size),
-    and replace them by (x + a*y, x - a*y)."""
-    for i, alpha in pairs:
-        base = i * 2 * size
-        for j in range(base, base + size):
-            jj = j + size
-            u = buffer[j]
-            t = alpha * buffer[jj] % p
-            buffer[j] = (u + t) % p
-            buffer[jj] = (u - t) % p
+def butterfly_loop(p: int, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+    """Cooley-Tukey butterflies mod p: for j in [lo, hi), replace
+    (x, y) = (x_j, x_{j+dist}) by (x + a*y, x - a*y)."""
+    for j in range(lo, hi):
+        jj = j + dist
+        u = buffer[j]
+        t = alpha * buffer[jj] % p
+        buffer[j] = (u + t) % p
+        buffer[jj] = (u - t) % p
 
 
-def inverse_butterfly_loop(p: int, buffer, size: int, pairs) -> None:
-    """Gentleman-Sande butterflies mod p over the blocks of
+def inverse_butterfly_loop(p: int, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+    """Gentleman-Sande butterflies mod p over the pairs of
     butterfly_loop: (x, y) becomes (x + y, a*(x - y))."""
-    for i, alpha in pairs:
-        base = i * 2 * size
-        for j in range(base, base + size):
-            jj = j + size
-            u = buffer[j]
-            w = buffer[jj]
-            buffer[j] = (u + w) % p
-            buffer[jj] = alpha * (u - w) % p
+    # the product is stored first, while the buffer still holds u and w,
+    # and j + dist is not kept, so the traced scratch of the branch
+    # passes' runs stays at that of the scalar loops they replace
+    for j in range(lo, hi):
+        u = buffer[j]
+        w = buffer[j + dist]
+        buffer[j + dist] = alpha * (u - w) % p
+        buffer[j] = (u + w) % p
 
 
 def radix4_loop(p: int, buffer, size: int, iota: int, pairs) -> None:
@@ -263,11 +260,11 @@ class PrimeField(Frozen):
     def fold(self, buffer, lo: int, hi: int, dist: int) -> None:
         fold_loop(self.modulus, buffer, lo, hi, dist)
 
-    def butterflies(self, buffer, size: int, pairs) -> None:
-        butterfly_loop(self.modulus, buffer, size, pairs)
+    def butterflies(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+        butterfly_loop(self.modulus, buffer, lo, hi, dist, alpha)
 
-    def inverse_butterflies(self, buffer, size: int, pairs) -> None:
-        inverse_butterfly_loop(self.modulus, buffer, size, pairs)
+    def inverse_butterflies(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+        inverse_butterfly_loop(self.modulus, buffer, lo, hi, dist, alpha)
 
     def radix4(self, buffer, size: int, iota: int, pairs) -> None:
         radix4_loop(self.modulus, buffer, size, iota, pairs)

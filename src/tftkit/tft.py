@@ -25,8 +25,10 @@ The kernel runs in four passes, each a function of (plan, buffer, ring):
 
 Passes 1 and 4 hand whole levels to the ring's block operations
 (``fold``, ``radix4``, and ``butterflies`` for the few radix-2 blocks
-at the edges of a level pair); the rightmost-branch passes 2-3 touch
-O(ell) entries and stay scalar, one ring call per operation.
+at the edges of a level pair).  The rightmost-branch passes 2-3 touch
+O(ell) entries: pass 2 hands its full butterflies to ``butterflies``
+as well, and the special 2x2 steps stay scalar, one ring call per
+operation.
 
 Multiplication counts stay within (ell/2)log2(ell) + O(ell) ring
 multiplications and ell*floor(log2 ell) + 2*ell additions; the exact
@@ -96,8 +98,9 @@ def branch_levels(plan: TransformPlan, ks):
         alias         2^k * (2q'+1)  the borrowed slots
         aliased_head  2^k * 2q'      the head the borrowed slots pair with
 
-    The partial block's own tail, 2^k * (2q+1) = head + size, exists
-    only when r > size, so the kernels derive it there.
+    The partial block's own tail starts at head + size = 2^k * (2q+1)
+    and exists only when r > size; there head + j pairs with it, at
+    dist = size, for j < r - size.
     """
     ell = plan.ell
     m = plan.m
@@ -158,7 +161,9 @@ def fold_tail(plan: TransformPlan, buffer, ring) -> None:
 
 
 def branch_descent(plan: TransformPlan, buffer, ring) -> None:
-    """Pass 2: rightmost-branch descent (runs only when ell < 2^m)."""
+    """Pass 2: rightmost-branch descent (runs only when ell < 2^m); a
+    level with a tail runs its full butterflies in one ring call."""
+    ell = plan.ell
     m = plan.m
     psi = plan.psi
     add = ring.add
@@ -167,13 +172,7 @@ def branch_descent(plan: TransformPlan, buffer, ring) -> None:
     for q, r, size, head, alias, aliased_head in branch_levels(plan, range(m - 2, plan.v - 1, -1)):
         alpha = twiddle_forward(ring, m, psi, q)
         if r > size:
-            tail = head + size
-            for j in range(r - size):
-                u = buffer[head + j]
-                w = buffer[tail + j]
-                t = mul(alpha, w)
-                buffer[head + j] = add(u, t)
-                buffer[tail + j] = sub(u, t)
+            ring.butterflies(buffer, head, ell - size, size, alpha)
             for j in range(r - size, size):
                 # [[0,1],[1,-alpha]]: keep only the surviving combination,
                 # parking the partner where pass 3 can recover it
@@ -235,15 +234,15 @@ def prefix_levels(plan: TransformPlan, buffer, ring) -> None:
         size = 1 << (m - 2)
         ring.fold(buffer, 0, size, size)
         if ell >> (m - 1) > 1:
-            ring.butterflies(buffer, size, ((1, iota),))
+            ring.butterflies(buffer, 2 * size, 3 * size, size, iota)
     for k in reversed(range(1, m - 1, 2)):
         size = 1 << (k - 1)
         ring.fold(buffer, 0, 2 * size, 2 * size)
         ring.fold(buffer, 0, size, size)
-        ring.butterflies(buffer, size, ((1, iota),))
+        ring.butterflies(buffer, 2 * size, 3 * size, size, iota)
         q = ell >> (k + 1)
         if q > 1:
             ring.radix4(buffer, size, iota, pair_stream(ring, m - 1, psi, q))
         if ell >> k & 1:
             alpha = twiddle_forward(ring, m, psi, 2 * q)
-            ring.butterflies(buffer, size, ((2 * q, alpha),))
+            ring.butterflies(buffer, 4 * q * size, (4 * q + 1) * size, size, alpha)

@@ -77,50 +77,43 @@ def test_counting_field_pow_costs():
     assert ring.counters.total == 0
 
 
-def _scalar_block_op(p, name, data, args):
-    """The loop each block operation stands for, one element at a time."""
+def _scalar_block_op(p, name, data, lo, hi, dist, alpha):
+    """The loop each radix-2 block operation stands for, one pair at a time."""
     buf = list(data)
-    if name == "fold":
-        lo, hi, dist = args
-        for j in range(lo, hi):
-            u, w = buf[j], buf[j + dist]
+    for j in range(lo, hi):
+        u, w = buf[j], buf[j + dist]
+        if name == "fold":
             buf[j], buf[j + dist] = (u + w) % p, (u - w) % p
-        return buf
-    size, pairs = args
-    for i, alpha in pairs:
-        for j in range(2 * size * i, 2 * size * i + size):
-            u, w = buf[j], buf[j + size]
-            if name == "butterflies":
-                buf[j], buf[j + size] = (u + alpha * w) % p, (u - alpha * w) % p
-            else:
-                buf[j], buf[j + size] = (u + w) % p, alpha * (u - w) % p
+        elif name == "butterflies":
+            buf[j], buf[j + dist] = (u + alpha * w) % p, (u - alpha * w) % p
+        else:
+            buf[j], buf[j + dist] = (u + w) % p, alpha * (u - w) % p
     return buf
 
 
 def test_block_operations_match_scalar_loops(field):
+    # each case is (lo, hi, dist): a higher partner, a lower one (as
+    # branch_finish pairs head + j with the borrowed slots below), and
+    # an empty run, which touches nothing and counts nothing
     rng = random.Random(9)
     p = field.modulus
     n = 64
     data = [rng.randrange(p) for _ in range(n)]
-    cases = [("fold", (0, 20, 32), 0, 40), ("fold", (5, 9, 4), 0, 8), ("fold", (7, 7, 3), 0, 0)]
-    for size in (1, 4, 16):
-        blocks = rng.sample(range(n // (2 * size)), 2)
-        pairs = [(i, rng.randrange(p)) for i in blocks]
-        for name in ("butterflies", "inverse_butterflies"):
-            cases.append((name, (size, pairs), 2 * size, 4 * size))
-            cases.append((name, (size, []), 0, 0))
-    for name, args, mul_root, add_sub in cases:
-        want = _scalar_block_op(p, name, data, args)
-        for ring in (field, CountingField(p)):
-            buf = AuditBuffer(data)
-            if name == "fold":
-                ring.fold(buf, *args)
-            else:
-                getattr(ring, name)(buf, args[0], iter(args[1]))
-            assert buf.inner == want, (name, args)
-            assert not buf.oob
-            if isinstance(ring, CountingField):
-                assert ring.counters == OpCounters(mul_root=mul_root, add_sub=add_sub)
+    runs = [(0, 20, 32), (5, 9, 4), (16, 32, 16), (40, 52, -23), (7, 7, 3)]
+    for name, roots in (("fold", 0), ("butterflies", 1), ("inverse_butterflies", 1)):
+        for lo, hi, dist in runs:
+            alpha = rng.randrange(2, p)
+            args = (lo, hi, dist) if name == "fold" else (lo, hi, dist, alpha)
+            want = _scalar_block_op(p, name, data, lo, hi, dist, alpha)
+            touched = (min(lo, lo + dist), max(hi, hi + dist) - 1) if hi > lo else (None, None)
+            for ring in (field, CountingField(p)):
+                buf = AuditBuffer(data)
+                getattr(ring, name)(buf, *args)
+                assert buf.inner == want, (name, args)
+                assert not buf.oob and (buf.lo, buf.hi) == touched, (name, args)
+                if isinstance(ring, CountingField):
+                    want_counts = OpCounters(mul_root=roots * (hi - lo), add_sub=2 * (hi - lo))
+                    assert ring.counters == want_counts, (name, args)
 
 
 def test_radix4_step_is_two_radix2_levels(field):
@@ -133,15 +126,16 @@ def test_radix4_step_is_two_radix2_levels(field):
         n = 4 * size * 5
         data = [rng.randrange(p) for _ in range(n)]
         pairs = [(i, rng.randrange(2, p)) for i in (3, 1, 4)]
-        upper = [(i, b * b % p) for i, b in pairs]
-        lower = [(j, b * t % p) for i, b in pairs for j, t in ((2 * i, 1), (2 * i + 1, iota))]
-        inverse_lower = [(j, b * t % p) for i, b in pairs for j, t in ((2 * i, 1), (2 * i + 1, p - iota))]
         forward = list(data)
-        butterfly_loop(p, forward, 2 * size, upper)
-        butterfly_loop(p, forward, size, lower)
         inverse = list(data)
-        inverse_butterfly_loop(p, inverse, size, inverse_lower)
-        inverse_butterfly_loop(p, inverse, 2 * size, upper)
+        for i, b in pairs:
+            x0, x2 = 4 * size * i, 4 * size * i + 2 * size
+            butterfly_loop(p, forward, x0, x2, 2 * size, b * b % p)
+            butterfly_loop(p, forward, x0, x0 + size, size, b)
+            butterfly_loop(p, forward, x2, x2 + size, size, b * iota % p)
+            inverse_butterfly_loop(p, inverse, x0, x0 + size, size, b)
+            inverse_butterfly_loop(p, inverse, x2, x2 + size, size, b * (p - iota) % p)
+            inverse_butterfly_loop(p, inverse, x0, x2, 2 * size, b * b % p)
         for name, want in (("radix4", forward), ("inverse_radix4", inverse)):
             for ring in (field, CountingField(p)):
                 buf = AuditBuffer(data)

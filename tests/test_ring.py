@@ -1,3 +1,4 @@
+import inspect
 import pickle
 import random
 
@@ -85,6 +86,14 @@ def test_field_is_a_frozen_value(f17, field):
     assert f17 != field and f17 != PrimeField(97)
     assert repr(f17) == "PrimeField(modulus=17, two_adicity=4, generator_root=3)"
     assert pickle.loads(pickle.dumps(field)) == field
+
+
+def test_rings_share_block_operation_signatures():
+    # the kernels call the block operations positionally, so the two
+    # shipped rings must not drift apart when a member's shape changes
+    for name in ("fold", "butterflies", "inverse_butterflies", "radix4", "inverse_radix4"):
+        params = [inspect.signature(getattr(ring, name)).parameters for ring in (PrimeField, CountingField)]
+        assert list(params[0]) == list(params[1]), name
 
 
 def test_basic_arithmetic(f17):

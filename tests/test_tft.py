@@ -136,70 +136,76 @@ def test_frozen_operation_counts(field):
         assert c.mul_other == 0
 
 
+class NoIdentityGuard:
+    """A ring that fails on any product by 1.
+
+    On an all-zero buffer every product has a twiddle or scale operand,
+    so an operand equal to 1 means an identity factor slipped through.
+    The block operations multiply inside the ring, so the guard checks
+    their twiddles: alpha of a radix-2 run, and b, b*b, b*iota and
+    -b*iota of each radix-4 block as the pair stream yields b.  It has
+    the eleven protocol members, no forwarding of any other, and a tally
+    of the radix-4 blocks it checked in each direction.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.modulus = inner.modulus
+        self.add = inner.add
+        self.sub = inner.sub
+        self.fold = inner.fold
+        self.radix4_blocks = {"radix4": 0, "inverse_radix4": 0}
+
+    def mul(self, x, y):
+        assert x != 1 and y != 1, (x, y)
+        return self.inner.mul(x, y)
+
+    def mul_root(self, x, y):
+        assert x != 1 and y != 1, (x, y)
+        return self.inner.mul_root(x, y)
+
+    def mul_pow2(self, x, y):
+        assert x != 1 and y != 1, (x, y)
+        return self.inner.mul_pow2(x, y)
+
+    def butterflies(self, buffer, lo, hi, dist, alpha):
+        assert alpha != 1, (lo, hi, dist)
+        self.inner.butterflies(buffer, lo, hi, dist, alpha)
+
+    def inverse_butterflies(self, buffer, lo, hi, dist, alpha):
+        assert alpha != 1, (lo, hi, dist)
+        self.inner.inverse_butterflies(buffer, lo, hi, dist, alpha)
+
+    def radix4(self, buffer, size, iota, pairs):
+        self.inner.radix4(buffer, size, iota, self._checked("radix4", pairs, iota))
+
+    def inverse_radix4(self, buffer, size, iota, pairs):
+        self.inner.inverse_radix4(
+            buffer, size, iota, self._checked("inverse_radix4", pairs, iota)
+        )
+
+    def _checked(self, name, pairs, iota):
+        p = self.modulus
+        for i, b in pairs:
+            assert 1 not in (b, b * b % p, b * iota % p, (p - b) * iota % p), (i, b)
+            self.radix4_blocks[name] += 1
+            yield i, b
+
+
 def test_never_multiplies_by_one(field):
-    # On an all-zero buffer every product has a twiddle or scale operand,
-    # so an operand equal to 1 means an identity factor slipped through.  The
-    # block operations multiply inside the ring, so their twiddles are
-    # checked as they are drawn from the pair stream.
-    class Guard:
-        def __init__(self, inner):
-            self.inner = inner
-            self.modulus = inner.modulus
-
-        def __getattr__(self, name):
-            return getattr(self.inner, name)
-
-        def mul_root(self, x, y):
-            assert x != 1 and y != 1, (x, y)
-            return self.inner.mul_root(x, y)
-
-        def mul_pow2(self, x, y):
-            assert x != 1 and y != 1, (x, y)
-            return self.inner.mul_pow2(x, y)
-
-        def butterflies(self, buffer, size, pairs):
-            self.inner.butterflies(buffer, size, self._checked(pairs))
-
-        def inverse_butterflies(self, buffer, size, pairs):
-            self.inner.inverse_butterflies(buffer, size, self._checked(pairs))
-
-        @staticmethod
-        def _checked(pairs):
-            for i, alpha in pairs:
-                assert alpha != 1, (i, alpha)
-                yield i, alpha
-
     for kernel in (tft_in_place, itft_in_place):
         for ell in range(1, 129):
-            kernel(make_plan(field, ell), [0] * ell, Guard(field))
+            kernel(make_plan(field, ell), [0] * ell, NoIdentityGuard(field))
 
 
 def test_radix4_twiddles_are_never_one(field):
-    # the radix-4 step forms b*b and b*iota inside the ring, so the guard
-    # checks all three twiddles of each block as the pair stream yields b
-    class Guard:
-        def __init__(self, inner):
-            self.inner = inner
-            self.modulus = inner.modulus
-
-        def __getattr__(self, name):
-            return getattr(self.inner, name)
-
-        def radix4(self, buffer, size, iota, pairs):
-            self.inner.radix4(buffer, size, iota, self._checked(pairs, iota))
-
-        def inverse_radix4(self, buffer, size, iota, pairs):
-            self.inner.inverse_radix4(buffer, size, iota, self._checked(pairs, iota))
-
-        def _checked(self, pairs, iota):
-            p = self.modulus
-            for i, b in pairs:
-                assert 1 not in (b, b * b % p, b * iota % p, (p - b) * iota % p), (i, b)
-                yield i, b
-
+    # the guard's radix-4 check is not vacuous: both directions hand it
+    # blocks, each with b, b*b, b*iota and -b*iota all different from 1
+    guard = NoIdentityGuard(field)
     for kernel in (tft_in_place, itft_in_place):
         for ell in range(1, 129):
-            kernel(make_plan(field, ell), [0] * ell, Guard(field))
+            kernel(make_plan(field, ell), [0] * ell, guard)
+    assert all(guard.radix4_blocks.values()), guard.radix4_blocks
 
 
 def test_fields_with_small_two_adicity():
