@@ -20,11 +20,18 @@ from operator import index
 from ._frozen import Frozen
 from .itft import itft_in_place
 from .ring import (
+    axpy_loop,
     butterfly_loop,
+    double_loop,
     fold_loop,
     inverse_butterfly_loop,
     inverse_radix4_loop,
+    park_loop,
+    pow_by_squaring,
     radix4_loop,
+    recombine_loop,
+    restore_loop,
+    scale_loop,
 )
 from .tft import make_plan, tft_in_place
 
@@ -59,19 +66,21 @@ class CountingField:
 
     The tallies live in one shared list closed over by the scalar
     arithmetic methods, which are bound as instance attributes in
-    __init__: the branch passes' special steps and the twiddle
-    generator call them once per operation, and closure access to the
-    tally is measurably cheaper than attribute bookkeeping on self.  The
-    block operations run the same loops as PrimeField's, then tally
-    from their arguments the max(hi - lo, 0) folds or butterflies of a
-    radix-2 call, or each radix-4 block as the loop draws it from pairs:
-    one mul_root and two add_sub per butterfly, two add_sub per fold,
-    and two more mul_root per radix-4 block for its twiddles b*b and
-    b*iota.  The kernels double as add(x, x), so a doubling counts as
-    an addition, matching the cost model the bounds are stated in.
-    Powers have no method here: ``pow_by_squaring`` over mul_root or
-    mul_pow2 counts each of its products in that class.  A new instance
-    starts with every tally at zero; operator.index converts the modulus.
+    __init__: the twiddle generator and the powers call them once per
+    product, and closure access to the tally is measurably cheaper than
+    attribute bookkeeping on self.  ``root_power`` runs
+    ``pow_by_squaring`` over mul_root, so a power counts each product
+    it makes.  The block operations run the same loops as PrimeField's,
+    then tally from their arguments the max(hi - lo, 0) entries of a
+    run, or each radix-4 block as the loop draws it from pairs, at the
+    ring protocol's cost: one mul_root and two add_sub per butterfly,
+    two add_sub per fold, two more mul_root per radix-4 block for its
+    twiddles b*b and b*iota, one mul_root and one add_sub per axpy,
+    park or recombine entry, one mul_root and two add_sub per restore
+    or double entry (a doubling counts as an addition, matching the
+    cost model the bounds are stated in), and one mul_pow2 per scale
+    entry.  A new instance starts with every tally at zero;
+    operator.index converts the modulus.
     """
 
     __slots__ = ("modulus", "_tally", "add", "sub", "mul", "mul_root", "mul_pow2")
@@ -117,13 +126,44 @@ class CountingField:
 
     def butterflies(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
         butterfly_loop(self.modulus, buffer, lo, hi, dist, alpha)
-        self._tally[0] += max(hi - lo, 0)
-        self._tally[2] += 2 * max(hi - lo, 0)
+        self._run(hi - lo, 2)
 
     def inverse_butterflies(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
         inverse_butterfly_loop(self.modulus, buffer, lo, hi, dist, alpha)
-        self._tally[0] += max(hi - lo, 0)
-        self._tally[2] += 2 * max(hi - lo, 0)
+        self._run(hi - lo, 2)
+
+    def root_power(self, x: int, e: int) -> int:
+        return pow_by_squaring(self.mul_root, x, e)
+
+    def axpy(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+        axpy_loop(self.modulus, buffer, lo, hi, dist, alpha)
+        self._run(hi - lo, 1)
+
+    def park(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+        park_loop(self.modulus, buffer, lo, hi, dist, alpha)
+        self._run(hi - lo, 1)
+
+    def restore(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+        restore_loop(self.modulus, buffer, lo, hi, dist, alpha)
+        self._run(hi - lo, 2)
+
+    def recombine(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+        recombine_loop(self.modulus, buffer, lo, hi, dist, alpha)
+        self._run(hi - lo, 1)
+
+    def double(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+        double_loop(self.modulus, buffer, lo, hi, dist, alpha)
+        self._run(hi - lo, 2)
+
+    def scale(self, buffer, lo: int, hi: int, c: int) -> None:
+        scale_loop(self.modulus, buffer, lo, hi, c)
+        self._tally[1] += max(hi - lo, 0)
+
+    def _run(self, n: int, adds: int) -> None:
+        """Tally max(n, 0) entries of one mul_root and adds add_sub each."""
+        n = max(n, 0)
+        self._tally[0] += n
+        self._tally[2] += adds * n
 
     def radix4(self, buffer, size: int, iota: int, pairs) -> None:
         radix4_loop(self.modulus, buffer, size, iota, self._drawn(pairs, size))

@@ -26,9 +26,10 @@ Passes, mirroring the forward kernel in reverse, each a function of
 4. ``scale_and_close``: the forward kernel's pass-1 fold, then one
    sweep by (2^-1)^m, or by (2^-1)^(m-1) on the entries the fold skips.
 
-Passes 2-3 touch O(ell) entries.  Pass 3 hands its full butterflies to
-``inverse_butterflies``; the special recombine and closing steps stay
-scalar, one ring call per operation.
+Passes 2-4 touch O(ell) entries in block runs: pass 3 hands its full
+butterflies to ``inverse_butterflies``, and each special step runs over
+its slots in one call (``recombine``, ``axpy`` then ``scale`` by 1/2,
+``double``, and three ``scale`` runs for the closing sweep).
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def ascend_levels(plan: TransformPlan, buffer, ring) -> None:
         ring.inverse_butterflies(buffer, 2 * size, 3 * size, size, ring.modulus - iota)
         q = ell >> (k + 1)
         if q > 1 and psi_inv is None:
-            psi_inv = pow_by_squaring(ring.mul_root, plan.psi, (1 << m) - 1)
+            psi_inv = ring.root_power(plan.psi, (1 << m) - 1)
         if ell >> k & 1:
             if psi_inv is None:
                 alpha = twiddle_inverse(ring, m, plan.psi, 2 * q)
@@ -91,26 +92,15 @@ def ascend_levels(plan: TransformPlan, buffer, ring) -> None:
 
 def branch_recombine(plan: TransformPlan, buffer, ring) -> None:
     """Pass 2: descending recombination of head and borrowed entries."""
+    ell = plan.ell
     m = plan.m
-    psi = plan.psi
-    half = plan.half
-    add = ring.add
-    sub = ring.sub
-    mul = ring.mul_root
-    mul2 = ring.mul_pow2
     for q, r, size, head, alias, aliased_head in branch_levels(plan, range(m - 2, plan.v, -1)):
-        alpha = twiddle_forward(ring, m, psi, q)
+        alpha = twiddle_forward(ring, m, plan.psi, q)
         if r > size:
-            for j in range(r - size, size):
-                buffer[alias + j] = sub(
-                    buffer[head + j], mul(alpha, buffer[alias + j])
-                )
+            ring.recombine(buffer, ell - size, head + size, alias - head, alpha)
         else:
-            for j in range(r, size):
-                buffer[aliased_head + j] = mul2(
-                    half,
-                    add(buffer[aliased_head + j], mul(alpha, buffer[alias + j])),
-                )
+            ring.axpy(buffer, aliased_head + r, aliased_head + size, size, alpha)
+            ring.scale(buffer, aliased_head + r, aliased_head + size, plan.half)
 
 
 def branch_finish(plan: TransformPlan, buffer, ring) -> None:
@@ -119,9 +109,6 @@ def branch_finish(plan: TransformPlan, buffer, ring) -> None:
     ell = plan.ell
     m = plan.m
     psi = plan.psi
-    add = ring.add
-    sub = ring.sub
-    mul = ring.mul_root
     for q, r, size, head, alias, aliased_head in branch_levels(plan, range(plan.v, m - 1)):
         if r > size:
             alpha = twiddle_inverse(ring, m, psi, q)
@@ -129,27 +116,21 @@ def branch_finish(plan: TransformPlan, buffer, ring) -> None:
             ring.inverse_butterflies(buffer, ell - size, head + size, alias - head, alpha)
         else:
             alpha = twiddle_forward(ring, m, psi, q)
-            for j in range(r):
-                u = buffer[head + j]
-                buffer[head + j] = sub(add(u, u), mul(alpha, buffer[alias + j]))
-            for j in range(r, size):
-                u = buffer[aliased_head + j]
-                buffer[aliased_head + j] = sub(
-                    add(u, u), mul(alpha, buffer[alias + j])
-                )
+            ring.double(buffer, head, ell, alias - head, alpha)
+            ring.double(buffer, aliased_head + r, aliased_head + size, size, alpha)
 
 
 def scale_and_close(plan: TransformPlan, buffer, ring) -> None:
     """Pass 4: the forward kernel's pass-1 fold closes the top level, then
-    one sweep settles the deferred halvings."""
+    one sweep in three runs settles the deferred halvings."""
     m = plan.m
     half = plan.half
     half_len = 1 << (m - 1)
     lo = plan.ell - half_len
-    mul2 = ring.mul_pow2
     ring.fold(buffer, 0, lo, half_len)
-    middle = pow_by_squaring(mul2, half, m - 1)
+    middle = pow_by_squaring(ring.mul_pow2, half, m - 1)
     # at m = 1 no entry is in the middle and middle is 1: take half itself
-    folded = mul2(half, middle) if m > 1 else half
-    for j in range(plan.ell):
-        buffer[j] = mul2(middle if lo <= j < half_len else folded, buffer[j])
+    folded = ring.mul_pow2(half, middle) if m > 1 else half
+    ring.scale(buffer, 0, lo, folded)
+    ring.scale(buffer, lo, half_len, middle)
+    ring.scale(buffer, half_len, plan.ell, folded)

@@ -36,24 +36,38 @@ this class specifically.  A ring handle must provide exactly
                                   subtraction reversed (iota^-1 = -iota
                                   for iota of order 4) on the second,
                                   then b*b on the halves
+    root_power(x, e)              x^e for e >= 0, tagged "by a root power"
+
+and six runs for the rightmost branch's special 2x2 steps and the
+closing sweep, on (x, y) = (x_j, x_{j+dist}) for j in [lo, hi):
+
+    axpy(buffer, lo, hi, dist, alpha)       x <- x + a*y
+    park(buffer, lo, hi, dist, alpha)       (x, y) <- (y, x - a*y)
+    restore(buffer, lo, hi, dist, alpha)    (x, y) <- (2a*x + y, x)
+    recombine(buffer, lo, hi, dist, alpha)  y <- x - a*y
+    double(buffer, lo, hi, dist, alpha)     x <- 2x - a*y
+    scale(buffer, lo, hi, c)                x <- c*x
 
 On this plain handle the tagged variants are aliases of the untagged ones;
 the instrumentation module ships a ring that gives each tag its own
-counter.  Exponentiation is not a ring member: callers run
-``pow_by_squaring`` over the tagged product the power belongs to, so
-each of its products is counted in that product's class.  The five
-block operations run many butterflies per call, so the kernels'
-O(ell log ell) loops make no method call per butterfly.  A custom ring
-must implement them as well; the cost model counts each butterfly as one
-product by a root power plus two additions, and each fold as two
-additions.  A radix-4 block is 4*size butterflies, so 4*size products
-by a root power and 8*size additions, plus the two products b*b and
-b*iota that give its other twiddles.  Every other full butterfly is a
-radix-2 run with one twiddle: the blocks a level pair does not cover
-(block 1 with iota, a leftover half block, an unpaired top level) and
-the rightmost-branch passes' full runs.  Only the prime-field
-instantiation ships here, but nothing in the kernels assumes more than
-the protocol above.
+counter.  ``root_power`` may compute x^e any way (here builtin pow), but
+it costs, and a counting ring counts, the products ``pow_by_squaring``
+makes over ``mul_root``; the inverse kernel's one power of 2^-1 runs
+``pow_by_squaring`` over ``mul_pow2``.  The block operations run many
+entries per call, so no kernel loop makes a method call per entry.  A
+custom ring must implement them as well.  The cost model counts each
+butterfly as one product by a root power plus two additions, and each
+fold as two additions.  A radix-4 block is 4*size butterflies plus the
+two products b*b and b*iota that give its other twiddles.  An axpy,
+park or recombine entry is one product by a root power and one
+addition, a restore or double entry the same product and two additions
+(a doubling is an addition), and a scale entry one product by a power
+of 2^-1.  Every full butterfly outside a radix-4 block is a radix-2 run
+with one twiddle: the blocks a level pair does not cover (block 1 with
+iota, a leftover half block, an unpaired top level) and the
+rightmost-branch passes' full runs.  Only the prime-field instantiation
+ships here, but nothing in the kernels assumes more than the protocol
+above.
 """
 
 from __future__ import annotations
@@ -199,6 +213,45 @@ def inverse_radix4_loop(p: int, buffer, size: int, iota: int, pairs) -> None:
             buffer[j + 3 * size] = a * (s - w) % p
 
 
+# The runs below take fold_loop's pairs; each step's one expression has
+# the residue of the scalar ring calls it stands for.
+
+
+def axpy_loop(p: int, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+    for j in range(lo, hi):
+        buffer[j] = (buffer[j] + alpha * buffer[j + dist]) % p
+
+
+def park_loop(p: int, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+    for j in range(lo, hi):
+        w = buffer[j + dist]
+        buffer[j + dist] = (buffer[j] - alpha * w) % p
+        buffer[j] = w
+
+
+def restore_loop(p: int, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+    twice = 2 * alpha
+    for j in range(lo, hi):
+        u = buffer[j]
+        buffer[j] = (twice * u + buffer[j + dist]) % p
+        buffer[j + dist] = u
+
+
+def recombine_loop(p: int, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+    for j in range(lo, hi):
+        buffer[j + dist] = (buffer[j] - alpha * buffer[j + dist]) % p
+
+
+def double_loop(p: int, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+    for j in range(lo, hi):
+        buffer[j] = (2 * buffer[j] - alpha * buffer[j + dist]) % p
+
+
+def scale_loop(p: int, buffer, lo: int, hi: int, c: int) -> None:
+    for j in range(lo, hi):
+        buffer[j] = c * buffer[j] % p
+
+
 def _require_prime(p: int) -> None:
     if p >= _MR_EXACT_BELOW:
         raise ValueError(
@@ -255,6 +308,9 @@ class PrimeField(Frozen):
     mul_root = mul
     mul_pow2 = mul
 
+    def root_power(self, x: int, e: int) -> int:
+        return pow(x, e, self.modulus)
+
     # --- block operations (see the ring protocol above) ---
 
     def fold(self, buffer, lo: int, hi: int, dist: int) -> None:
@@ -271,6 +327,24 @@ class PrimeField(Frozen):
 
     def inverse_radix4(self, buffer, size: int, iota: int, pairs) -> None:
         inverse_radix4_loop(self.modulus, buffer, size, iota, pairs)
+
+    def axpy(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+        axpy_loop(self.modulus, buffer, lo, hi, dist, alpha)
+
+    def park(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+        park_loop(self.modulus, buffer, lo, hi, dist, alpha)
+
+    def restore(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+        restore_loop(self.modulus, buffer, lo, hi, dist, alpha)
+
+    def recombine(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+        recombine_loop(self.modulus, buffer, lo, hi, dist, alpha)
+
+    def double(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+        double_loop(self.modulus, buffer, lo, hi, dist, alpha)
+
+    def scale(self, buffer, lo: int, hi: int, c: int) -> None:
+        scale_loop(self.modulus, buffer, lo, hi, c)
 
     # --- field-only helper: not a ring member, so builtin pow ---
 

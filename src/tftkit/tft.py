@@ -26,9 +26,9 @@ The kernel runs in four passes, each a function of (plan, buffer, ring):
 Passes 1 and 4 hand whole levels to the ring's block operations
 (``fold``, ``radix4``, and ``butterflies`` for the few radix-2 blocks
 at the edges of a level pair).  The rightmost-branch passes 2-3 touch
-O(ell) entries: pass 2 hands its full butterflies to ``butterflies``
-as well, and the special 2x2 steps stay scalar, one ring call per
-operation.
+O(ell) entries, also as block runs: pass 2 hands its full butterflies
+to ``butterflies``, and each special 2x2 step runs over its slots in
+one call (``axpy``, ``park``, ``restore``).
 
 Multiplication counts stay within (ell/2)log2(ell) + O(ell) ring
 multiplications and ell*floor(log2 ell) + 2*ell additions; the exact
@@ -161,56 +161,34 @@ def fold_tail(plan: TransformPlan, buffer, ring) -> None:
 
 
 def branch_descent(plan: TransformPlan, buffer, ring) -> None:
-    """Pass 2: rightmost-branch descent (runs only when ell < 2^m); a
-    level with a tail runs its full butterflies in one ring call."""
+    """Pass 2: rightmost-branch descent (runs only when ell < 2^m); each
+    level is at most two runs, each one ring call."""
     ell = plan.ell
     m = plan.m
-    psi = plan.psi
-    add = ring.add
-    sub = ring.sub
-    mul = ring.mul_root
     for q, r, size, head, alias, aliased_head in branch_levels(plan, range(m - 2, plan.v - 1, -1)):
-        alpha = twiddle_forward(ring, m, psi, q)
+        alpha = twiddle_forward(ring, m, plan.psi, q)
         if r > size:
             ring.butterflies(buffer, head, ell - size, size, alpha)
-            for j in range(r - size, size):
-                # [[0,1],[1,-alpha]]: keep only the surviving combination,
-                # parking the partner where pass 3 can recover it
-                u = buffer[head + j]
-                w = buffer[alias + j]
-                buffer[head + j] = w
-                buffer[alias + j] = sub(u, mul(alpha, w))
+            # [[0,1],[1,-alpha]]: keep only the surviving combination,
+            # parking the partner where pass 3 can recover it
+            ring.park(buffer, ell - size, head + size, alias - head, alpha)
         else:
-            for j in range(r):
-                buffer[head + j] = add(buffer[head + j], mul(alpha, buffer[alias + j]))
-            for j in range(r, size):
-                buffer[aliased_head + j] = add(
-                    buffer[aliased_head + j], mul(alpha, buffer[alias + j])
-                )
+            ring.axpy(buffer, head, ell, alias - head, alpha)
+            ring.axpy(buffer, aliased_head + r, aliased_head + size, size, alpha)
 
 
 def branch_restore(plan: TransformPlan, buffer, ring) -> None:
     """Pass 3: restore the borrowed head entries, bottom level upward."""
+    ell = plan.ell
     m = plan.m
-    psi = plan.psi
-    add = ring.add
-    sub = ring.sub
-    mul = ring.mul_root
     for q, r, size, head, alias, aliased_head in branch_levels(plan, range(plan.v + 1, m - 1)):
-        alpha = twiddle_forward(ring, m, psi, q)
+        alpha = twiddle_forward(ring, m, plan.psi, q)
         if r > size:
-            for j in range(r - size, size):
-                # [[2a,1],[1,0]] undoes the parking step; 2au = au + au
-                u = buffer[head + j]
-                w = buffer[alias + j]
-                t = mul(alpha, u)
-                buffer[head + j] = add(add(t, t), w)
-                buffer[alias + j] = u
+            # [[2a,1],[1,0]] undoes the parking step
+            ring.restore(buffer, ell - size, head + size, alias - head, alpha)
         else:
-            for j in range(r, size):
-                buffer[aliased_head + j] = sub(
-                    buffer[aliased_head + j], mul(alpha, buffer[alias + j])
-                )
+            # x - alpha*y as x + (p - alpha)*y: the same residue and counts
+            ring.axpy(buffer, aliased_head + r, aliased_head + size, size, ring.modulus - alpha)
 
 
 def prefix_levels(plan: TransformPlan, buffer, ring) -> None:

@@ -18,20 +18,21 @@ through two channels:
   bit-reversed; consumers must not rely on ascending ``i``.
 
 * ``twiddle_forward`` / ``twiddle_inverse`` -- the factor
-  ``psi^bit_reverse(q, m-1)`` of one block q and its reciprocal,
-  computed by square-and-multiply at O(m) multiplications each.  The
+  ``psi^bit_reverse(q, m-1)`` of one block q and its reciprocal, one
+  ``root_power`` each, costed as square-and-multiply at O(m)
+  multiplications.  The
   inverse uses the complementary positive exponent
   ``2^m - bit_reverse(q, m-1)``, so no field inversion is needed.
 
-Every product, powers included, is a ``ring.mul_root``: powers run
-``pow_by_squaring`` over it, so a counting ring sees each one.
+Every product is a ``ring.mul_root`` and every power a
+``ring.root_power``, which a counting ring counts as the products
+``pow_by_squaring`` makes over ``mul_root``; a plain field takes it by
+builtin pow.
 """
 
 from __future__ import annotations
 
 from operator import index
-
-from .ring import pow_by_squaring
 
 __all__ = ["bit_reverse", "pair_stream", "twiddle_forward", "twiddle_inverse"]
 
@@ -73,8 +74,8 @@ def _pairs(ring, m, psi, q):
     # so it skips j = 0.
     bits = q.bit_length() - 1
     lift = min(m - 1 - bits, 1)
-    seed = pow_by_squaring(ring.mul_root, psi, 1 << (m - 1 - bits - lift))
-    step = pow_by_squaring(ring.mul_root, seed, 1 << lift)
+    seed = ring.root_power(psi, 1 << (m - 1 - bits - lift))
+    step = ring.root_power(seed, 1 << lift)
     offset = 0
     scale = None
     while True:
@@ -96,18 +97,18 @@ def _pairs(ring, m, psi, q):
         prev_bits = bits
         bits = (q - offset).bit_length() - 1
         scale = seed if scale is None else ring.mul_root(scale, seed)
-        seed = pow_by_squaring(ring.mul_root, seed, 1 << (prev_bits - bits))
+        seed = ring.root_power(seed, 1 << (prev_bits - bits))
         step = ring.mul_root(seed, seed)
 
 
 def twiddle_forward(ring, m: int, psi: int, q: int) -> int:
     """Return psi^bit_reverse(q, m-1), the factor of block q.  ValueError
     unless m >= 1 and 0 <= q < 2^(m-1)."""
-    return pow_by_squaring(ring.mul_root, psi, bit_reverse(q, m - 1))
+    return ring.root_power(psi, bit_reverse(q, m - 1))
 
 
 def twiddle_inverse(ring, m: int, psi: int, q: int) -> int:
     """Return psi^-bit_reverse(q, m-1) as the positive power
     psi^(2^m - bit_reverse(q, m-1)), so no inversion is required; m and
     q are checked as for ``twiddle_forward``."""
-    return pow_by_squaring(ring.mul_root, psi, (1 << m) - bit_reverse(q, m - 1))
+    return ring.root_power(psi, (1 << m) - bit_reverse(q, m - 1))

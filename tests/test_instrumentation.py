@@ -77,30 +77,39 @@ def test_counting_field_pow_costs():
     assert ring.counters.total == 0
 
 
+# the step each run stands for on (x, y) = (x_j, x_{j+dist}), written as
+# the scalar ring calls it replaces, and its (mul_root, add_sub) cost
+_PAIR_STEPS = {
+    "fold": (lambda p, a, x, y: ((x + y) % p, (x - y) % p), 0, 2),
+    "butterflies": (lambda p, a, x, y: ((x + a * y) % p, (x - a * y) % p), 1, 2),
+    "inverse_butterflies": (lambda p, a, x, y: ((x + y) % p, a * (x - y) % p), 1, 2),
+    "axpy": (lambda p, a, x, y: ((x + a * y % p) % p, y), 1, 1),
+    "park": (lambda p, a, x, y: (y, (x - a * y % p) % p), 1, 1),
+    "restore": (lambda p, a, x, y: ((2 * (a * x % p) % p + y) % p, x), 1, 2),
+    "recombine": (lambda p, a, x, y: (x, (x - a * y % p) % p), 1, 1),
+    "double": (lambda p, a, x, y: ((2 * x % p - a * y % p) % p, y), 1, 2),
+}
+
+
 def _scalar_block_op(p, name, data, lo, hi, dist, alpha):
-    """The loop each radix-2 block operation stands for, one pair at a time."""
+    """The loop each pair run stands for, one pair at a time."""
+    step = _PAIR_STEPS[name][0]
     buf = list(data)
     for j in range(lo, hi):
-        u, w = buf[j], buf[j + dist]
-        if name == "fold":
-            buf[j], buf[j + dist] = (u + w) % p, (u - w) % p
-        elif name == "butterflies":
-            buf[j], buf[j + dist] = (u + alpha * w) % p, (u - alpha * w) % p
-        else:
-            buf[j], buf[j + dist] = (u + w) % p, alpha * (u - w) % p
+        buf[j], buf[j + dist] = step(p, alpha, buf[j], buf[j + dist])
     return buf
 
 
 def test_block_operations_match_scalar_loops(field):
     # each case is (lo, hi, dist): a higher partner, a lower one (as
-    # branch_finish pairs head + j with the borrowed slots below), and
+    # the branch passes pair head + j with the borrowed slots below), and
     # an empty run, which touches nothing and counts nothing
     rng = random.Random(9)
     p = field.modulus
     n = 64
     data = [rng.randrange(p) for _ in range(n)]
     runs = [(0, 20, 32), (5, 9, 4), (16, 32, 16), (40, 52, -23), (7, 7, 3)]
-    for name, roots in (("fold", 0), ("butterflies", 1), ("inverse_butterflies", 1)):
+    for name, (_, roots, adds) in _PAIR_STEPS.items():
         for lo, hi, dist in runs:
             alpha = rng.randrange(2, p)
             args = (lo, hi, dist) if name == "fold" else (lo, hi, dist, alpha)
@@ -112,8 +121,31 @@ def test_block_operations_match_scalar_loops(field):
                 assert buf.inner == want, (name, args)
                 assert not buf.oob and (buf.lo, buf.hi) == touched, (name, args)
                 if isinstance(ring, CountingField):
-                    want_counts = OpCounters(mul_root=roots * (hi - lo), add_sub=2 * (hi - lo))
+                    want_counts = OpCounters(mul_root=roots * (hi - lo), add_sub=adds * (hi - lo))
                     assert ring.counters == want_counts, (name, args)
+    for lo, hi, _ in runs:
+        c = rng.randrange(2, p)
+        want = [c * x % p if lo <= j < hi else x for j, x in enumerate(data)]
+        for ring in (field, CountingField(p)):
+            buf = AuditBuffer(data)
+            ring.scale(buf, lo, hi, c)
+            assert buf.inner == want, ("scale", lo, hi)
+            assert not buf.oob and (buf.lo, buf.hi) == ((lo, hi - 1) if hi > lo else (None, None))
+            if isinstance(ring, CountingField):
+                assert ring.counters == OpCounters(mul_pow2=hi - lo), ("scale", lo, hi)
+
+
+def test_root_power_is_pow_at_the_cost_of_pow_by_squaring(field):
+    # the plain field may take builtin pow; the counting ring must count
+    # what square-and-multiply over a counted mul_root makes
+    rng = random.Random(11)
+    p = field.modulus
+    for e in (0, 1, 2, 3, 1 << 20, (1 << 20) - 1, (1 << 23) - 1, rng.randrange(1 << 23)):
+        x = rng.randrange(2, p)
+        ring, reference = CountingField(p), CountingField(p)
+        assert field.root_power(x, e) == ring.root_power(x, e) == pow(x, e, p), e
+        assert pow_by_squaring(reference.mul_root, x, e) == pow(x, e, p)
+        assert ring.counters == reference.counters, e
 
 
 def test_radix4_step_is_two_radix2_levels(field):

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tftkit.instrumentation import AuditBuffer, CountingField
-from tftkit.itft import itft_in_place
+from tftkit.itft import branch_finish, branch_recombine, itft_in_place, scale_and_close
 from tftkit.oracle import naive_polymul, naive_tft
 from tftkit.polymul import tft_polymul
-from tftkit.ring import PrimeField
-from tftkit.tft import TransformPlan, make_plan, tft_in_place
+from tftkit.ring import PrimeField, pow_by_squaring
+from tftkit.tft import TransformPlan, branch_descent, branch_restore, make_plan, tft_in_place
 
 
 def test_plan_fields(f17):
@@ -142,10 +142,14 @@ class NoIdentityGuard:
     On an all-zero buffer every product has a twiddle or scale operand,
     so an operand equal to 1 means an identity factor slipped through.
     The block operations multiply inside the ring, so the guard checks
-    their twiddles: alpha of a radix-2 run, and b, b*b, b*iota and
-    -b*iota of each radix-4 block as the pair stream yields b.  It has
-    the eleven protocol members, no forwarding of any other, and a tally
-    of the radix-4 blocks it checked in each direction.
+    their twiddles: alpha of a radix-2 or 2x2 run (p - alpha for the
+    forward restore pass's axpy, which is what it multiplies by), c of
+    a non-empty scale run, and b, b*b, b*iota and -b*iota of each
+    radix-4 block as the pair stream yields b.  Its root_power runs
+    pow_by_squaring over the checked mul_root, never builtin pow, so
+    each product of a power is checked too.  It has the eighteen
+    protocol members, no forwarding of any other, and a tally of the
+    radix-4 blocks it checked in each direction.
     """
 
     def __init__(self, inner):
@@ -168,13 +172,37 @@ class NoIdentityGuard:
         assert x != 1 and y != 1, (x, y)
         return self.inner.mul_pow2(x, y)
 
+    def root_power(self, x, e):
+        return pow_by_squaring(self.mul_root, x, e)
+
+    def scale(self, buffer, lo, hi, c):
+        assert c != 1 or hi <= lo, (lo, hi)
+        self.inner.scale(buffer, lo, hi, c)
+
+    def _run(self, name, buffer, lo, hi, dist, alpha):
+        assert alpha != 1, (name, lo, hi, dist)
+        getattr(self.inner, name)(buffer, lo, hi, dist, alpha)
+
     def butterflies(self, buffer, lo, hi, dist, alpha):
-        assert alpha != 1, (lo, hi, dist)
-        self.inner.butterflies(buffer, lo, hi, dist, alpha)
+        self._run("butterflies", buffer, lo, hi, dist, alpha)
 
     def inverse_butterflies(self, buffer, lo, hi, dist, alpha):
-        assert alpha != 1, (lo, hi, dist)
-        self.inner.inverse_butterflies(buffer, lo, hi, dist, alpha)
+        self._run("inverse_butterflies", buffer, lo, hi, dist, alpha)
+
+    def axpy(self, buffer, lo, hi, dist, alpha):
+        self._run("axpy", buffer, lo, hi, dist, alpha)
+
+    def park(self, buffer, lo, hi, dist, alpha):
+        self._run("park", buffer, lo, hi, dist, alpha)
+
+    def restore(self, buffer, lo, hi, dist, alpha):
+        self._run("restore", buffer, lo, hi, dist, alpha)
+
+    def recombine(self, buffer, lo, hi, dist, alpha):
+        self._run("recombine", buffer, lo, hi, dist, alpha)
+
+    def double(self, buffer, lo, hi, dist, alpha):
+        self._run("double", buffer, lo, hi, dist, alpha)
 
     def radix4(self, buffer, size, iota, pairs):
         self.inner.radix4(buffer, size, iota, self._checked("radix4", pairs, iota))
@@ -206,6 +234,40 @@ def test_radix4_twiddles_are_never_one(field):
         for ell in range(1, 129):
             kernel(make_plan(field, ell), [0] * ell, guard)
     assert all(guard.radix4_blocks.values()), guard.radix4_blocks
+
+
+class _ScalarCalls:
+    """Forwards every member to a ring and counts the scalar calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def __getattr__(self, name):
+        member = getattr(self.inner, name)
+        if name not in ("add", "sub", "mul", "mul_root", "mul_pow2"):
+            return member
+
+        def counted(x, y):
+            self.calls += 1
+            return member(x, y)
+
+        return counted
+
+
+def test_branch_passes_make_no_per_entry_ring_call(field):
+    # the special 2x2 steps and the closing sweep are block runs: on a
+    # field, whose root_power is builtin pow, those passes reach the
+    # scalar members only for the closing power of 2^-1 and its one
+    # extra product, at most 2*m calls, however long their runs are
+    passes = (branch_descent, branch_restore, branch_recombine, branch_finish, scale_and_close)
+    for ell in range(2, 300):
+        plan = make_plan(field, ell)
+        ring = _ScalarCalls(field)
+        buf = [0] * ell
+        for run_pass in passes:
+            run_pass(plan, buf, ring)
+        assert ring.calls <= 2 * plan.m, (ell, ring.calls)
 
 
 def test_fields_with_small_two_adicity():

@@ -12,6 +12,7 @@ the root the radix-4 step passes with m-1 in place of m.
 import pytest
 
 from tftkit.instrumentation import CountingField
+from tftkit.ring import pow_by_squaring
 from tftkit.twiddle import pair_stream, twiddle_forward, twiddle_inverse
 
 
@@ -97,6 +98,11 @@ class _NoIdentityProducts:
     def mul_root(self, x, y):
         assert x != 1 and y != 1
         return self.inner.mul_root(x, y)
+
+    def root_power(self, x, e):
+        # over the checked product, not builtin pow: every product of a
+        # power is still checked
+        return pow_by_squaring(self.mul_root, x, e)
 
 
 def test_validation_is_eager(f17):
