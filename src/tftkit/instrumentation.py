@@ -27,7 +27,6 @@ from .ring import (
     inverse_butterfly_loop,
     inverse_radix4_loop,
     park_loop,
-    pow_by_squaring,
     radix4_loop,
     recombine_loop,
     restore_loop,
@@ -66,14 +65,17 @@ class CountingField:
 
     The tallies live in one shared list closed over by the scalar
     arithmetic methods, which are bound as instance attributes in
-    __init__: the twiddle generator and the powers call them once per
-    product, and closure access to the tally is measurably cheaper than
-    attribute bookkeeping on self.  ``root_power`` runs
-    ``pow_by_squaring`` over mul_root, so a power counts each product
-    it makes.  The block operations run the same loops as PrimeField's,
-    then tally from their arguments the max(hi - lo, 0) entries of a
-    run, or each radix-4 block as the loop draws it from pairs, at the
-    ring protocol's cost: one mul_root and two add_sub per butterfly,
+    __init__: the twiddle generator and the inverse's power of 2^-1
+    call them once per product, and closure access to the tally is
+    measurably cheaper than attribute bookkeeping on self.
+    ``root_power`` takes builtin pow and adds to mul_root, in closed
+    form, the e.bit_length() + e.bit_count() - 2 products (bit_length - 1
+    squarings, bit_count - 1 multiplies) that ``pow_by_squaring`` makes
+    for e >= 1, none for e = 0; e < 0 raises ValueError.  The block
+    operations run the same loops as PrimeField's, then tally from
+    their arguments the max(hi - lo, 0) entries of a run, or each
+    radix-4 block as the loop draws it from pairs, at the ring
+    protocol's cost: one mul_root and two add_sub per butterfly,
     two add_sub per fold, two more mul_root per radix-4 block for its
     twiddles b*b and b*iota, one mul_root and one add_sub per axpy,
     park or recombine entry, one mul_root and two add_sub per restore
@@ -133,7 +135,11 @@ class CountingField:
         self._run(hi - lo, 2)
 
     def root_power(self, x: int, e: int) -> int:
-        return pow_by_squaring(self.mul_root, x, e)
+        if e < 0:
+            raise ValueError("exponent must be nonnegative")
+        if e:
+            self._tally[0] += e.bit_length() + e.bit_count() - 2
+        return pow(x, e, self.modulus)
 
     def axpy(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
         axpy_loop(self.modulus, buffer, lo, hi, dist, alpha)
@@ -184,10 +190,12 @@ class CountingField:
 class AuditBuffer:
     """Array wrapper proving a kernel stayed inside its own slice.
 
-    Records the lowest and highest index touched; any read or write
-    outside [0, len), or with a non-integer index, sets ``oob`` and
-    raises IndexError.  Iteration reads the wrapped list unrecorded; it
-    serves the kernels' entry-type check, and the passes only index.
+    Records the lowest and highest index touched (both None until the
+    first access, then set together); any read or write outside
+    [0, len), or with a non-integer index, sets ``oob`` and raises
+    IndexError.  Each access does this inline, in one frame.
+    Iteration reads the wrapped list unrecorded; it serves the kernels'
+    entry-type check, and the passes only index.
     """
 
     __slots__ = ("inner", "lo", "hi", "oob")
@@ -204,24 +212,31 @@ class AuditBuffer:
     def __iter__(self):
         return iter(self.inner)
 
-    def _touch(self, index) -> None:
-        if not isinstance(index, int) or not 0 <= index < len(self.inner):
-            self.oob = True
-            raise IndexError(
-                f"audited access at {index!r} outside [0, {len(self.inner)})"
-            )
-        if self.lo is None or index < self.lo:
-            self.lo = index
-        if self.hi is None or index > self.hi:
-            self.hi = index
-
     def __getitem__(self, index) -> int:
-        self._touch(index)
-        return self.inner[index]
+        inner = self.inner
+        if not isinstance(index, int) or not 0 <= index < len(inner):
+            self.oob = True
+            raise IndexError(f"audited access at {index!r} outside [0, {len(inner)})")
+        if self.lo is None:
+            self.lo = self.hi = index
+        elif index < self.lo:
+            self.lo = index
+        elif index > self.hi:
+            self.hi = index
+        return inner[index]
 
     def __setitem__(self, index, value) -> None:
-        self._touch(index)
-        self.inner[index] = value
+        inner = self.inner
+        if not isinstance(index, int) or not 0 <= index < len(inner):
+            self.oob = True
+            raise IndexError(f"audited access at {index!r} outside [0, {len(inner)})")
+        if self.lo is None:
+            self.lo = self.hi = index
+        elif index < self.lo:
+            self.lo = index
+        elif index > self.hi:
+            self.hi = index
+        inner[index] = value
 
 
 # Column names for BoundReport.csv_row, in order.

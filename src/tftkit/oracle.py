@@ -1,10 +1,12 @@
 """Brute-force references for testing the fast kernels against.
 
 Everything here is deliberately independent of the transform code: no
-shared exponentiation helpers, bit reversal recomputed from the binary
-string, arithmetic through builtin pow and explicit remainders.  All
-functions are pure and leave their inputs untouched.  They are slow by
-design; tests keep lengths small.
+shared exponentiation helpers or bit reversal, arithmetic through
+builtin pow and explicit remainders.  ``naive_tft`` builds its points
+by doubling, as bit_reverse(i + 2^(k-1), m) = bit_reverse(i, m) +
+2^(m-k) for i < 2^(k-1); ``naive_itft_solve`` reverses the binary
+string.  All functions are pure and leave their inputs untouched.
+They are slow by design; tests keep lengths small.
 
 Only ``naive_tft`` uses numpy: one Horner loop over an array of
 evaluation points, in uint64 for moduli below 2^32 (products stay
@@ -51,12 +53,17 @@ def naive_tft(field, psi: int, ell: int, a) -> list[int]:
     """
     p = field.modulus
     _check_point_generator(p, psi, ell, a)
-    m = (ell - 1).bit_length()
-    points = [pow(psi, _bitrev(i, m), p) for i in range(ell)]
+    points = [1]
+    shift = (ell - 1).bit_length()
+    while len(points) < ell:
+        shift -= 1
+        factor = pow(psi, 1 << shift, p)
+        points += [x * factor % p for x in points[: ell - len(points)]]
     import numpy as np
 
     dtype = np.uint64 if p < _NUMPY_LIMIT else object
     pts = np.array(points, dtype=dtype)
+    del points
     vals = np.zeros(ell, dtype=dtype)
     for c in reversed(a):
         vals = (vals * pts + c % p) % p

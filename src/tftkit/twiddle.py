@@ -25,9 +25,9 @@ through two channels:
   ``2^m - bit_reverse(q, m-1)``, so no field inversion is needed.
 
 Every product is a ``ring.mul_root`` and every power a
-``ring.root_power``, which a counting ring counts as the products
-``pow_by_squaring`` makes over ``mul_root``; a plain field takes it by
-builtin pow.
+``ring.root_power``, which both rings take by builtin pow and a
+counting ring counts as the products ``pow_by_squaring`` makes over
+``mul_root``.
 """
 
 from __future__ import annotations
@@ -41,13 +41,8 @@ def bit_reverse(i: int, k: int) -> int:
     """Reverse the k low bits of i.  Requires 0 <= i < 2^k."""
     if k < 0 or i >> k:
         raise ValueError(f"index {i} does not fit in {k} bits")
-    # loop over i's own bits, then shift: no int in the loop outgrows i
-    n = i.bit_length()
-    out = 0
-    for _ in range(n):
-        out = (out << 1) | (i & 1)
-        i >>= 1
-    return out << (k - n)
+    # bin(i | 1 << k) is "0b1" and then i's k bits; reverse those
+    return int(bin(i | 1 << k)[:2:-1] or "0", 2)
 
 
 def pair_stream(ring, m: int, psi: int, q: int):

@@ -9,6 +9,7 @@ import pytest
 
 import tftkit
 from tftkit.cli import CSV_HEADER, main, xorshift64star
+from tftkit.instrumentation import OpCounters
 
 
 def run_cli(argv, stdin=None, monkeypatch=None):
@@ -168,6 +169,43 @@ def test_selftest_reports_failures(monkeypatch, capsys):
         "operation-bounds: ok",
     ]
     assert err.splitlines() == [f"oracle-equivalence: {oracle}", f"round-trip: {round_trip}"]
+
+
+def _reads_minus_one(real):
+    # a plain list wraps -1, an AuditBuffer refuses it: only the audit fails
+    def kernel(plan, buffer, ring=None):
+        buffer[-1]
+        real(plan, buffer, ring)
+
+    return kernel
+
+
+@pytest.mark.parametrize(
+    "name, fault, family, detail",
+    [
+        (
+            "tft_in_place",
+            _reads_minus_one,
+            "access-audit",
+            "length 1: transform touched an index outside [0, 1)",
+        ),
+        (
+            "measure_transform",
+            lambda real: lambda field, ell, kind: OpCounters(mul_other=1),
+            "operation-bounds",
+            "length 1: forward counts exceed the declared bounds",
+        ),
+    ],
+    ids=["access-audit", "operation-bounds"],
+)
+def test_selftest_reports_audit_and_bound_failures(monkeypatch, capsys, name, fault, family, detail):
+    monkeypatch.setattr(tftkit.cli, name, fault(getattr(tftkit.cli, name)))
+    code = main(["selftest", "--max", "8", "--seed", "5"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    failing = [line for line in out.splitlines()[1:] if not line.endswith(": ok")]
+    assert failing == [f"{family}: FAIL ({detail})"]
+    assert err.splitlines() == [f"{family}: {detail}"]
 
 
 def test_selftest_degenerate(capsys):

@@ -148,6 +148,21 @@ def test_root_power_is_pow_at_the_cost_of_pow_by_squaring(field):
         assert ring.counters == reference.counters, e
 
 
+def test_root_power_tally_is_the_square_and_multiply_count():
+    # CountingField counts a power in closed form; pow_by_squaring over a
+    # counting mul_root is the definition it must match
+    exponents = list(range(4097))
+    exponents += [(1 << k) + d for k in range(24) for d in (-1, 0, 1)]
+    ring, reference = CountingField(17), CountingField(17)
+    for e in exponents:
+        ring.reset()
+        reference.reset()
+        assert ring.root_power(3, e) == pow_by_squaring(reference.mul_root, 3, e)
+        assert ring.counters == reference.counters, e
+    with pytest.raises(ValueError):
+        ring.root_power(3, -1)
+
+
 def test_radix4_step_is_two_radix2_levels(field):
     # one radix-4 sweep over blocks of 4*size equals the two radix-2
     # levels it merges: forward 2*size then size, inverse size then 2*size

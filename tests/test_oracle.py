@@ -44,6 +44,29 @@ def test_tft_is_a_permuted_dft_at_powers_of_two(f17):
         assert shuffled == [natural[rev(i)] for i in range(n)]
 
 
+def _horner_at_reversed_powers(p, psi, ell, a):
+    m = (ell - 1).bit_length()
+    out = []
+    for i in range(ell):
+        x = pow(psi, int(format(i, f"0{m}b")[::-1], 2), p)
+        acc = 0
+        for c in reversed(a):
+            acc = (acc * x + c) % p
+        out.append(acc)
+    return out
+
+
+def test_tft_points_built_by_doubling_are_the_reversed_powers(field):
+    # naive_tft builds its points by doubling; here each one is its own pow
+    rng = random.Random(24)
+    for fld, lengths in ((field, range(1, 301)), (PrimeField.from_modulus(BIG_P), (1, 2, 5, 33, 100))):
+        p = fld.modulus
+        for ell in lengths:
+            psi = fld.root_of_order((ell - 1).bit_length())
+            a = [rng.randrange(p) for _ in range(ell)]
+            assert naive_tft(fld, psi, ell, a) == _horner_at_reversed_powers(p, psi, ell, a), ell
+
+
 def test_tft_length_one(f17):
     assert naive_tft(f17, 1, 1, [25]) == [8]
     with pytest.raises(ValueError):
