@@ -6,16 +6,7 @@ with operation counts that grow smoothly in ell.  Brute-force oracles,
 operation-count instrumentation, and a CLI round out the package.
 """
 
-from .instrumentation import (
-    AuditBuffer,
-    BoundReport,
-    CountingField,
-    OpCounters,
-    bound_check,
-    measure_transform,
-)
 from .itft import itft_in_place
-from .oracle import naive_dft, naive_itft_solve, naive_polymul, naive_tft
 from .polymul import operation_profile, tft_polymul
 from .ring import DEFAULT_MODULUS, PrimeField, pow_by_squaring
 from .tft import TransformPlan, make_plan, tft_in_place
@@ -48,3 +39,20 @@ __all__ = [
     "twiddle_forward",
     "twiddle_inverse",
 ]
+
+# The instrumentation and the oracles are imported on first use of one of
+# their names (PEP 562), so that importing the package, or running the CLI's
+# transform and mul commands, does not pay to compile them.
+_LAZY = dict.fromkeys(
+    ("AuditBuffer", "BoundReport", "CountingField", "OpCounters", "bound_check",
+     "measure_transform"),
+    "instrumentation",
+) | dict.fromkeys(("naive_dft", "naive_itft_solve", "naive_polymul", "naive_tft"), "oracle")
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(__import__(f"{__name__}.{_LAZY[name]}", fromlist=[name]), name)
+    globals()[name] = value
+    return value

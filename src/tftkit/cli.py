@@ -15,17 +15,9 @@ failure, 2 usage or input error.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
-from .instrumentation import (
-    CSV_HEADER,
-    AuditBuffer,
-    bound_check,
-    measure_transform,
-)
 from .itft import itft_in_place
-from .oracle import naive_tft
 from .polymul import tft_polymul
 from .ring import DEFAULT_MODULUS, PrimeField
 from .tft import make_plan, tft_in_place
@@ -77,17 +69,17 @@ def _parse_residues(tokens, modulus: int) -> list[int]:
 # product longer than the field's transform capacity.
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(opts) -> int:
     try:
-        field = PrimeField.from_modulus(args.modulus)
-        plan = make_plan(field, args.length)
-        tokens = _read_text(args.input).split()
-        if len(tokens) != args.length:
-            raise ValueError(f"expected {args.length} values, got {len(tokens)}")
+        field = PrimeField.from_modulus(opts["modulus"])
+        plan = make_plan(field, opts["length"])
+        tokens = _read_text(opts["input"]).split()
+        if len(tokens) != opts["length"]:
+            raise ValueError(f"expected {opts['length']} values, got {len(tokens)}")
         buffer = _parse_residues(tokens, field.modulus)
     except (OSError, ValueError) as exc:
         return _usage_error(str(exc))
-    if args.inverse:
+    if opts["command"] == "itft":
         itft_in_place(plan, buffer)
     else:
         tft_in_place(plan, buffer)
@@ -95,10 +87,10 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def cmd_mul(args) -> int:
+def cmd_mul(opts) -> int:
     try:
-        field = PrimeField.from_modulus(args.modulus)
-        lines = _read_text(args.input).splitlines()
+        field = PrimeField.from_modulus(opts["modulus"])
+        lines = _read_text(opts["input"]).splitlines()
         if len(lines) != 2:
             raise ValueError(f"expected 2 coefficient lines, got {len(lines)}")
         f = _parse_residues(lines[0].split(), field.modulus)
@@ -112,15 +104,17 @@ def cmd_mul(args) -> int:
     return 0
 
 
-def cmd_counts(args) -> int:
-    if args.min < 1 or args.max < args.min:
+def cmd_counts(opts) -> int:
+    low, high = opts["min"], opts["max"]
+    if low < 1 or high < low:
         return _usage_error("range must satisfy 1 <= min <= max")
+    _bind_checks()
     field = PrimeField.from_modulus(DEFAULT_MODULUS)
-    kinds = ("forward", "inverse") if args.kind == "both" else (args.kind,)
+    kinds = ("forward", "inverse") if opts["kind"] == "both" else (opts["kind"],)
     try:
         reports = [
             bound_check(ell, measure_transform(field, ell, kind), kind)
-            for ell in range(args.min, args.max + 1)
+            for ell in range(low, high + 1)
             for kind in kinds
         ]
     except ValueError as exc:
@@ -131,17 +125,19 @@ def cmd_counts(args) -> int:
     return 0 if all(report.passed for report in reports) else 1
 
 
-def cmd_selftest(args) -> int:
-    if args.max < 1:
+def cmd_selftest(opts) -> int:
+    max_len, seed = opts["max"], opts["seed"]
+    if max_len < 1:
         return _usage_error("--max must be at least 1")
     field = PrimeField.from_modulus(DEFAULT_MODULUS)
-    if args.max > 1 << field.two_adicity:
+    if max_len > 1 << field.two_adicity:
         return _usage_error("--max exceeds the field's transform capacity")
-    rng = xorshift64star(args.seed)
-    print(f"seed: {args.seed}")
+    _bind_checks()
+    rng = xorshift64star(seed)
+    print(f"seed: {seed}")
     failures = []
     for family, check in _SELFTEST_FAMILIES:
-        detail = check(field, rng, args.max)
+        detail = check(field, rng, max_len)
         if detail is None:
             print(f"{family}: ok")
         else:
@@ -213,48 +209,117 @@ _SELFTEST_FAMILIES = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tftkit",
-        description="In-place truncated Fourier transforms over prime fields.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
+# Names that only counts and selftest use.  Compiling instrumentation.py
+# and oracle.py is a large share of the CLI's start-up when no bytecode is
+# cached, so they are imported on first use: by _bind_checks when one of
+# those commands runs, or by a module attribute lookup (PEP 562) from outside.
+_CHECKS = dict.fromkeys(
+    ("CSV_HEADER", "AuditBuffer", "bound_check", "measure_transform"), "instrumentation"
+) | {"naive_tft": "oracle"}
 
-    for name, inverse in (("tft", False), ("itft", True)):
-        direction = "inverse" if inverse else "forward"
-        transform_cmd = commands.add_parser(name, help=f"{direction} transform of L residues")
-        transform_cmd.add_argument("--modulus", type=int, default=DEFAULT_MODULUS)
-        transform_cmd.add_argument("--length", type=int, required=True, help="transform length")
-        transform_cmd.add_argument(
-            "--input", metavar="FILE", help="read residues from FILE instead of stdin"
-        )
-        transform_cmd.set_defaults(func=cmd_transform, inverse=inverse)
 
-    mul_cmd = commands.add_parser(
-        "mul", help="multiply two polynomials given as coefficient lines"
-    )
-    mul_cmd.add_argument("--modulus", type=int, default=DEFAULT_MODULUS)
-    mul_cmd.add_argument("--input", metavar="FILE", help="read input from FILE instead of stdin")
-    mul_cmd.set_defaults(func=cmd_mul)
+def _bind_checks() -> None:
+    # setdefault keeps a wrapper that a caller bound in place of a name
+    # first, as the benchmark does to count or trace a selftest run
+    for name, module in _CHECKS.items():
+        home = __import__(f"{__package__}.{module}", fromlist=[name])
+        globals().setdefault(name, getattr(home, name))
 
-    counts_cmd = commands.add_parser(
-        "counts", help="CSV of operation counts checked against the bounds"
-    )
-    counts_cmd.add_argument("--min", type=int, required=True, help="smallest length")
-    counts_cmd.add_argument("--max", type=int, required=True, help="largest length")
-    counts_cmd.add_argument(
-        "--kind", choices=("forward", "inverse", "both"), default="forward"
-    )
-    counts_cmd.set_defaults(func=cmd_counts)
 
-    selftest_cmd = commands.add_parser("selftest", help="randomized verification sweep")
-    selftest_cmd.add_argument("--max", type=int, default=256, help="largest length checked")
-    selftest_cmd.add_argument("--seed", type=int, default=0)
-    selftest_cmd.set_defaults(func=cmd_selftest)
+def __getattr__(name):
+    if name not in _CHECKS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_checks()
+    return globals()[name]
 
-    return parser
+
+def _integer(text: str) -> int:
+    # stricter than int(): no "+", "_", whitespace or non-ASCII digits
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
+def _kind(text: str) -> str:
+    if text not in ("forward", "inverse", "both"):
+        raise ValueError(f"{text!r} is not forward, inverse or both")
+    return text
+
+
+# option -> (placeholder shown in help, parser of its value)
+_VALUES = dict.fromkeys(("modulus", "length", "min", "max", "seed"), ("N", _integer)) | {
+    "input": ("FILE", str),
+    "kind": ("forward|inverse|both", _kind),
+}
+_REQUIRED = object()
+_TRANSFORM = {"modulus": DEFAULT_MODULUS, "length": _REQUIRED, "input": None}
+# command -> (handler, summary, {option: default, or _REQUIRED})
+_COMMANDS = {
+    "tft": (cmd_transform, "forward transform of L residues", _TRANSFORM),
+    "itft": (cmd_transform, "inverse transform of L residues", _TRANSFORM),
+    "mul": (
+        cmd_mul,
+        "multiply two polynomials given as coefficient lines",
+        {"modulus": DEFAULT_MODULUS, "input": None},
+    ),
+    "counts": (
+        cmd_counts,
+        "CSV of operation counts checked against the bounds",
+        {"min": _REQUIRED, "max": _REQUIRED, "kind": "forward"},
+    ),
+    "selftest": (cmd_selftest, "randomized verification sweep", {"max": 256, "seed": 0}),
+}
+_HELP = ("-h", "--help")
+_RULES = """
+Options take full names, as --OPTION VALUE or --OPTION=VALUE; an integer
+is ASCII digits with an optional leading '-'.  Exit codes: 0 success,
+1 verification failure, 2 usage or input error."""
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        lines = ["usage: tftkit COMMAND [--OPTION VALUE ...]", ""]
+        lines += [f"  {name:<9} {entry[1]}" for name, entry in _COMMANDS.items()]
+    else:
+        _, summary, options = _COMMANDS[command]
+        lines = [f"usage: tftkit {command} [--OPTION VALUE ...]", "", summary, ""]
+        for name, default in options.items():
+            usage = f"--{name} {_VALUES[name][0]}"
+            if default is _REQUIRED:
+                lines.append(f"  {usage:<28} required")
+            else:
+                lines.append(f"  {usage:<28} default: {'stdin' if default is None else default}")
+    return "\n".join(lines) + "\n" + _RULES
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    args = iter(sys.argv[1:] if argv is None else argv)
+    command = next(args, None)
+    if command in _HELP:
+        print(_help(None))
+        return 0
+    if command not in _COMMANDS:
+        problem = "no command" if command is None else f"unknown command {command!r}"
+        return _usage_error(f"{problem} (choose from {', '.join(_COMMANDS)})")
+    handler, _, options = _COMMANDS[command]
+    opts = {"command": command, **options}
+    for arg in args:
+        if arg in _HELP:
+            print(_help(command))
+            return 0
+        flag, eq, text = arg.partition("=")
+        name = flag[2:]
+        if not flag.startswith("--") or name not in options:
+            return _usage_error(f"{command}: unrecognized argument {arg!r}")
+        text = text if eq else next(args, None)
+        if text is None:
+            return _usage_error(f"{command}: {flag} needs a value")
+        try:
+            opts[name] = _VALUES[name][1](text)
+        except ValueError as exc:
+            return _usage_error(f"{command}: {flag}: {exc}")
+    missing = [f"--{name}" for name, value in opts.items() if value is _REQUIRED]
+    if missing:
+        return _usage_error(f"{command} needs {', '.join(missing)}")
+    return handler(opts)

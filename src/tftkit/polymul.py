@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from operator import index
 
-from .instrumentation import CountingField
 from .itft import itft_in_place
 from .tft import make_plan, tft_in_place
 
@@ -55,6 +54,8 @@ def operation_profile(field, lengths) -> dict[int, int]:
     ring and records the sum of all four counter classes.  Counts are
     input-independent, so zero coefficients measure the real cost.
     """
+    from .instrumentation import CountingField
+
     profile: dict[int, int] = {}
     for ell in lengths:
         if ell < 1:

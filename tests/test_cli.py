@@ -72,6 +72,43 @@ def test_transform_usage_errors(tmp_path, monkeypatch, capsys):
     assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["frobnicate"], id="unknown-command"),
+        pytest.param([], id="no-command"),
+        pytest.param(["tft", "--length", "3", "--bogus", "1"], id="unknown-option"),
+        pytest.param(["tft", "--modulus", "17"], id="missing-required"),
+        pytest.param(["tft", "--length"], id="no-value"),
+        pytest.param(["counts", "--min", "1", "--max", "2", "--kind", "sideways"], id="bad-kind"),
+        pytest.param(["tft", "--length", "3", "extra"], id="positional"),
+        pytest.param(["tft", "--len", "3", "--mod", "17"], id="abbreviated"),
+        pytest.param(["tft", "--length", "\u0663"], id="arabic-indic-digit"),
+        pytest.param(["tft", "--length=+3"], id="plus-sign"),
+        pytest.param(["tft", "--length", "3", "--modulus", "1_7"], id="underscore"),
+        pytest.param(["tft", "--length", " 3"], id="whitespace"),
+        pytest.param(["tft", "--length", "3.0"], id="float"),
+        pytest.param(["selftest", "--seed", "-"], id="bare-minus"),
+        pytest.param(["selftest", "--seed", "--5"], id="double-minus"),
+        pytest.param(["selftest", "--max="], id="empty-value"),
+    ],
+)
+def test_argv_problems_are_usage_errors(monkeypatch, capsys, argv):
+    # each returns 2, writes no data and one error line; none reads stdin
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1 2 3"))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def test_option_forms(monkeypatch, capsys):
+    code = run_cli(["tft", "--modulus=17", "--length=3"], "1 2 3", monkeypatch)
+    assert (code, capsys.readouterr().out) == (0, "6\n2\n7\n")
+    assert main(["selftest", "--max=2", "--seed", "-5"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "seed: -5"
+
+
 def test_missing_input_file(capsys):
     code = main(["tft", "--modulus", "17", "--length", "1", "--input", "/no/such/file"])
     assert code == 2
@@ -257,6 +294,26 @@ def test_console_script_help():
     assert proc.returncode == 0
     for name in ("tft", "itft", "mul", "counts", "selftest"):
         assert name in proc.stdout
+    transform = {"--modulus": "default: 998244353", "--length": "required",
+                 "--input": "default: stdin"}
+    options = {
+        "tft": transform,
+        "itft": transform,
+        "mul": {"--modulus": "default: 998244353", "--input": "default: stdin"},
+        "counts": {"--min": "required", "--max": "required", "--kind": "default: forward"},
+        "selftest": {"--max": "default: 256", "--seed": "default: 0"},
+    }
+    for command, marks in options.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "tftkit", command, "--help"], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, command
+        assert proc.stderr == ""
+        listed = [line.split(maxsplit=1) for line in proc.stdout.splitlines()
+                  if line.startswith("  --")]
+        assert [option for option, _ in listed] == list(marks), command
+        for option, rest in listed:
+            assert rest.endswith(marks[option]), (command, option)
 
 
 def test_import_leaves_numpy_unloaded():
@@ -270,17 +327,65 @@ def test_import_leaves_numpy_unloaded():
     assert proc.stdout == "False\n"
 
 
-def test_cli_import_skips_unused_stdlib():
-    # -S keeps site hooks from preloading modules, so the check sees what
-    # tftkit.cli itself imports; each of these costs CLI start-up time
+def _fresh_interpreter(code, stdin=None, flags=("-S",)):
+    # -S keeps site hooks from preloading modules, so the child sees what
+    # tftkit itself imports
     src = str(Path(tftkit.__file__).resolve().parent.parent)
-    unused = ("dataclasses", "inspect", "typing", "numpy")
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import tftkit.cli; "
-        f"print([name for name in {unused!r} if name in sys.modules])"
-    )
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True
+        [sys.executable, *flags, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        input=stdin,
+        capture_output=True,
+        text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+# each of these costs start-up time that the transform and mul commands
+# never use: argparse brings gettext, and instrumentation and the oracles
+# are compiled anew in every process when no bytecode is cached
+_UNUSED = ("dataclasses", "inspect", "typing", "numpy", "argparse", "gettext",
+           "tftkit.instrumentation", "tftkit.oracle")
+_LOADED = f"[name for name in {_UNUSED!r} if name in sys.modules]"
+
+
+def test_cli_import_skips_unused_stdlib():
+    assert _fresh_interpreter(f"import tftkit.cli; print({_LOADED})") == "[]\n"
+    code = f"from tftkit.cli import main; rc = main(['mul']); print({_LOADED}, rc)"
+    assert _fresh_interpreter(code, "1 2\n3\n") == "3 6\n[] 0\n"
+
+
+def test_package_loads_instrumentation_and_oracles_on_first_use():
+    lazy = ("tftkit.instrumentation", "tftkit.oracle")
+    code = (
+        f"import tftkit; print([name for name in {lazy!r} if name in sys.modules]); "
+        "print(all(getattr(tftkit, name) is not None for name in tftkit.__all__)); "
+        f"print([name for name in {lazy!r} if name in sys.modules])"
+    )
+    assert _fresh_interpreter(code).splitlines() == ["[]", "True", str(list(lazy))]
+
+
+def test_rebinding_survives_lazy_loading():
+    # perfbench rebinds tftkit.cli.measure_transform to count a selftest
+    # run; binding the checks on first use must not overwrite the wrapper
+    code = """
+import io, contextlib, tftkit.cli as cli
+original = getattr(cli, "measure_transform")
+calls = []
+def counting(*args):
+    calls.append(args)
+    return original(*args)
+cli.measure_transform = counting
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["selftest", "--max", "4"], ["counts", "--min", "1", "--max", "4"]):
+        before = len(calls)
+        assert cli.main(argv) == 0, argv
+        assert len(calls) > before, argv
+cli.measure_transform = original
+from tftkit.instrumentation import measure_transform
+assert original is measure_transform
+print(len(calls))
+"""
+    # with site, for the numpy the selftest's oracle needs; selftest
+    # measures both kinds at each length, counts the forward kind only
+    assert int(_fresh_interpreter(code, flags=())) == 2 * 4 + 4
