@@ -4,8 +4,6 @@
 inspect, ast, dis and tokenize: about 20 ms of every CLI start-up.
 """
 
-from __future__ import annotations
-
 
 class Frozen:
     """Immutable value class over the fields named in ``__slots__``.

@@ -13,8 +13,6 @@ diagnostics go to stderr.  Exit codes: 0 success, 1 verification
 failure, 2 usage or input error.
 """
 
-from __future__ import annotations
-
 import sys
 
 from .itft import itft_in_place

@@ -13,25 +13,11 @@ The production kernels are generic over the ring, so none of this
 costs anything when a plain PrimeField is passed.
 """
 
-from __future__ import annotations
-
 from operator import index
 
 from ._frozen import Frozen
 from .itft import itft_in_place
-from .ring import (
-    axpy_loop,
-    butterfly_loop,
-    double_loop,
-    fold_loop,
-    inverse_butterfly_loop,
-    inverse_radix4_loop,
-    park_loop,
-    radix4_loop,
-    recombine_loop,
-    restore_loop,
-    scale_loop,
-)
+from .ring import PrimeField
 from .tft import make_plan, tft_in_place
 
 __all__ = [
@@ -72,12 +58,12 @@ class CountingField:
     form, the e.bit_length() + e.bit_count() - 2 products (bit_length - 1
     squarings, bit_count - 1 multiplies) that ``pow_by_squaring`` makes
     for e >= 1, none for e = 0; e < 0 raises ValueError.  The block
-    operations run the same loops as PrimeField's, then tally from
-    their arguments the max(hi - lo, 0) entries of a run, or each
-    radix-4 block as the loop draws it from pairs, at the ring
-    protocol's cost: one mul_root and two add_sub per butterfly,
-    two add_sub per fold, two more mul_root per radix-4 block for its
-    twiddles b*b and b*iota, one mul_root and one add_sub per axpy,
+    operations run PrimeField's, then tally from their arguments the
+    max(hi - lo, 0) entries of a run, or each radix-4 run of n blocks
+    as the loop draws it, at the ring protocol's cost: one mul_root and
+    two add_sub per butterfly, two add_sub per fold, two more mul_root
+    per radix-4 block for its twiddles b*b and b*iota and n - 1 per run
+    for its steps, one mul_root and one add_sub per axpy,
     park or recombine entry, one mul_root and two add_sub per restore
     or double entry (a doubling counts as an addition, matching the
     cost model the bounds are stated in), and one mul_pow2 per scale
@@ -123,15 +109,15 @@ class CountingField:
         return OpCounters(mul_root=t[0], mul_pow2=t[1], add_sub=t[2], mul_other=t[3])
 
     def fold(self, buffer, lo: int, hi: int, dist: int) -> None:
-        fold_loop(self.modulus, buffer, lo, hi, dist)
+        PrimeField.fold(self, buffer, lo, hi, dist)
         self._tally[2] += 2 * max(hi - lo, 0)
 
     def butterflies(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        butterfly_loop(self.modulus, buffer, lo, hi, dist, alpha)
+        PrimeField.butterflies(self, buffer, lo, hi, dist, alpha)
         self._run(hi - lo, 2)
 
     def inverse_butterflies(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        inverse_butterfly_loop(self.modulus, buffer, lo, hi, dist, alpha)
+        PrimeField.inverse_butterflies(self, buffer, lo, hi, dist, alpha)
         self._run(hi - lo, 2)
 
     def root_power(self, x: int, e: int) -> int:
@@ -142,27 +128,27 @@ class CountingField:
         return pow(x, e, self.modulus)
 
     def axpy(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        axpy_loop(self.modulus, buffer, lo, hi, dist, alpha)
+        PrimeField.axpy(self, buffer, lo, hi, dist, alpha)
         self._run(hi - lo, 1)
 
     def park(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        park_loop(self.modulus, buffer, lo, hi, dist, alpha)
+        PrimeField.park(self, buffer, lo, hi, dist, alpha)
         self._run(hi - lo, 1)
 
     def restore(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        restore_loop(self.modulus, buffer, lo, hi, dist, alpha)
+        PrimeField.restore(self, buffer, lo, hi, dist, alpha)
         self._run(hi - lo, 2)
 
     def recombine(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        recombine_loop(self.modulus, buffer, lo, hi, dist, alpha)
+        PrimeField.recombine(self, buffer, lo, hi, dist, alpha)
         self._run(hi - lo, 1)
 
     def double(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        double_loop(self.modulus, buffer, lo, hi, dist, alpha)
+        PrimeField.double(self, buffer, lo, hi, dist, alpha)
         self._run(hi - lo, 2)
 
     def scale(self, buffer, lo: int, hi: int, c: int) -> None:
-        scale_loop(self.modulus, buffer, lo, hi, c)
+        PrimeField.scale(self, buffer, lo, hi, c)
         self._tally[1] += max(hi - lo, 0)
 
     def _run(self, n: int, adds: int) -> None:
@@ -171,20 +157,22 @@ class CountingField:
         self._tally[0] += n
         self._tally[2] += adds * n
 
-    def radix4(self, buffer, size: int, iota: int, pairs) -> None:
-        radix4_loop(self.modulus, buffer, size, iota, self._drawn(pairs, size))
+    def radix4(self, buffer, size: int, iota: int, runs) -> None:
+        PrimeField.radix4(self, buffer, size, iota, self._drawn(runs, size))
 
-    def inverse_radix4(self, buffer, size: int, iota: int, pairs) -> None:
-        inverse_radix4_loop(self.modulus, buffer, size, iota, self._drawn(pairs, size))
+    def inverse_radix4(self, buffer, size: int, iota: int, runs) -> None:
+        PrimeField.inverse_radix4(self, buffer, size, iota, self._drawn(runs, size))
 
-    def _drawn(self, pairs, size: int):
-        """Yield pairs, tallying each radix-4 block as the loop draws it:
-        4*size butterflies and the twiddle products b*b and b*iota."""
+    def _drawn(self, runs, size: int):
+        """Yield runs, tallying each as the loop draws it: per block 4*size
+        butterflies and the twiddle products b*b and b*iota, and the
+        n - 1 products by step inside a run of n blocks."""
         tally = self._tally
-        for pair in pairs:
-            tally[0] += 4 * size + 2
-            tally[2] += 8 * size
-            yield pair
+        for run in runs:
+            n = run[1]
+            tally[0] += (4 * size + 3) * n - 1
+            tally[2] += 8 * size * n
+            yield run
 
 
 class AuditBuffer:

@@ -15,7 +15,7 @@ Passes, mirroring the forward kernel in reverse, each a function of
 
 1. ``ascend_levels``: ascending butterfly levels over the completed
    prefix, two per sweep through the ring's ``inverse_radix4``, with
-   reciprocal twiddles drained from the pair generator seeded with
+   reciprocal twiddles drawn as runs from the pair stream seeded with
    psi^-1; the edge blocks of each level pair go through ``fold`` and
    ``inverse_butterflies``;
 2. ``branch_recombine``: descending rightmost-branch pass recombining
@@ -31,8 +31,6 @@ butterflies to ``inverse_butterflies``, and each special step runs over
 its slots in one call (``recombine``, ``axpy`` then ``scale`` by 1/2,
 ``double``, and three ``scale`` runs for the closing sweep).
 """
-
-from __future__ import annotations
 
 from .ring import pow_by_squaring
 from .tft import TransformPlan, branch_levels, checked_ring
@@ -94,8 +92,8 @@ def branch_recombine(plan: TransformPlan, buffer, ring) -> None:
     """Pass 2: descending recombination of head and borrowed entries."""
     ell = plan.ell
     m = plan.m
-    for q, r, size, head, alias, aliased_head in branch_levels(plan, range(m - 2, plan.v, -1)):
-        alpha = twiddle_forward(ring, m, plan.psi, q)
+    for _, e, r, size, head, alias, aliased_head in branch_levels(plan, range(m - 2, plan.v, -1)):
+        alpha = ring.root_power(plan.psi, e)
         if r > size:
             ring.recombine(buffer, ell - size, head + size, alias - head, alpha)
         else:
@@ -109,13 +107,13 @@ def branch_finish(plan: TransformPlan, buffer, ring) -> None:
     ell = plan.ell
     m = plan.m
     psi = plan.psi
-    for q, r, size, head, alias, aliased_head in branch_levels(plan, range(plan.v, m - 1)):
+    for _, e, r, size, head, alias, aliased_head in branch_levels(plan, range(plan.v, m - 1)):
         if r > size:
-            alpha = twiddle_inverse(ring, m, psi, q)
+            alpha = ring.root_power(psi, (1 << m) - e)
             ring.inverse_butterflies(buffer, head, ell - size, size, alpha)
             ring.inverse_butterflies(buffer, ell - size, head + size, alias - head, alpha)
         else:
-            alpha = twiddle_forward(ring, m, psi, q)
+            alpha = ring.root_power(psi, e)
             ring.double(buffer, head, ell, alias - head, alpha)
             ring.double(buffer, aliased_head + r, aliased_head + size, size, alpha)
 

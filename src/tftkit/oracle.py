@@ -15,8 +15,6 @@ above.  It imports numpy on its first call, so importing the package
 (and every CLI command that calls no oracle) does not pay for it.
 """
 
-from __future__ import annotations
-
 __all__ = ["naive_dft", "naive_tft", "naive_itft_solve", "naive_polymul"]
 
 _NUMPY_LIMIT = 1 << 32

@@ -7,8 +7,6 @@ nothing is padded to a power of two, the operation count grows smoothly
 with the output length instead of doubling whenever it crosses one.
 """
 
-from __future__ import annotations
-
 from operator import index
 
 from .itft import itft_in_place

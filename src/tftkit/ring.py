@@ -23,13 +23,17 @@ this class specifically.  A ring handle must provide exactly
     inverse_butterflies(buffer, lo, hi, dist, alpha)
                                   the same pairs, Gentleman-Sande step
                                   (x, y) <- (x + y, a*(x - y))
-    radix4(buffer, size, iota, pairs)
-                                  two levels in one sweep: for each (i, b)
-                                  drawn from pairs, block i of size 4*size
-                                  takes the Cooley-Tukey step with b*b on
-                                  its halves, then with b and b*iota on
-                                  its quarters
-    inverse_radix4(buffer, size, iota, pairs)
+    radix4(buffer, size, iota, runs)
+                                  two levels in one sweep: for each run
+                                  (i, n, b, step, bits) drawn from runs,
+                                  the n blocks of size 4*size from block
+                                  i on, their low bits counted in
+                                  bit-reversed order, with twiddles b,
+                                  b*step, b*step^2, ...; each block takes
+                                  the Cooley-Tukey step with b*b on its
+                                  halves, then with b and b*iota on its
+                                  quarters
+    inverse_radix4(buffer, size, iota, runs)
                                   the same blocks, Gentleman-Sande steps
                                   in the reverse order: b on the first
                                   quarter pair, b*iota with the
@@ -54,11 +58,15 @@ counter.  ``root_power`` may compute x^e any way (here builtin pow), but
 it costs, and a counting ring counts, the products ``pow_by_squaring``
 makes over ``mul_root``; the inverse kernel's one power of 2^-1 runs
 ``pow_by_squaring`` over ``mul_pow2``.  The block operations run many
-entries per call, so no kernel loop makes a method call per entry.  A
+entries per call, and on this handle they are the loops themselves, so
+no kernel loop makes a method call per entry or per radix-4 block.  A
 custom ring must implement them as well.  The cost model counts each
 butterfly as one product by a root power plus two additions, and each
 fold as two additions.  A radix-4 block is 4*size butterflies plus the
-two products b*b and b*iota that give its other twiddles.  An axpy,
+two products b*b and b*iota that give its other twiddles, and a run of
+n blocks adds the n - 1 products by step that give its twiddles after
+the first: (4*size + 3)*n - 1 products by a root power and 8*size*n
+additions per run.  An axpy,
 park or recombine entry is one product by a root power and one
 addition, a restore or double entry the same product and two additions
 (a doubling is an addition), and a scale entry one product by a power
@@ -69,8 +77,6 @@ rightmost-branch passes' full runs.  Only the prime-field instantiation
 ships here, but nothing in the kernels assumes more than the protocol
 above.
 """
-
-from __future__ import annotations
 
 from operator import index
 
@@ -124,132 +130,6 @@ def pow_by_squaring(mul, x: int, e: int) -> int:
         if e:
             x = mul(x, x)
     return 1 if acc is None else acc
-
-
-def fold_loop(p: int, buffer, lo: int, hi: int, dist: int) -> None:
-    """Replace (x_j, x_{j+dist}) by their sum and difference mod p for
-    j in [lo, hi)."""
-    for j in range(lo, hi):
-        jj = j + dist
-        u = buffer[j]
-        w = buffer[jj]
-        buffer[j] = (u + w) % p
-        buffer[jj] = (u - w) % p
-
-
-def butterfly_loop(p: int, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-    """Cooley-Tukey butterflies mod p: for j in [lo, hi), replace
-    (x, y) = (x_j, x_{j+dist}) by (x + a*y, x - a*y)."""
-    for j in range(lo, hi):
-        jj = j + dist
-        u = buffer[j]
-        t = alpha * buffer[jj] % p
-        buffer[j] = (u + t) % p
-        buffer[jj] = (u - t) % p
-
-
-def inverse_butterfly_loop(p: int, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-    """Gentleman-Sande butterflies mod p over the pairs of
-    butterfly_loop: (x, y) becomes (x + y, a*(x - y))."""
-    # the product is stored first, while the buffer still holds u and w,
-    # and j + dist is not kept, so the traced scratch of the branch
-    # passes' runs stays at that of the scalar loops they replace
-    for j in range(lo, hi):
-        u = buffer[j]
-        w = buffer[j + dist]
-        buffer[j + dist] = alpha * (u - w) % p
-        buffer[j] = (u + w) % p
-
-
-def radix4_loop(p: int, buffer, size: int, iota: int, pairs) -> None:
-    """Two Cooley-Tukey levels mod p in one sweep: for each (i, b) in
-    pairs, block i holds the quarters x0, x1, x2, x3 of size entries
-    from 4*size*i on; the upper level pairs (x0, x2) and (x1, x3) with
-    twiddle b*b, the lower one (x0, x1) with b and (x2, x3) with b*iota.
-    """
-    # each name is rebound as soon as its value is spent, and u and t
-    # to what was stored, so an input's int is freed by the store into
-    # its slot and the traced scratch stays at radix-2's
-    for i, b in pairs:
-        a = b * b % p
-        c = b * iota % p
-        for j in range(4 * size * i, 4 * size * i + size):
-            u = buffer[j]
-            w = buffer[j + size]
-            t = a * buffer[j + 2 * size] % p
-            s = a * buffer[j + 3 * size] % p
-            x = c * (w - s) % p
-            s = b * (w + s) % p
-            w = u - t
-            t += u
-            u = buffer[j] = (t + s) % p
-            t = buffer[j + size] = (t - s) % p
-            buffer[j + 2 * size] = (w + x) % p
-            buffer[j + 3 * size] = (w - x) % p
-
-
-def inverse_radix4_loop(p: int, buffer, size: int, iota: int, pairs) -> None:
-    """Gentleman-Sande mirror of radix4_loop over the same blocks, with b
-    a reciprocal twiddle: (x0, x1) with b, (x2, x3) with b*iota^-1 =
-    -b*iota, then (x0, x2) and (x1, x3) with b*b."""
-    # the upper level's outputs are formed from the four inputs
-    # directly, and u and x are rebound to what was stored, so an
-    # input's int is freed by the store into its slot and the traced
-    # scratch stays at radix-2's
-    for i, b in pairs:
-        a = b * b % p
-        c = b * iota % p
-        for j in range(4 * size * i, 4 * size * i + size):
-            u = buffer[j]
-            w = buffer[j + size]
-            x = buffer[j + 2 * size]
-            t = buffer[j + 3 * size]
-            s = b * (u - w) % p
-            v = a * (u + w - x - t) % p
-            u = buffer[j] = (u + w + x + t) % p
-            w = c * (t - x) % p
-            x = buffer[j + 2 * size] = v
-            buffer[j + size] = (s + w) % p
-            buffer[j + 3 * size] = a * (s - w) % p
-
-
-# The runs below take fold_loop's pairs; each step's one expression has
-# the residue of the scalar ring calls it stands for.
-
-
-def axpy_loop(p: int, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-    for j in range(lo, hi):
-        buffer[j] = (buffer[j] + alpha * buffer[j + dist]) % p
-
-
-def park_loop(p: int, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-    for j in range(lo, hi):
-        w = buffer[j + dist]
-        buffer[j + dist] = (buffer[j] - alpha * w) % p
-        buffer[j] = w
-
-
-def restore_loop(p: int, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-    twice = 2 * alpha
-    for j in range(lo, hi):
-        u = buffer[j]
-        buffer[j] = (twice * u + buffer[j + dist]) % p
-        buffer[j + dist] = u
-
-
-def recombine_loop(p: int, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-    for j in range(lo, hi):
-        buffer[j + dist] = (buffer[j] - alpha * buffer[j + dist]) % p
-
-
-def double_loop(p: int, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-    for j in range(lo, hi):
-        buffer[j] = (2 * buffer[j] - alpha * buffer[j + dist]) % p
-
-
-def scale_loop(p: int, buffer, lo: int, hi: int, c: int) -> None:
-    for j in range(lo, hi):
-        buffer[j] = c * buffer[j] % p
 
 
 def _require_prime(p: int) -> None:
@@ -311,40 +191,143 @@ class PrimeField(Frozen):
     def root_power(self, x: int, e: int) -> int:
         return pow(x, e, self.modulus)
 
-    # --- block operations (see the ring protocol above) ---
+    # --- block operations (see the ring protocol above): the loops
+    # themselves, each reading the modulus once ---
 
     def fold(self, buffer, lo: int, hi: int, dist: int) -> None:
-        fold_loop(self.modulus, buffer, lo, hi, dist)
+        p = self.modulus
+        for j in range(lo, hi):
+            jj = j + dist
+            u = buffer[j]
+            w = buffer[jj]
+            buffer[j] = (u + w) % p
+            buffer[jj] = (u - w) % p
 
     def butterflies(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        butterfly_loop(self.modulus, buffer, lo, hi, dist, alpha)
+        p = self.modulus
+        for j in range(lo, hi):
+            jj = j + dist
+            u = buffer[j]
+            t = alpha * buffer[jj] % p
+            buffer[j] = (u + t) % p
+            buffer[jj] = (u - t) % p
 
     def inverse_butterflies(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        inverse_butterfly_loop(self.modulus, buffer, lo, hi, dist, alpha)
+        # the product is stored first, while the buffer still holds u and w,
+        # and j + dist is not kept, so the traced scratch of the branch
+        # passes' runs stays at that of the scalar loops they replace
+        p = self.modulus
+        for j in range(lo, hi):
+            u = buffer[j]
+            w = buffer[j + dist]
+            buffer[j + dist] = alpha * (u - w) % p
+            buffer[j] = (u + w) % p
 
-    def radix4(self, buffer, size: int, iota: int, pairs) -> None:
-        radix4_loop(self.modulus, buffer, size, iota, pairs)
+    def radix4(self, buffer, size: int, iota: int, runs) -> None:
+        # each name is rebound as soon as its value is spent, and u and t
+        # to what was stored, so an input's int is freed by the store into
+        # its slot and the traced scratch stays at radix-2's
+        p = self.modulus
+        size2, size3, size4 = 2 * size, 3 * size, 4 * size
+        for i, n, b, step, bits in runs:
+            top = 1 << bits >> 1
+            while True:
+                a = b * b % p
+                c = b * iota % p
+                for j in range(size4 * i, size4 * i + size):
+                    u = buffer[j]
+                    w = buffer[j + size]
+                    t = a * buffer[j + size2] % p
+                    s = a * buffer[j + size3] % p
+                    x = c * (w - s) % p
+                    s = b * (w + s) % p
+                    w = u - t
+                    t += u
+                    u = buffer[j] = (t + s) % p
+                    t = buffer[j + size] = (t - s) % p
+                    buffer[j + size2] = (w + x) % p
+                    buffer[j + size3] = (w - x) % p
+                n -= 1
+                if not n:
+                    break
+                bit = top
+                while i & bit:
+                    i ^= bit
+                    bit >>= 1
+                i |= bit
+                b = b * step % p
 
-    def inverse_radix4(self, buffer, size: int, iota: int, pairs) -> None:
-        inverse_radix4_loop(self.modulus, buffer, size, iota, pairs)
+    def inverse_radix4(self, buffer, size: int, iota: int, runs) -> None:
+        # the upper level's outputs are formed from the four inputs
+        # directly, and u and x are rebound to what was stored, so an
+        # input's int is freed by the store into its slot and the traced
+        # scratch stays at radix-2's
+        p = self.modulus
+        size2, size3, size4 = 2 * size, 3 * size, 4 * size
+        for i, n, b, step, bits in runs:
+            top = 1 << bits >> 1
+            while True:
+                a = b * b % p
+                c = b * iota % p
+                for j in range(size4 * i, size4 * i + size):
+                    u = buffer[j]
+                    w = buffer[j + size]
+                    x = buffer[j + size2]
+                    t = buffer[j + size3]
+                    s = b * (u - w) % p
+                    v = a * (u + w - x - t) % p
+                    u = buffer[j] = (u + w + x + t) % p
+                    w = c * (t - x) % p
+                    x = buffer[j + size2] = v
+                    buffer[j + size] = (s + w) % p
+                    buffer[j + size3] = a * (s - w) % p
+                n -= 1
+                if not n:
+                    break
+                bit = top
+                while i & bit:
+                    i ^= bit
+                    bit >>= 1
+                i |= bit
+                b = b * step % p
+
+    # The runs below take fold's pairs; each step's one expression has
+    # the residue of the scalar ring calls it stands for.
 
     def axpy(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        axpy_loop(self.modulus, buffer, lo, hi, dist, alpha)
+        p = self.modulus
+        for j in range(lo, hi):
+            buffer[j] = (buffer[j] + alpha * buffer[j + dist]) % p
 
     def park(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        park_loop(self.modulus, buffer, lo, hi, dist, alpha)
+        p = self.modulus
+        for j in range(lo, hi):
+            w = buffer[j + dist]
+            buffer[j + dist] = (buffer[j] - alpha * w) % p
+            buffer[j] = w
 
     def restore(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        restore_loop(self.modulus, buffer, lo, hi, dist, alpha)
+        p = self.modulus
+        twice = 2 * alpha
+        for j in range(lo, hi):
+            u = buffer[j]
+            buffer[j] = (twice * u + buffer[j + dist]) % p
+            buffer[j + dist] = u
 
     def recombine(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        recombine_loop(self.modulus, buffer, lo, hi, dist, alpha)
+        p = self.modulus
+        for j in range(lo, hi):
+            buffer[j + dist] = (buffer[j] - alpha * buffer[j + dist]) % p
 
     def double(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        double_loop(self.modulus, buffer, lo, hi, dist, alpha)
+        p = self.modulus
+        for j in range(lo, hi):
+            buffer[j] = (2 * buffer[j] - alpha * buffer[j + dist]) % p
 
     def scale(self, buffer, lo: int, hi: int, c: int) -> None:
-        scale_loop(self.modulus, buffer, lo, hi, c)
+        p = self.modulus
+        for j in range(lo, hi):
+            buffer[j] = c * buffer[j] % p
 
     # --- field-only helper: not a ring member, so builtin pow ---
 

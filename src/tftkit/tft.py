@@ -20,8 +20,8 @@ The kernel runs in four passes, each a function of (plan, buffer, ring):
    descent borrowed, via the inverse step [[2a,1],[1,0]] (the doubling
    is an addition, so the pass divides by nothing);
 4. ``prefix_levels``: run the butterfly levels over the completed
-   prefix two at a time, each pair in one radix-4 sweep whose twiddles
-   come from one streaming pair generator.
+   prefix two at a time, each pair in one radix-4 sweep whose blocks
+   and twiddles come as the geometric runs of one pair stream.
 
 Passes 1 and 4 hand whole levels to the ring's block operations
 (``fold``, ``radix4``, and ``butterflies`` for the few radix-2 blocks
@@ -35,13 +35,11 @@ multiplications and ell*floor(log2 ell) + 2*ell additions; the exact
 bounds are asserted in the test suite against instrumented rings.
 """
 
-from __future__ import annotations
-
 from operator import index
 
 from ._frozen import Frozen
 from .ring import PrimeField
-from .twiddle import pair_stream, twiddle_forward
+from .twiddle import bit_reverse, pair_stream, twiddle_forward
 
 __all__ = ["TransformPlan", "make_plan", "tft_in_place"]
 
@@ -87,12 +85,14 @@ def make_plan(field: PrimeField, ell: int) -> TransformPlan:
 
 def branch_levels(plan: TransformPlan, ks):
     """Yield the rightmost-branch geometry of each level k in ks, as
-    (q, r, size, head, alias, aliased_head).
+    (q, e, r, size, head, alias, aliased_head).
 
     At level k the buffer holds 2q complete blocks of size = 2^k and
     r = ell - 2^k * 2q entries past them, in the partial butterfly block
-    q; its twiddle is twiddle_forward(ring, m, psi, q), as every level's
-    block q has.  With q' = q - 2^(m-k-2):
+    q; its twiddle is psi^e with e = bit_reverse(q, m-1), as every
+    level's block q has.  q is ell's bits above k, so e is ell's low m
+    bits reversed once per call, shifted left by k and cut to m-1 bits
+    (ell = 2^m has no such levels).  With q' = q - 2^(m-k-2):
 
         head          2^k * 2q       start of the partial block
         alias         2^k * (2q'+1)  the borrowed slots
@@ -104,11 +104,13 @@ def branch_levels(plan: TransformPlan, ks):
     """
     ell = plan.ell
     m = plan.m
+    rev = bit_reverse(ell % (1 << m), m)
+    mask = (1 << (m - 1)) - 1
     for k in ks:
         q = ell >> (k + 1)
         qp = q - (1 << (m - k - 2))
         head = q << (k + 1)
-        yield q, ell - head, 1 << k, head, (2 * qp + 1) << k, qp << (k + 1)
+        yield q, rev << k & mask, ell - head, 1 << k, head, (2 * qp + 1) << k, qp << (k + 1)
 
 
 def checked_ring(plan: TransformPlan, buffer, ring):
@@ -165,8 +167,8 @@ def branch_descent(plan: TransformPlan, buffer, ring) -> None:
     level is at most two runs, each one ring call."""
     ell = plan.ell
     m = plan.m
-    for q, r, size, head, alias, aliased_head in branch_levels(plan, range(m - 2, plan.v - 1, -1)):
-        alpha = twiddle_forward(ring, m, plan.psi, q)
+    for _, e, r, size, head, alias, aliased_head in branch_levels(plan, range(m - 2, plan.v - 1, -1)):
+        alpha = ring.root_power(plan.psi, e)
         if r > size:
             ring.butterflies(buffer, head, ell - size, size, alpha)
             # [[0,1],[1,-alpha]]: keep only the surviving combination,
@@ -181,8 +183,8 @@ def branch_restore(plan: TransformPlan, buffer, ring) -> None:
     """Pass 3: restore the borrowed head entries, bottom level upward."""
     ell = plan.ell
     m = plan.m
-    for q, r, size, head, alias, aliased_head in branch_levels(plan, range(plan.v + 1, m - 1)):
-        alpha = twiddle_forward(ring, m, plan.psi, q)
+    for _, e, r, size, head, alias, aliased_head in branch_levels(plan, range(plan.v + 1, m - 1)):
+        alpha = ring.root_power(plan.psi, e)
         if r > size:
             # [[2a,1],[1,0]] undoes the parking step
             ring.restore(buffer, ell - size, head + size, alias - head, alpha)
@@ -197,10 +199,11 @@ def prefix_levels(plan: TransformPlan, buffer, ring) -> None:
 
     A pair (k, k-1) with size = 2^(k-1) and q = ell >> (k+1) runs
     blocks 1..q-1 of 4*size entries through ``ring.radix4``, each with
-    b = psi^bit_reverse(i, m-2) from the pair stream of m-1: level k's
-    twiddle is b*b and level k-1's are b and b*iota.  Block 0 is two
-    folds and one radix-2 block with twiddle iota; when bit k of ell is
-    set, the level-(k-1) block 2q is left over, with its own twiddle.
+    b = psi^bit_reverse(i, m-2), in the geometric runs of the pair
+    stream of m-1: level k's twiddle is b*b and level k-1's are b and
+    b*iota.  Block 0 is two folds and one radix-2 block with twiddle
+    iota; when bit k of ell is set, the level-(k-1) block 2q is left
+    over, with its own twiddle.
     An odd level count leaves level m-2 unpaired: a fold, and block 1
     when ell = 2^m.
     """

@@ -215,9 +215,9 @@ def test_fft_counts_match_the_closed_form(field):
     )
 
 
-# bytes; at SCRATCH_LENGTHS the kernels read at most 1072 (inverse, 5000).
+# bytes; at SCRATCH_LENGTHS the kernels read at most 992 (inverse, 5000).
 # 65536 and 100000 are not gated (a traced call there takes 8-15 s); by
-# the same method they read 1040 and 1104.
+# the same method they read 992 and 1056 (worse kernel of the two).
 SCRATCH_LIMIT = 1536
 SCRATCH_LENGTHS = (1, 2, 3, 17, 1000, 1025, 4096, 5000, 16385)
 
@@ -322,6 +322,18 @@ def test_transforms_stay_inside_the_buffer(field):
     )
 
 
+def _expand_runs(mul, runs):
+    # run (i, n, b, step, bits): n blocks from i on, the low bits of each
+    # the bit reversal of one more than the last's, twiddles b*step^t
+    for i, n, b, step, bits in runs:
+        low = i & ((1 << bits) - 1)
+        j = bit_reverse(low, bits)
+        for t in range(n):
+            if t:
+                b = mul(b, step)
+            yield i - low + bit_reverse(j + t, bits), b
+
+
 def test_pair_generator_matches_brute_force(field):
     p = field.modulus
     omega = field.generator_root
@@ -331,7 +343,10 @@ def test_pair_generator_matches_brute_force(field):
         psi = field.root_of_order(m)
         for q in range(1, (1 << (m - 1)) + 1):
             ring = CountingField(field.modulus)
-            got = set(pair_stream(ring, m, psi, q))
+            got = list(_expand_runs(ring.mul_root, pair_stream(ring, m, psi, q)))
+            if len(got) != q - 1:
+                _verdict(False, "pair generator", f"{len(got)} pairs at m={m}, q={q}")
+            got = set(got)
             want = {
                 (i, pow(omega, bit_reverse(2 * i, s), p)) for i in range(1, q)
             }

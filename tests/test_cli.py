@@ -342,10 +342,11 @@ def _fresh_interpreter(code, stdin=None, flags=("-S",)):
 
 
 # each of these costs start-up time that the transform and mul commands
-# never use: argparse brings gettext, and instrumentation and the oracles
-# are compiled anew in every process when no bytecode is cached
+# never use: argparse brings gettext, instrumentation and the oracles are
+# compiled anew in every process when no bytecode is cached, and every
+# annotation evaluates at run time without __future__
 _UNUSED = ("dataclasses", "inspect", "typing", "numpy", "argparse", "gettext",
-           "tftkit.instrumentation", "tftkit.oracle")
+           "tftkit.instrumentation", "tftkit.oracle", "__future__")
 _LOADED = f"[name for name in {_UNUSED!r} if name in sys.modules]"
 
 

@@ -13,7 +13,7 @@ from tftkit.instrumentation import (
     measure_transform,
 )
 from tftkit.itft import itft_in_place
-from tftkit.ring import butterfly_loop, inverse_butterfly_loop, pow_by_squaring
+from tftkit.ring import pow_by_squaring
 from tftkit.tft import make_plan, tft_in_place
 
 
@@ -165,32 +165,37 @@ def test_root_power_tally_is_the_square_and_multiply_count():
 
 def test_radix4_step_is_two_radix2_levels(field):
     # one radix-4 sweep over blocks of 4*size equals the two radix-2
-    # levels it merges: forward 2*size then size, inverse size then 2*size
+    # levels it merges: forward 2*size then size, inverse size then 2*size.
+    # The runs are a one-block run (bits = 0) and the first-run shape
+    # (2, 3, b, step, 2), blocks 2, 1, 3 with twiddles b, b*step, b*step^2
     rng = random.Random(10)
     p = field.modulus
     iota = field.root_of_order(2)
     for size in (1, 2, 4, 32):
         n = 4 * size * 5
         data = [rng.randrange(p) for _ in range(n)]
-        pairs = [(i, rng.randrange(2, p)) for i in (3, 1, 4)]
+        b4, b, step = (rng.randrange(2, p) for _ in range(3))
+        runs = [(4, 1, b4, rng.randrange(2, p), 0), (2, 3, b, step, 2)]
+        blocks = [(4, b4), (2, b), (1, b * step % p), (3, b * step * step % p)]
         forward = list(data)
         inverse = list(data)
-        for i, b in pairs:
+        for i, c in blocks:
             x0, x2 = 4 * size * i, 4 * size * i + 2 * size
-            butterfly_loop(p, forward, x0, x2, 2 * size, b * b % p)
-            butterfly_loop(p, forward, x0, x0 + size, size, b)
-            butterfly_loop(p, forward, x2, x2 + size, size, b * iota % p)
-            inverse_butterfly_loop(p, inverse, x0, x0 + size, size, b)
-            inverse_butterfly_loop(p, inverse, x2, x2 + size, size, b * (p - iota) % p)
-            inverse_butterfly_loop(p, inverse, x0, x2, 2 * size, b * b % p)
+            field.butterflies(forward, x0, x2, 2 * size, c * c % p)
+            field.butterflies(forward, x0, x0 + size, size, c)
+            field.butterflies(forward, x2, x2 + size, size, c * iota % p)
+            field.inverse_butterflies(inverse, x0, x0 + size, size, c)
+            field.inverse_butterflies(inverse, x2, x2 + size, size, c * (p - iota) % p)
+            field.inverse_butterflies(inverse, x0, x2, 2 * size, c * c % p)
         for name, want in (("radix4", forward), ("inverse_radix4", inverse)):
             for ring in (field, CountingField(p)):
                 buf = AuditBuffer(data)
-                getattr(ring, name)(buf, size, iota, iter(pairs))
+                getattr(ring, name)(buf, size, iota, iter(runs))
                 assert buf.inner == want, (name, size)
                 assert not buf.oob and (buf.lo, buf.hi) == (4 * size, 20 * size - 1)
                 if isinstance(ring, CountingField):
-                    want_counts = OpCounters(mul_root=3 * (4 * size + 2), add_sub=3 * 8 * size)
+                    # (4*size + 3)*n - 1 per run of n blocks
+                    want_counts = OpCounters(mul_root=4 * (4 * size + 3) - 2, add_sub=4 * 8 * size)
                     assert ring.counters == want_counts, (name, size)
             ring = CountingField(p)
             buf = AuditBuffer(data)

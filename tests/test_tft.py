@@ -12,7 +12,15 @@ from tftkit.itft import branch_finish, branch_recombine, itft_in_place, scale_an
 from tftkit.oracle import naive_polymul, naive_tft
 from tftkit.polymul import tft_polymul
 from tftkit.ring import PrimeField, pow_by_squaring
-from tftkit.tft import TransformPlan, branch_descent, branch_restore, make_plan, tft_in_place
+from tftkit.tft import (
+    TransformPlan,
+    branch_descent,
+    branch_levels,
+    branch_restore,
+    make_plan,
+    tft_in_place,
+)
+from tftkit.twiddle import bit_reverse
 
 
 def test_plan_fields(f17):
@@ -145,9 +153,11 @@ class NoIdentityGuard:
     their twiddles: alpha of a radix-2 or 2x2 run (p - alpha for the
     forward restore pass's axpy, which is what it multiplies by), c of
     a non-empty scale run, and b, b*b, b*iota and -b*iota of each
-    radix-4 block as the pair stream yields b.  Its root_power runs
+    radix-4 block, expanding each run the pair stream yields to b,
+    b*step, ... over its own checked mul_root, so every product the
+    loop makes inside a run is checked too.  Its root_power runs
     pow_by_squaring over the checked mul_root, never builtin pow, so
-    each product of a power is checked too.  It has the eighteen
+    each product of a power is checked as well.  It has the eighteen
     protocol members, no forwarding of any other, and a tally of the
     radix-4 blocks it checked in each direction.
     """
@@ -204,20 +214,24 @@ class NoIdentityGuard:
     def double(self, buffer, lo, hi, dist, alpha):
         self._run("double", buffer, lo, hi, dist, alpha)
 
-    def radix4(self, buffer, size, iota, pairs):
-        self.inner.radix4(buffer, size, iota, self._checked("radix4", pairs, iota))
+    def radix4(self, buffer, size, iota, runs):
+        self.inner.radix4(buffer, size, iota, self._checked("radix4", runs, iota))
 
-    def inverse_radix4(self, buffer, size, iota, pairs):
+    def inverse_radix4(self, buffer, size, iota, runs):
         self.inner.inverse_radix4(
-            buffer, size, iota, self._checked("inverse_radix4", pairs, iota)
+            buffer, size, iota, self._checked("inverse_radix4", runs, iota)
         )
 
-    def _checked(self, name, pairs, iota):
+    def _checked(self, name, runs, iota):
         p = self.modulus
-        for i, b in pairs:
-            assert 1 not in (b, b * b % p, b * iota % p, (p - b) * iota % p), (i, b)
-            self.radix4_blocks[name] += 1
-            yield i, b
+        for run in runs:
+            _, n, b, step, _ = run
+            for t in range(n):
+                if t:
+                    b = self.mul_root(b, step)
+                assert 1 not in (b, b * b % p, b * iota % p, (p - b) * iota % p), (run, t)
+            self.radix4_blocks[name] += n
+            yield run
 
 
 def test_never_multiplies_by_one(field):
@@ -268,6 +282,37 @@ def test_branch_passes_make_no_per_entry_ring_call(field):
         for run_pass in passes:
             run_pass(plan, buf, ring)
         assert ring.calls <= 2 * plan.m, (ell, ring.calls)
+
+
+def test_kernels_make_no_scalar_call_per_radix4_block(field):
+    # the radix-4 loops step their twiddles inline, and the pair stream
+    # makes at most two scalar products per run, at most m runs per level
+    # pair; with the inverse's closing power of 2^-1 (at most 2*m calls),
+    # a whole kernel on a field makes at most m*m + 2*m scalar ring calls,
+    # far fewer than its radix-4 blocks
+    for ell in (4096, 5000, 16385):
+        plan = make_plan(field, ell)
+        m = plan.m
+        blocks = sum(max((ell >> (k + 1)) - 1, 0) for k in range(1, m - 1, 2))
+        assert m * m + 2 * m < blocks / 4, (ell, blocks)
+        for kernel in (tft_in_place, itft_in_place):
+            ring = _ScalarCalls(field)
+            kernel(plan, [0] * ell, ring)
+            assert ring.calls <= m * m + 2 * m, (ell, kernel.__name__, ring.calls)
+
+
+def test_branch_exponents_are_the_block_twiddle_exponents(field):
+    # branch_levels reads e off ell's bits, reversed once; at every level
+    # the branch passes visit (v..m-2, none at a power of two) it must be
+    # bit_reverse(q, m-1), the twiddle exponent of the partial block q
+    lengths = list(range(2, 4097))
+    lengths += [(1 << k) + d for k in range(13, 18) for d in (-1, 0, 1, 5)]
+    for ell in lengths:
+        plan = make_plan(field, ell)
+        levels = list(branch_levels(plan, range(plan.v, plan.m - 1)))
+        assert len(levels) == max(plan.m - 1 - plan.v, 0), ell
+        for q, e, *_ in levels:
+            assert e == bit_reverse(q, plan.m - 1), (ell, q)
 
 
 def test_fields_with_small_two_adicity():
