@@ -2,9 +2,11 @@
 
 The cost claims this package makes are stated per operation class:
 additions/subtractions, multiplications by powers of the root, and
-multiplications by powers of 2 or its inverse.  ``CountingField``
-implements the ring protocol with one counter per class so a transform
-run becomes a measurement; ``BoundReport`` turns the measured counters
+multiplications by powers of 2 or its inverse.  ``TallyRing``
+implements the ring protocol with one counter per class and block
+operations that only count, so a transform run becomes a measurement
+in O(m^2) ring calls; ``CountingField`` counts the same way while
+computing the transform.  ``BoundReport`` turns the measured counters
 into a pass/fail verdict against the declared bounds.  ``AuditBuffer``
 wraps the data array to prove the in-place claim: any index outside
 [0, len) raises and is flagged.
@@ -23,6 +25,7 @@ from .tft import make_plan, tft_in_place
 __all__ = [
     "CSV_HEADER",
     "OpCounters",
+    "TallyRing",
     "CountingField",
     "AuditBuffer",
     "BoundReport",
@@ -46,28 +49,40 @@ class OpCounters(Frozen):
         return self.mul_root + self.mul_pow2 + self.add_sub + self.mul_other
 
 
-class CountingField:
-    """Ring over Z/modulus that tallies every operation it performs.
+# Per-entry cost of each pair-run block member, in the cost model of the
+# ring protocol (see ring.py); the radix-4 pair is tallied per run by
+# ``TallyRing._drawn``.
+_ENTRY_COSTS = {
+    "fold": OpCounters(add_sub=2),
+    "butterflies": OpCounters(mul_root=1, add_sub=2),
+    "inverse_butterflies": OpCounters(mul_root=1, add_sub=2),
+    "axpy": OpCounters(mul_root=1, add_sub=1),
+    "park": OpCounters(mul_root=1, add_sub=1),
+    "restore": OpCounters(mul_root=1, add_sub=2),
+    "recombine": OpCounters(mul_root=1, add_sub=1),
+    "double": OpCounters(mul_root=1, add_sub=2),
+    "scale": OpCounters(mul_pow2=1),
+}
+_RADIX4 = ("radix4", "inverse_radix4")
 
-    The tallies live in one shared list closed over by the scalar
-    arithmetic methods, which are bound as instance attributes in
-    __init__: the twiddle generator and the inverse's power of 2^-1
-    call them once per product, and closure access to the tally is
-    measurably cheaper than attribute bookkeeping on self.
-    ``root_power`` takes builtin pow and adds to mul_root, in closed
-    form, the e.bit_length() + e.bit_count() - 2 products (bit_length - 1
-    squarings, bit_count - 1 multiplies) that ``pow_by_squaring`` makes
-    for e >= 1, none for e = 0; e < 0 raises ValueError.  The block
-    operations run PrimeField's, then tally from their arguments the
-    max(hi - lo, 0) entries of a run, or each radix-4 run of n blocks
-    as the loop draws it, at the ring protocol's cost: one mul_root and
-    two add_sub per butterfly, two add_sub per fold, two more mul_root
-    per radix-4 block for its twiddles b*b and b*iota and n - 1 per run
-    for its steps, one mul_root and one add_sub per axpy,
-    park or recombine entry, one mul_root and two add_sub per restore
-    or double entry (a doubling counts as an addition, matching the
-    cost model the bounds are stated in), and one mul_pow2 per scale
-    entry.  A new instance starts with every tally at zero;
+
+class TallyRing:
+    """Ring over Z/modulus that tallies what a transform costs without
+    running its block operations.
+
+    Each block member adds its cost, read off its arguments, to one of
+    four tallies and never touches the buffer: ``_ENTRY_COSTS`` per entry
+    of a pair run [lo, hi) (none when hi <= lo), and for the radix-4 pair
+    each run as it draws it from runs.  So a whole kernel costs its O(m^2)
+    ring calls, whatever ell.  The scalar products ``mul`` (mul_other),
+    ``mul_root`` and ``mul_pow2`` and the additions ``add`` and ``sub``
+    compute their residue and count one each; they are bound as instance
+    attributes closing over the tally list, which is cheaper per call than
+    attribute bookkeeping on self.  ``root_power`` takes builtin pow and
+    adds to mul_root, in closed form, the e.bit_length() + e.bit_count() - 2
+    products (bit_length - 1 squarings, bit_count - 1 multiplies) that
+    ``pow_by_squaring`` makes for e >= 1, none for e = 0; e < 0 raises
+    ValueError.  A new instance starts with every tally at zero;
     operator.index converts the modulus.
     """
 
@@ -108,18 +123,6 @@ class CountingField:
         t = self._tally
         return OpCounters(mul_root=t[0], mul_pow2=t[1], add_sub=t[2], mul_other=t[3])
 
-    def fold(self, buffer, lo: int, hi: int, dist: int) -> None:
-        PrimeField.fold(self, buffer, lo, hi, dist)
-        self._tally[2] += 2 * max(hi - lo, 0)
-
-    def butterflies(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        PrimeField.butterflies(self, buffer, lo, hi, dist, alpha)
-        self._run(hi - lo, 2)
-
-    def inverse_butterflies(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        PrimeField.inverse_butterflies(self, buffer, lo, hi, dist, alpha)
-        self._run(hi - lo, 2)
-
     def root_power(self, x: int, e: int) -> int:
         if e < 0:
             raise ValueError("exponent must be nonnegative")
@@ -127,44 +130,8 @@ class CountingField:
             self._tally[0] += e.bit_length() + e.bit_count() - 2
         return pow(x, e, self.modulus)
 
-    def axpy(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        PrimeField.axpy(self, buffer, lo, hi, dist, alpha)
-        self._run(hi - lo, 1)
-
-    def park(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        PrimeField.park(self, buffer, lo, hi, dist, alpha)
-        self._run(hi - lo, 1)
-
-    def restore(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        PrimeField.restore(self, buffer, lo, hi, dist, alpha)
-        self._run(hi - lo, 2)
-
-    def recombine(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        PrimeField.recombine(self, buffer, lo, hi, dist, alpha)
-        self._run(hi - lo, 1)
-
-    def double(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        PrimeField.double(self, buffer, lo, hi, dist, alpha)
-        self._run(hi - lo, 2)
-
-    def scale(self, buffer, lo: int, hi: int, c: int) -> None:
-        PrimeField.scale(self, buffer, lo, hi, c)
-        self._tally[1] += max(hi - lo, 0)
-
-    def _run(self, n: int, adds: int) -> None:
-        """Tally max(n, 0) entries of one mul_root and adds add_sub each."""
-        n = max(n, 0)
-        self._tally[0] += n
-        self._tally[2] += adds * n
-
-    def radix4(self, buffer, size: int, iota: int, runs) -> None:
-        PrimeField.radix4(self, buffer, size, iota, self._drawn(runs, size))
-
-    def inverse_radix4(self, buffer, size: int, iota: int, runs) -> None:
-        PrimeField.inverse_radix4(self, buffer, size, iota, self._drawn(runs, size))
-
     def _drawn(self, runs, size: int):
-        """Yield runs, tallying each as the loop draws it: per block 4*size
+        """Yield runs, tallying each as it is drawn: per block 4*size
         butterflies and the twiddle products b*b and b*iota, and the
         n - 1 products by step inside a run of n blocks."""
         tally = self._tally
@@ -173,6 +140,76 @@ class CountingField:
             tally[0] += (4 * size + 3) * n - 1
             tally[2] += 8 * size * n
             yield run
+
+
+class CountingField(TallyRing):
+    """A TallyRing whose block members run ``PrimeField``'s loops before
+    they tally, so a transform on it computes its result as well."""
+
+    __slots__ = ()
+
+
+def _block_member(name: str, loop=None):
+    """TallyRing's member name, or with loop, CountingField's, which runs
+    loop first; the radix-4 pair tallies each run as it is drawn."""
+    if name in _RADIX4:
+        def member(self, buffer, size, iota, runs):
+            runs = self._drawn(runs, size)
+            if loop is None:
+                for _ in runs:
+                    pass
+            else:
+                loop(self, buffer, size, iota, runs)
+    else:
+        cost = _ENTRY_COSTS[name]
+        roots, pow2, adds = cost.mul_root, cost.mul_pow2, cost.add_sub
+
+        def member(self, buffer, lo, hi, *args):
+            if loop is not None:
+                loop(self, buffer, lo, hi, *args)
+            n = hi - lo
+            if n > 0:
+                tally = self._tally
+                tally[0] += roots * n
+                tally[1] += pow2 * n
+                tally[2] += adds * n
+
+    member.__name__ = name
+    # inspect.signature then gives PrimeField's parameters, which the
+    # kernels pass positionally
+    member.__wrapped__ = getattr(PrimeField, name)
+    return member
+
+
+for _name in (*_ENTRY_COSTS, *_RADIX4):
+    setattr(TallyRing, _name, _block_member(_name))
+    setattr(CountingField, _name, _block_member(_name, getattr(PrimeField, _name)))
+del _name
+
+
+class _Length:
+    """The buffer measure_transform counts on: len is ell, iteration is
+    empty (so the kernels' entry-type scan costs nothing), and only the
+    one entry of ell = 1 can be read, as 0, or written, to no effect."""
+
+    __slots__ = ("ell",)
+
+    def __init__(self, ell: int) -> None:
+        self.ell = ell
+
+    def __len__(self) -> int:
+        return self.ell
+
+    def __iter__(self):
+        return iter(())
+
+    def __getitem__(self, index) -> int:
+        if index != 0 or self.ell != 1:
+            raise IndexError(f"a counting buffer holds no entry {index!r}")
+        return 0
+
+    def __setitem__(self, index, value) -> None:
+        self[index]  # the read's check; the value is dropped
 
 
 class AuditBuffer:
@@ -297,12 +334,13 @@ def bound_check(ell: int, counters: OpCounters, kind: str) -> BoundReport:
 def measure_transform(field, ell: int, kind: str) -> OpCounters:
     """Counters for one forward or inverse transform of length ell.
 
-    Counts do not depend on the buffer contents, so a zero buffer
-    measures the true cost.
+    Counts do not depend on the buffer contents, so the transform runs
+    on a TallyRing over a buffer that holds only its length, at the cost
+    of the kernel's O(m^2) ring calls for any ell the field supports.
     """
     plan = make_plan(field, ell)
-    ring = CountingField(field.modulus)
-    buffer = [0] * ell
+    ring = TallyRing(field.modulus)
+    buffer = _Length(plan.ell)
     if kind == "forward":
         tft_in_place(plan, buffer, ring)
     elif kind == "inverse":

@@ -7,10 +7,13 @@ carry no reference back to the field, so a buffer of residues costs
 nothing beyond the ints it holds.
 
 The transform kernels are generic over a small ring protocol rather than
-this class specifically.  A ring handle must provide exactly
+this class specifically.  A ring handle provides the members below; the
+kernels and ``tft_polymul`` use every one of them except ``add`` and
+``sub``, and nothing else.
 
     modulus                       attribute, the odd prime p
-    add(x, y), sub(x, y)          counted together as additions
+    add(x, y), sub(x, y)          counted together as additions; for
+                                  callers outside the kernels only
     mul(x, y)                     general product
     mul_root(x, y)                product tagged "by a root power"
     mul_pow2(x, y)                product tagged "by a power of 2 or 2^-1"
@@ -53,11 +56,12 @@ closing sweep, on (x, y) = (x_j, x_{j+dist}) for j in [lo, hi):
     scale(buffer, lo, hi, c)                x <- c*x
 
 On this plain handle the tagged variants are aliases of the untagged ones;
-the instrumentation module ships a ring that gives each tag its own
-counter.  ``root_power`` may compute x^e any way (here builtin pow), but
-it costs, and a counting ring counts, the products ``pow_by_squaring``
-makes over ``mul_root``; the inverse kernel's one power of 2^-1 runs
-``pow_by_squaring`` over ``mul_pow2``.  The block operations run many
+the instrumentation module ships two rings that give each tag its own
+counter, one of which runs no block loop.  ``root_power`` may compute
+x^e any way (here builtin pow), but it costs, and a counting ring
+counts, the products ``pow_by_squaring`` makes over ``mul_root``; the
+inverse kernel's one power of 2^-1 runs ``pow_by_squaring`` over
+``mul_pow2``.  The block operations run many
 entries per call, and on this handle they are the loops themselves, so
 no kernel loop makes a method call per entry or per radix-4 block.  A
 custom ring must implement them as well.  The cost model counts each

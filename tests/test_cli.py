@@ -3,6 +3,7 @@
 import io
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,32 @@ def test_counts_bad_range(capsys):
     assert main(["counts", "--min", "5", "--max", "4"]) == 2
     assert main(["counts", "--min", "0", "--max", "4"]) == 2
     capsys.readouterr()
+
+
+def test_counts_refuses_lengths_beyond_the_capacity_before_counting(monkeypatch, capsys):
+    # the same message as selftest's, and not one length measured first
+    calls = []
+    monkeypatch.setattr(tftkit.cli, "measure_transform", lambda *args: calls.append(args))
+    beyond = str((1 << 23) + 1)
+    for argv in (["counts", "--min", "1", "--max", beyond], ["selftest", "--max", beyond]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --max exceeds the field's transform capacity\n"
+    assert calls == []
+
+
+def test_counts_reach_the_capacity(capsys):
+    start = time.perf_counter()
+    code = main(["counts", "--min", "8388607", "--max", "8388608", "--kind", "both"])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0 and len(out) == 5
+    rows = [row.split(",") for row in out[1:]]
+    assert [row[:2] for row in rows] == [
+        [ell, kind] for ell in ("8388607", "8388608") for kind in ("forward", "inverse")
+    ]
+    assert all(row[-1] == "1" for row in rows)
+    assert elapsed < 1.0, elapsed
 
 
 def test_selftest_small(capsys):

@@ -9,6 +9,7 @@ from tftkit.instrumentation import (
     BoundReport,
     CountingField,
     OpCounters,
+    TallyRing,
     bound_check,
     measure_transform,
 )
@@ -277,15 +278,65 @@ def test_forward_bound_uses_binary_split():
     assert rep.root_bound == 16 + 24 + 8 * (m + 1) ** 2
 
 
+# the seven benchmark lengths, and 2^k-1, 2^k, 2^k+1, 2^k+5 for k = 13..17
+ROADMAP_LENGTHS = (1000, 1024, 1025, 4096, 5000, 65536, 100000)
+EXTREMAL_LENGTHS = tuple(
+    ell for k in range(13, 18) for ell in ((1 << k) - 1, 1 << k, (1 << k) + 1, (1 << k) + 5)
+)
+
+
 def test_measure_transform_matches_direct_run(field):
-    for ell in (1, 5, 8, 33):
+    # measure_transform runs the kernels on a TallyRing over a buffer that
+    # holds only a length; the bound gates read its counts, so they must
+    # be the counts of the kernels run in full on CountingField
+    for ell in (*range(1, 513), *EXTREMAL_LENGTHS, *ROADMAP_LENGTHS):
         plan = make_plan(field, ell)
         for kind, kernel in (("forward", tft_in_place), ("inverse", itft_in_place)):
             ring = CountingField(field.modulus)
             kernel(plan, [0] * ell, ring)
-            assert measure_transform(field, ell, kind) == ring.counters
+            assert measure_transform(field, ell, kind) == ring.counters, (kind, ell)
     with pytest.raises(ValueError):
         measure_transform(field, 4, "fft")
+
+
+def _fresh(arg):
+    # a radix-4 call drains its runs, so each ring gets its own iterator
+    return iter(arg) if isinstance(arg, list) else arg
+
+
+def test_tally_ring_counts_block_operations_without_touching_the_buffer(field):
+    # each block member tallies what CountingField's does on the same
+    # arguments, empty and negative-distance runs included, and reads or
+    # writes no entry
+    rng = random.Random(12)
+    p = field.modulus
+    iota = field.root_of_order(2)
+    data = [rng.randrange(p) for _ in range(160)]
+    calls = [
+        (name, (lo, hi, dist) if name == "fold" else (lo, hi, dist, rng.randrange(2, p)))
+        for name in _PAIR_STEPS
+        for lo, hi, dist in ((0, 20, 32), (40, 52, -23), (7, 7, 3), (9, 5, 2))
+    ]
+    calls += [("scale", (lo, hi, 3)) for lo, hi in ((3, 40), (8, 8))]
+    for size in (1, 4):
+        runs = [(4, 1, 5, 7, 0), (2, 3, 11, 13, 2)]
+        calls += [(name, (size, iota, runs)) for name in ("radix4", "inverse_radix4")]
+    for name, args in calls:
+        tally, counted = TallyRing(p), CountingField(p)
+        buf = AuditBuffer(data)
+        getattr(tally, name)(buf, *map(_fresh, args))
+        getattr(counted, name)(list(data), *map(_fresh, args))
+        assert buf.inner == data and buf.lo is None, (name, args)
+        assert tally.counters == counted.counters, (name, args)
+
+
+def test_measure_transform_reaches_the_field_capacity(field):
+    top = 1 << field.two_adicity
+    for kind in ("forward", "inverse"):
+        assert measure_transform(field, 1, kind) == OpCounters()
+        assert bound_check(top, measure_transform(field, top, kind), kind).passed
+        with pytest.raises(ValueError):
+            measure_transform(field, top + 1, kind)
 
 
 def test_counts_ignore_buffer_contents(field):

@@ -31,6 +31,7 @@ def test_public_names_are_pinned():
         "DEFAULT_MODULUS",
         "OpCounters",
         "PrimeField",
+        "TallyRing",
         "TransformPlan",
         "bit_reverse",
         "bound_check",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tftkit.instrumentation import CountingField
+from tftkit.instrumentation import CountingField, TallyRing
 from tftkit.itft import itft_in_place
 from tftkit.polymul import tft_polymul
 from tftkit.ring import DEFAULT_MODULUS, PrimeField, is_probable_prime, pow_by_squaring
@@ -99,8 +99,11 @@ def test_rings_share_block_operation_signatures():
     # the kernels call the block operations positionally, so the two
     # shipped rings must not drift apart when a member's shape changes
     for name in PROTOCOL[PROTOCOL.index("fold"):]:
-        params = [inspect.signature(getattr(ring, name)).parameters for ring in (PrimeField, CountingField)]
-        assert list(params[0]) == list(params[1]), name
+        params = [
+            list(inspect.signature(getattr(ring, name)).parameters)
+            for ring in (PrimeField, CountingField, TallyRing)
+        ]
+        assert params[0] == params[1] == params[2], name
 
 
 def test_basic_arithmetic(f17):
@@ -189,3 +192,38 @@ def test_kernels_need_only_the_ring_protocol(field):
         minimal, direct = MinimalRing(p), CountingField(p)
         assert tft_polymul(f, g, field, minimal) == tft_polymul(f, g, field, direct)
         assert minimal.inner.counters == direct.counters
+
+
+class RecordingRing:
+    """A PrimeField that records the name of every member looked up on it."""
+
+    __slots__ = ("inner", "seen")
+
+    def __init__(self, modulus):
+        self.inner = PrimeField(modulus)
+        self.seen = set()
+
+    def __getattr__(self, name):
+        self.seen.add(name)
+        return getattr(self.inner, name)
+
+
+def test_kernels_and_products_use_the_protocol_but_add_and_sub(field):
+    # add and sub stay in the protocol for callers outside the package;
+    # the kernels and tft_polymul use every other member, and no other name
+    p = field.modulus
+    rng = random.Random(6)
+    ring = RecordingRing(p)
+    for ell in (*range(1, 301), 1025, 4097, 5000):
+        plan = make_plan(field, ell)
+        data = [rng.randrange(p) for _ in range(ell)]
+        for kernel in (tft_in_place, itft_in_place):
+            got = list(data)
+            kernel(plan, got, ring)
+            want = list(data)
+            kernel(plan, want)
+            assert got == want, (kernel.__name__, ell)
+        size_f = (ell + 2) // 2
+        f, g = data[:size_f], data[: ell + 1 - size_f]
+        assert tft_polymul(f, g, field, ring) == tft_polymul(f, g, field)
+    assert ring.seen == set(PROTOCOL) - {"add", "sub"}
