@@ -21,7 +21,6 @@ __all__ = [
     "DEFAULT_MODULUS",
     "OpCounters",
     "PrimeField",
-    "TallyRing",
     "TransformPlan",
     "bit_reverse",
     "bound_check",
@@ -45,8 +44,8 @@ __all__ = [
 # their names (PEP 562), so that importing the package, or running the CLI's
 # transform and mul commands, does not pay to compile them.
 _LAZY = dict.fromkeys(
-    ("AuditBuffer", "BoundReport", "CountingField", "OpCounters", "TallyRing",
-     "bound_check", "measure_transform"),
+    ("AuditBuffer", "BoundReport", "CountingField", "OpCounters", "bound_check",
+     "measure_transform"),
     "instrumentation",
 ) | dict.fromkeys(("naive_dft", "naive_itft_solve", "naive_polymul", "naive_tft"), "oracle")
 

@@ -151,7 +151,9 @@ class CountingField(TallyRing):
 
 def _block_member(name: str, loop=None):
     """TallyRing's member name, or with loop, CountingField's, which runs
-    loop first; the radix-4 pair tallies each run as it is drawn."""
+    loop first; the radix-4 pair tallies each run as it is drawn.  Each
+    member takes PrimeField's parameters, which the kernels pass
+    positionally."""
     if name in _RADIX4:
         def member(self, buffer, size, iota, runs):
             runs = self._drawn(runs, size)
@@ -160,24 +162,38 @@ def _block_member(name: str, loop=None):
                     pass
             else:
                 loop(self, buffer, size, iota, runs)
-    else:
-        cost = _ENTRY_COSTS[name]
-        roots, pow2, adds = cost.mul_root, cost.mul_pow2, cost.add_sub
 
-        def member(self, buffer, lo, hi, *args):
+        member.__name__ = name
+        return member
+
+    cost = _ENTRY_COSTS[name]
+    roots, pow2, adds = cost.mul_root, cost.mul_pow2, cost.add_sub
+
+    def count(self, lo, hi):
+        n = hi - lo
+        if n > 0:
+            tally = self._tally
+            tally[0] += roots * n
+            tally[1] += pow2 * n
+            tally[2] += adds * n
+
+    if name == "fold":
+        def member(self, buffer, lo, hi, dist):
             if loop is not None:
-                loop(self, buffer, lo, hi, *args)
-            n = hi - lo
-            if n > 0:
-                tally = self._tally
-                tally[0] += roots * n
-                tally[1] += pow2 * n
-                tally[2] += adds * n
+                loop(self, buffer, lo, hi, dist)
+            count(self, lo, hi)
+    elif name == "scale":
+        def member(self, buffer, lo, hi, c):
+            if loop is not None:
+                loop(self, buffer, lo, hi, c)
+            count(self, lo, hi)
+    else:
+        def member(self, buffer, lo, hi, dist, alpha):
+            if loop is not None:
+                loop(self, buffer, lo, hi, dist, alpha)
+            count(self, lo, hi)
 
     member.__name__ = name
-    # inspect.signature then gives PrimeField's parameters, which the
-    # kernels pass positionally
-    member.__wrapped__ = getattr(PrimeField, name)
     return member
 
 

@@ -45,20 +45,23 @@ def tft_polymul(f, g, field, ring=None) -> list[int]:
 
 
 def operation_profile(field, lengths) -> dict[int, int]:
-    """Total operation count of a product per output length.
+    """Total operation count of a balanced product per output length.
 
-    For each requested output length ell, the sum of all four counter
-    classes that ``tft_polymul`` spends on a product of that length:
-    two forward transforms, ell pointwise products and one inverse
-    transform.  Counts are input-independent, so the transforms are
-    measured by ``measure_transform``, in O(m^2) ring calls each.
+    For each requested output length ell, multiplies factors of
+    ceil((ell+1)/2) and floor((ell+1)/2) coefficients under a tally ring
+    and records the sum of all four counter classes.  Counts are
+    input-independent, and the tally ring counts each block operation
+    without running it, so zero coefficients measure the real cost.
     """
-    from .instrumentation import measure_transform
+    from .instrumentation import TallyRing
 
     profile: dict[int, int] = {}
     for ell in lengths:
         if ell < 1:
             raise ValueError("output lengths must be at least 1")
-        forward = measure_transform(field, ell, "forward").total
-        profile[ell] = 2 * forward + ell + measure_transform(field, ell, "inverse").total
+        size_f = (ell + 2) // 2
+        size_g = ell + 1 - size_f
+        ring = TallyRing(field.modulus)
+        tft_polymul([0] * size_f, [0] * size_g, field, ring)
+        profile[ell] = ring.counters.total
     return profile

@@ -328,6 +328,8 @@ def test_tally_ring_counts_block_operations_without_touching_the_buffer(field):
         getattr(counted, name)(list(data), *map(_fresh, args))
         assert buf.inner == data and buf.lo is None, (name, args)
         assert tally.counters == counted.counters, (name, args)
+        with pytest.raises(TypeError):  # PrimeField's arity, not any
+            getattr(tally, name)(buf, *args[:-1])
 
 
 def test_measure_transform_reaches_the_field_capacity(field):

@@ -80,6 +80,17 @@ def test_operation_profile_shape(field):
     assert profile[32] > profile[8]
 
 
+def test_operation_profile_counts_the_product_run(field):
+    # the tally ring skips the block loops; the totals must still be what
+    # a product that runs them costs
+    profile = operation_profile(field, range(1, 70))
+    for ell, total in profile.items():
+        ring = CountingField(field.modulus)
+        size_f = (ell + 2) // 2
+        tft_polymul([0] * size_f, [0] * (ell + 1 - size_f), field, ring)
+        assert total == ring.counters.total, ell
+
+
 @settings(max_examples=40)
 @given(
     st.lists(st.integers(0, 16), min_size=1, max_size=8),

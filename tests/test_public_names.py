@@ -31,7 +31,6 @@ def test_public_names_are_pinned():
         "DEFAULT_MODULUS",
         "OpCounters",
         "PrimeField",
-        "TallyRing",
         "TransformPlan",
         "bit_reverse",
         "bound_check",
