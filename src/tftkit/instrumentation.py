@@ -49,71 +49,30 @@ class OpCounters(Frozen):
         return self.mul_root + self.mul_pow2 + self.add_sub + self.mul_other
 
 
-# Per-entry cost of each pair-run block member, in the cost model of the
-# ring protocol (see ring.py); the radix-4 pair is tallied per run by
-# ``TallyRing._drawn``.
-_ENTRY_COSTS = {
-    "fold": OpCounters(add_sub=2),
-    "butterflies": OpCounters(mul_root=1, add_sub=2),
-    "inverse_butterflies": OpCounters(mul_root=1, add_sub=2),
-    "axpy": OpCounters(mul_root=1, add_sub=1),
-    "park": OpCounters(mul_root=1, add_sub=1),
-    "restore": OpCounters(mul_root=1, add_sub=2),
-    "recombine": OpCounters(mul_root=1, add_sub=1),
-    "double": OpCounters(mul_root=1, add_sub=2),
-    "scale": OpCounters(mul_pow2=1),
-}
-_RADIX4 = ("radix4", "inverse_radix4")
-
-
 class TallyRing:
     """Ring over Z/modulus that tallies what a transform costs without
     running its block operations.
 
-    Each block member adds its cost, read off its arguments, to one of
-    four tallies and never touches the buffer: ``_ENTRY_COSTS`` per entry
-    of a pair run [lo, hi) (none when hi <= lo), and for the radix-4 pair
-    each run as it draws it from runs.  So a whole kernel costs its O(m^2)
-    ring calls, whatever ell.  The scalar products ``mul`` (mul_other),
-    ``mul_root`` and ``mul_pow2`` and the additions ``add`` and ``sub``
-    compute their residue and count one each; they are bound as instance
-    attributes closing over the tally list, which is cheaper per call than
-    attribute bookkeeping on self.  ``root_power`` takes builtin pow and
-    adds to mul_root, in closed form, the e.bit_length() + e.bit_count() - 2
-    products (bit_length - 1 squarings, bit_count - 1 multiplies) that
-    ``pow_by_squaring`` makes for e >= 1, none for e = 0; e < 0 raises
-    ValueError.  A new instance starts with every tally at zero;
-    operator.index converts the modulus.
+    Each block member adds its cost, read off its arguments, to four
+    tallies and never touches the buffer.  A pair run [lo, hi) states
+    its per-entry cost through ``_entries`` (nothing when hi <= lo);
+    members of equal cost and parameters are one method under several
+    names.  The radix-4 pair tallies each run as it draws it from runs.
+    So a whole kernel costs its O(m^2) ring calls, whatever ell.  The
+    scalar products ``mul`` (mul_other), ``mul_root`` and ``mul_pow2``
+    compute their residue and count one each.  ``root_power`` takes
+    builtin pow and adds to mul_root, in closed form, the
+    e.bit_length() + e.bit_count() - 2 products (bit_length - 1
+    squarings, bit_count - 1 multiplies) that ``pow_by_squaring`` makes
+    for e >= 1, none for e = 0; e < 0 raises ValueError.  A new instance
+    starts with every tally at zero; operator.index converts the modulus.
     """
 
-    __slots__ = ("modulus", "_tally", "add", "sub", "mul", "mul_root", "mul_pow2")
+    __slots__ = ("modulus", "_tally")
 
     def __init__(self, modulus: int) -> None:
-        p = index(modulus)
-        self.modulus = p
-        tally = [0, 0, 0, 0]  # mul_root, mul_pow2, add_sub, mul_other
-        self._tally = tally
-
-        def add(x: int, y: int) -> int:
-            tally[2] += 1
-            return (x + y) % p
-
-        def sub(x: int, y: int) -> int:
-            tally[2] += 1
-            return (x - y) % p
-
-        def product(slot: int):
-            def mul(x: int, y: int) -> int:
-                tally[slot] += 1
-                return x * y % p
-
-            return mul
-
-        self.add = add
-        self.sub = sub
-        self.mul = product(3)
-        self.mul_root = product(0)
-        self.mul_pow2 = product(1)
+        self.modulus = index(modulus)
+        self._tally = [0, 0, 0, 0]  # mul_root, mul_pow2, add_sub, mul_other
 
     def reset(self) -> None:
         self._tally[:] = (0, 0, 0, 0)
@@ -123,12 +82,54 @@ class TallyRing:
         t = self._tally
         return OpCounters(mul_root=t[0], mul_pow2=t[1], add_sub=t[2], mul_other=t[3])
 
+    def mul(self, x: int, y: int) -> int:
+        self._tally[3] += 1
+        return x * y % self.modulus
+
+    def mul_root(self, x: int, y: int) -> int:
+        self._tally[0] += 1
+        return x * y % self.modulus
+
+    def mul_pow2(self, x: int, y: int) -> int:
+        self._tally[1] += 1
+        return x * y % self.modulus
+
     def root_power(self, x: int, e: int) -> int:
         if e < 0:
             raise ValueError("exponent must be nonnegative")
         if e:
             self._tally[0] += e.bit_length() + e.bit_count() - 2
         return pow(x, e, self.modulus)
+
+    # --- block operations: the cost model of ring.py, per entry ---
+
+    def _entries(self, lo: int, hi: int, roots: int, adds: int, pow2: int = 0) -> None:
+        n = hi - lo
+        if n > 0:
+            tally = self._tally
+            tally[0] += roots * n
+            tally[1] += pow2 * n
+            tally[2] += adds * n
+
+    def fold(self, buffer, lo: int, hi: int, dist: int) -> None:
+        self._entries(lo, hi, 0, 2)
+
+    def butterflies(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+        self._entries(lo, hi, 1, 2)
+
+    def axpy(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
+        self._entries(lo, hi, 1, 1)
+
+    def scale(self, buffer, lo: int, hi: int, c: int) -> None:
+        self._entries(lo, hi, 0, 0, 1)
+
+    def radix4(self, buffer, size: int, iota: int, runs) -> None:
+        for _ in self._drawn(runs, size):
+            pass
+
+    inverse_butterflies = restore = double = butterflies
+    park = recombine = axpy
+    inverse_radix4 = radix4
 
     def _drawn(self, runs, size: int):
         """Yield runs, tallying each as it is drawn: per block 4*size
@@ -144,62 +145,45 @@ class TallyRing:
 
 class CountingField(TallyRing):
     """A TallyRing whose block members run ``PrimeField``'s loops before
-    they tally, so a transform on it computes its result as well."""
+    they tally, so a transform on it computes its result as well.  Its
+    ``add`` (x + y, one addition) is outside the ring protocol: no kernel
+    calls it, and ``perfbench/selfcheck.py`` injects counts through it."""
 
     __slots__ = ()
 
+    def add(self, x: int, y: int) -> int:
+        self._tally[2] += 1
+        return (x + y) % self.modulus
 
-def _block_member(name: str, loop=None):
-    """TallyRing's member name, or with loop, CountingField's, which runs
-    loop first; the radix-4 pair tallies each run as it is drawn.  Each
-    member takes PrimeField's parameters, which the kernels pass
-    positionally."""
-    if name in _RADIX4:
+
+def _computing(name: str):
+    """CountingField's member name: PrimeField's loop, then TallyRing's
+    tally; the radix-4 pair tallies through ``_drawn`` as the loop draws
+    its runs.  Each member keeps PrimeField's parameter list."""
+    loop, count = getattr(PrimeField, name), getattr(TallyRing, name)
+    if name in ("radix4", "inverse_radix4"):
         def member(self, buffer, size, iota, runs):
-            runs = self._drawn(runs, size)
-            if loop is None:
-                for _ in runs:
-                    pass
-            else:
-                loop(self, buffer, size, iota, runs)
-
-        member.__name__ = name
-        return member
-
-    cost = _ENTRY_COSTS[name]
-    roots, pow2, adds = cost.mul_root, cost.mul_pow2, cost.add_sub
-
-    def count(self, lo, hi):
-        n = hi - lo
-        if n > 0:
-            tally = self._tally
-            tally[0] += roots * n
-            tally[1] += pow2 * n
-            tally[2] += adds * n
-
-    if name == "fold":
+            loop(self, buffer, size, iota, self._drawn(runs, size))
+    elif name == "fold":
         def member(self, buffer, lo, hi, dist):
-            if loop is not None:
-                loop(self, buffer, lo, hi, dist)
-            count(self, lo, hi)
+            loop(self, buffer, lo, hi, dist)
+            count(self, buffer, lo, hi, dist)
     elif name == "scale":
         def member(self, buffer, lo, hi, c):
-            if loop is not None:
-                loop(self, buffer, lo, hi, c)
-            count(self, lo, hi)
+            loop(self, buffer, lo, hi, c)
+            count(self, buffer, lo, hi, c)
     else:
         def member(self, buffer, lo, hi, dist, alpha):
-            if loop is not None:
-                loop(self, buffer, lo, hi, dist, alpha)
-            count(self, lo, hi)
+            loop(self, buffer, lo, hi, dist, alpha)
+            count(self, buffer, lo, hi, dist, alpha)
 
     member.__name__ = name
     return member
 
 
-for _name in (*_ENTRY_COSTS, *_RADIX4):
-    setattr(TallyRing, _name, _block_member(_name))
-    setattr(CountingField, _name, _block_member(_name, getattr(PrimeField, _name)))
+for _name in ("fold", "butterflies", "inverse_butterflies", "radix4", "inverse_radix4",
+              "axpy", "park", "restore", "recombine", "double", "scale"):
+    setattr(CountingField, _name, _computing(_name))
 del _name
 
 

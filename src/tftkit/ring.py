@@ -8,12 +8,9 @@ nothing beyond the ints it holds.
 
 The transform kernels are generic over a small ring protocol rather than
 this class specifically.  A ring handle provides the members below; the
-kernels and ``tft_polymul`` use every one of them except ``add`` and
-``sub``, and nothing else.
+kernels and ``tft_polymul`` use every one of them, and nothing else.
 
     modulus                       attribute, the odd prime p
-    add(x, y), sub(x, y)          counted together as additions; for
-                                  callers outside the kernels only
     mul(x, y)                     general product
     mul_root(x, y)                product tagged "by a root power"
     mul_pow2(x, y)                product tagged "by a power of 2 or 2^-1"
@@ -178,12 +175,6 @@ class PrimeField(Frozen):
         return cls(p)
 
     # --- element arithmetic (elements are canonical ints in [0, p)) ---
-
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.modulus
-
-    def sub(self, x: int, y: int) -> int:
-        return (x - y) % self.modulus
 
     def mul(self, x: int, y: int) -> int:
         return x * y % self.modulus

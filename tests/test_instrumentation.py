@@ -50,10 +50,9 @@ def test_counters_and_reports_are_frozen_values():
 
 def test_counting_field_classifies_operations():
     ring = CountingField(17)
-    ring.add(9, 12)
-    ring.sub(3, 5)
+    assert ring.add(9, 12) == 4  # outside the protocol, kept for the benchmark
     c = ring.counters
-    assert c.add_sub == 2 and c.total == 2
+    assert c.add_sub == 1 and c.total == 1
 
     ring.reset()
     ring.mul_root(2, 3)

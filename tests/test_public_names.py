@@ -8,11 +8,15 @@ vanish from the traces.  These tests catch both in the tier-1 suite.
 """
 
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tftkit
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _spans_namespace() -> dict:
@@ -63,3 +67,17 @@ def test_traced_names_are_bound_in_every_caller():
             assert held is original, f"{span}: {caller}.{attr}"
     cli = importlib.import_module("tftkit.cli")
     assert callable(cli.PrimeField.from_modulus)
+
+
+def test_benchmark_refusal_hook_still_runs():
+    # perfbench/selfcheck.py's check_refusal injects input-dependent
+    # counts through CountingField.add, the one member kept outside the
+    # ring protocol; -B keeps bytecode out of the benchmark directory
+    path = os.pathsep.join(str(ROOT / d) for d in ("src", "perfbench"))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import selfcheck; print(repr(selfcheck.check_refusal(1)))"
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", code], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]", done.stdout

@@ -14,8 +14,6 @@ from tftkit.tft import make_plan, tft_in_place
 
 PROTOCOL = (
     "modulus",
-    "add",
-    "sub",
     "mul",
     "mul_root",
     "mul_pow2",
@@ -95,10 +93,10 @@ def test_field_is_a_frozen_value(f17, field):
     assert pickle.loads(pickle.dumps(field)) == field
 
 
-def test_rings_share_block_operation_signatures():
-    # the kernels call the block operations positionally, so the two
-    # shipped rings must not drift apart when a member's shape changes
-    for name in PROTOCOL[PROTOCOL.index("fold"):]:
+def test_rings_share_member_signatures():
+    # the kernels call the members positionally, so the shipped rings
+    # must not drift apart when a member's shape changes
+    for name in PROTOCOL[1:]:
         params = [
             list(inspect.signature(getattr(ring, name)).parameters)
             for ring in (PrimeField, CountingField, TallyRing)
@@ -107,8 +105,6 @@ def test_rings_share_block_operation_signatures():
 
 
 def test_basic_arithmetic(f17):
-    assert f17.add(9, 12) == 4
-    assert f17.sub(3, 5) == 15
     assert f17.mul(5, 7) == 1
 
 
@@ -136,10 +132,8 @@ def test_root_of_order(f17):
 )
 def test_field_identities(x, y, z):
     f = PrimeField.from_modulus(17)
-    assert f.add(x, y) == f.add(y, x)
     assert f.mul(x, y) == f.mul(y, x)
-    assert f.mul(x, f.add(y, z)) == f.add(f.mul(x, y), f.mul(x, z))
-    assert f.add(f.sub(x, y), y) == x
+    assert f.mul(x, (y + z) % 17) == (f.mul(x, y) + f.mul(x, z)) % 17
 
 
 def test_pow_by_squaring_call_counts():
@@ -208,9 +202,8 @@ class RecordingRing:
         return getattr(self.inner, name)
 
 
-def test_kernels_and_products_use_the_protocol_but_add_and_sub(field):
-    # add and sub stay in the protocol for callers outside the package;
-    # the kernels and tft_polymul use every other member, and no other name
+def test_kernels_and_products_use_exactly_the_protocol(field):
+    # the kernels and tft_polymul use every protocol member, and no other name
     p = field.modulus
     rng = random.Random(6)
     ring = RecordingRing(p)
@@ -226,4 +219,4 @@ def test_kernels_and_products_use_the_protocol_but_add_and_sub(field):
         size_f = (ell + 2) // 2
         f, g = data[:size_f], data[: ell + 1 - size_f]
         assert tft_polymul(f, g, field, ring) == tft_polymul(f, g, field)
-    assert ring.seen == set(PROTOCOL) - {"add", "sub"}
+    assert ring.seen == set(PROTOCOL)

@@ -157,7 +157,7 @@ class NoIdentityGuard:
     b*step, ... over its own checked mul_root, so every product the
     loop makes inside a run is checked too.  Its root_power runs
     pow_by_squaring over the checked mul_root, never builtin pow, so
-    each product of a power is checked as well.  It has the eighteen
+    each product of a power is checked as well.  It has the sixteen
     protocol members, no forwarding of any other, and a tally of the
     radix-4 blocks it checked in each direction.
     """
@@ -165,8 +165,6 @@ class NoIdentityGuard:
     def __init__(self, inner):
         self.inner = inner
         self.modulus = inner.modulus
-        self.add = inner.add
-        self.sub = inner.sub
         self.fold = inner.fold
         self.radix4_blocks = {"radix4": 0, "inverse_radix4": 0}
 
@@ -259,7 +257,7 @@ class _ScalarCalls:
 
     def __getattr__(self, name):
         member = getattr(self.inner, name)
-        if name not in ("add", "sub", "mul", "mul_root", "mul_pow2"):
+        if name not in ("mul", "mul_root", "mul_pow2"):
             return member
 
         def counted(x, y):
