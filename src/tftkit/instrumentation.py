@@ -57,10 +57,11 @@ class TallyRing:
     tallies and never touches the buffer.  A pair run [lo, hi) states
     its per-entry cost through ``_entries`` (nothing when hi <= lo);
     members of equal cost and parameters are one method under several
-    names.  The radix-4 pair tallies each run as it draws it from runs.
-    So a whole kernel costs its O(m^2) ring calls, whatever ell.  The
-    scalar products ``mul`` (mul_other), ``mul_root`` and ``mul_pow2``
-    compute their residue and count one each.  ``root_power`` takes
+    names.  The radix-4 pair tallies its block 0 and then each run as
+    it draws it from runs.  So a whole kernel costs its O(m^2) ring
+    calls, whatever ell.  The scalar products ``mul`` (mul_other),
+    ``mul_root`` and ``mul_pow2`` compute their residue and count one
+    each.  ``root_power`` takes
     builtin pow and adds to mul_root, in closed form, the
     e.bit_length() + e.bit_count() - 2 products (bit_length - 1
     squarings, bit_count - 1 multiplies) that ``pow_by_squaring`` makes
@@ -132,10 +133,15 @@ class TallyRing:
     inverse_radix4 = radix4
 
     def _drawn(self, runs, size: int):
-        """Yield runs, tallying each as it is drawn: per block 4*size
-        butterflies and the twiddle products b*b and b*iota, and the
-        n - 1 products by step inside a run of n blocks."""
+        """Yield runs, tallying block 0 before the first and then each run
+        as it is drawn.  Block 0 costs size products by iota and 8*size
+        additions, what its two folds and one radix-2 block with iota
+        would; a run of n blocks costs per block 4*size butterflies and
+        the twiddle products b*b and b*iota, and the n - 1 products by
+        step inside the run."""
         tally = self._tally
+        tally[0] += size
+        tally[2] += 8 * size
         for run in runs:
             n = run[1]
             tally[0] += (4 * size + 3) * n - 1
@@ -159,7 +165,8 @@ class CountingField(TallyRing):
 def _computing(name: str):
     """CountingField's member name: PrimeField's loop, then TallyRing's
     tally; the radix-4 pair tallies through ``_drawn`` as the loop draws
-    its runs.  Each member keeps PrimeField's parameter list."""
+    its runs, block 0 at the first draw.  Each member keeps
+    PrimeField's parameter list."""
     loop, count = getattr(PrimeField, name), getattr(TallyRing, name)
     if name in ("radix4", "inverse_radix4"):
         def member(self, buffer, size, iota, runs):

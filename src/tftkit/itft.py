@@ -14,10 +14,10 @@ Passes, mirroring the forward kernel in reverse, each a function of
 (plan, buffer, ring):
 
 1. ``ascend_levels``: ascending butterfly levels over the completed
-   prefix, two per sweep through the ring's ``inverse_radix4``, with
-   reciprocal twiddles drawn as runs from the pair stream seeded with
-   psi^-1; the edge blocks of each level pair go through ``fold`` and
-   ``inverse_butterflies``;
+   prefix, two per sweep, one ``inverse_radix4`` call per level pair:
+   block 0, then reciprocal twiddles drawn as runs from the pair stream
+   seeded with psi^-1; a leftover half block and the unpaired top level
+   go through ``fold`` and ``inverse_butterflies``;
 2. ``branch_recombine``: descending rightmost-branch pass recombining
    head and borrowed entries (x <- x - a*y, and the halving branch
    x <- (x + a*y)/2);
@@ -56,7 +56,8 @@ def itft_in_place(plan: TransformPlan, buffer, ring=None) -> None:
 
 def ascend_levels(plan: TransformPlan, buffer, ring) -> None:
     """Pass 1: the forward pass 4 in reverse, level pair by level pair
-    from the bottom, then the unpaired top level; [[1,1],[a,-a]] needs
+    from the bottom, each pair one ``inverse_radix4`` call that takes
+    block 0 by itself, then the unpaired top level; [[1,1],[a,-a]] needs
     no halving.  The reciprocal twiddles come from the pair stream
     seeded with psi^-1 (built once, and only when a radix-4 block needs
     it; the leftover block's twiddle is then a power of it too), and
@@ -67,8 +68,6 @@ def ascend_levels(plan: TransformPlan, buffer, ring) -> None:
     psi_inv = None
     for k in range(1, m - 1, 2):
         size = 1 << (k - 1)
-        ring.fold(buffer, 0, size, size)
-        ring.inverse_butterflies(buffer, 2 * size, 3 * size, size, ring.modulus - iota)
         q = ell >> (k + 1)
         if q > 1 and psi_inv is None:
             psi_inv = ring.root_power(plan.psi, (1 << m) - 1)
@@ -78,9 +77,8 @@ def ascend_levels(plan: TransformPlan, buffer, ring) -> None:
             else:
                 alpha = twiddle_forward(ring, m, psi_inv, 2 * q)
             ring.inverse_butterflies(buffer, 4 * q * size, (4 * q + 1) * size, size, alpha)
-        ring.fold(buffer, 0, 2 * size, 2 * size)
-        if q > 1:
-            ring.inverse_radix4(buffer, size, iota, pair_stream(ring, m - 1, psi_inv, q))
+        runs = pair_stream(ring, m - 1, psi_inv, q) if q > 1 else ()
+        ring.inverse_radix4(buffer, size, iota, runs)
     if m % 2 == 0:
         size = 1 << (m - 2)
         ring.fold(buffer, 0, size, size)

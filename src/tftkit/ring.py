@@ -24,10 +24,12 @@ kernels and ``tft_polymul`` use every one of them, and nothing else.
                                   the same pairs, Gentleman-Sande step
                                   (x, y) <- (x + y, a*(x - y))
     radix4(buffer, size, iota, runs)
-                                  two levels in one sweep: for each run
-                                  (i, n, b, step, bits) drawn from runs,
-                                  the n blocks of size 4*size from block
-                                  i on, their low bits counted in
+                                  two levels in one sweep over blocks of
+                                  size 4*size: block 0, at [0, 4*size),
+                                  with b = 1, and then for each run
+                                  (i, n, b, step, bits) drawn from runs
+                                  (possibly none), the n blocks from
+                                  block i on, their low bits counted in
                                   bit-reversed order, with twiddles b,
                                   b*step, b*step^2, ...; each block takes
                                   the Cooley-Tukey step with b*b on its
@@ -67,14 +69,16 @@ fold as two additions.  A radix-4 block is 4*size butterflies plus the
 two products b*b and b*iota that give its other twiddles, and a run of
 n blocks adds the n - 1 products by step that give its twiddles after
 the first: (4*size + 3)*n - 1 products by a root power and 8*size*n
-additions per run.  An axpy,
+additions per run.  Block 0 costs what its two folds and one radix-2
+block with iota would: size products by a root power and 8*size
+additions.  An axpy,
 park or recombine entry is one product by a root power and one
 addition, a restore or double entry the same product and two additions
 (a doubling is an addition), and a scale entry one product by a power
-of 2^-1.  Every full butterfly outside a radix-4 block is a radix-2 run
-with one twiddle: the blocks a level pair does not cover (block 1 with
-iota, a leftover half block, an unpaired top level) and the
-rightmost-branch passes' full runs.  Only the prime-field instantiation
+of 2^-1.  Every full butterfly outside a radix-4 call is a radix-2 run
+with one twiddle: the blocks a level pair does not cover (a leftover
+half block, an unpaired top level) and the rightmost-branch passes'
+full runs.  Only the prime-field instantiation
 ships here, but nothing in the kernels assumes more than the protocol
 above.
 """
@@ -224,24 +228,52 @@ class PrimeField(Frozen):
         # its slot and the traced scratch stays at radix-2's
         p = self.modulus
         size2, size3, size4 = 2 * size, 3 * size, 4 * size
+        for j in range(size):  # block 0: b = b*b = 1, b*iota = iota
+            u = buffer[j]
+            w = buffer[j + size]
+            t = buffer[j + size2]
+            s = buffer[j + size3]
+            x = iota * (w - s) % p
+            s += w
+            w = u - t
+            t += u
+            u = buffer[j] = (t + s) % p
+            t = buffer[j + size] = (t - s) % p
+            buffer[j + size2] = (w + x) % p
+            buffer[j + size3] = (w - x) % p
         for i, n, b, step, bits in runs:
             top = 1 << bits >> 1
             while True:
                 a = b * b % p
                 c = b * iota % p
-                for j in range(size4 * i, size4 * i + size):
+                if size == 1:  # the bottom pair: one 4-entry block, no loop
+                    j = 4 * i
                     u = buffer[j]
-                    w = buffer[j + size]
-                    t = a * buffer[j + size2] % p
-                    s = a * buffer[j + size3] % p
+                    w = buffer[j + 1]
+                    t = a * buffer[j + 2] % p
+                    s = a * buffer[j + 3] % p
                     x = c * (w - s) % p
                     s = b * (w + s) % p
                     w = u - t
                     t += u
                     u = buffer[j] = (t + s) % p
-                    t = buffer[j + size] = (t - s) % p
-                    buffer[j + size2] = (w + x) % p
-                    buffer[j + size3] = (w - x) % p
+                    t = buffer[j + 1] = (t - s) % p
+                    buffer[j + 2] = (w + x) % p
+                    buffer[j + 3] = (w - x) % p
+                else:
+                    for j in range(size4 * i, size4 * i + size):
+                        u = buffer[j]
+                        w = buffer[j + size]
+                        t = a * buffer[j + size2] % p
+                        s = a * buffer[j + size3] % p
+                        x = c * (w - s) % p
+                        s = b * (w + s) % p
+                        w = u - t
+                        t += u
+                        u = buffer[j] = (t + s) % p
+                        t = buffer[j + size] = (t - s) % p
+                        buffer[j + size2] = (w + x) % p
+                        buffer[j + size3] = (w - x) % p
                 n -= 1
                 if not n:
                     break
@@ -259,23 +291,49 @@ class PrimeField(Frozen):
         # scratch stays at radix-2's
         p = self.modulus
         size2, size3, size4 = 2 * size, 3 * size, 4 * size
+        for j in range(size):  # block 0: b = b*b = 1, b*iota^-1 = p - iota
+            u = buffer[j]
+            w = buffer[j + size]
+            x = buffer[j + size2]
+            t = buffer[j + size3]
+            s = u - w
+            v = (u + w - x - t) % p
+            u = buffer[j] = (u + w + x + t) % p
+            w = iota * (t - x) % p
+            x = buffer[j + size2] = v
+            buffer[j + size] = (s + w) % p
+            buffer[j + size3] = (s - w) % p
         for i, n, b, step, bits in runs:
             top = 1 << bits >> 1
             while True:
                 a = b * b % p
                 c = b * iota % p
-                for j in range(size4 * i, size4 * i + size):
+                if size == 1:  # the bottom pair: one 4-entry block, no loop
+                    j = 4 * i
                     u = buffer[j]
-                    w = buffer[j + size]
-                    x = buffer[j + size2]
-                    t = buffer[j + size3]
+                    w = buffer[j + 1]
+                    x = buffer[j + 2]
+                    t = buffer[j + 3]
                     s = b * (u - w) % p
                     v = a * (u + w - x - t) % p
                     u = buffer[j] = (u + w + x + t) % p
                     w = c * (t - x) % p
-                    x = buffer[j + size2] = v
-                    buffer[j + size] = (s + w) % p
-                    buffer[j + size3] = a * (s - w) % p
+                    x = buffer[j + 2] = v
+                    buffer[j + 1] = (s + w) % p
+                    buffer[j + 3] = a * (s - w) % p
+                else:
+                    for j in range(size4 * i, size4 * i + size):
+                        u = buffer[j]
+                        w = buffer[j + size]
+                        x = buffer[j + size2]
+                        t = buffer[j + size3]
+                        s = b * (u - w) % p
+                        v = a * (u + w - x - t) % p
+                        u = buffer[j] = (u + w + x + t) % p
+                        w = c * (t - x) % p
+                        x = buffer[j + size2] = v
+                        buffer[j + size] = (s + w) % p
+                        buffer[j + size3] = a * (s - w) % p
                 n -= 1
                 if not n:
                     break

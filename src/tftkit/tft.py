@@ -20,15 +20,17 @@ The kernel runs in four passes, each a function of (plan, buffer, ring):
    descent borrowed, via the inverse step [[2a,1],[1,0]] (the doubling
    is an addition, so the pass divides by nothing);
 4. ``prefix_levels``: run the butterfly levels over the completed
-   prefix two at a time, each pair in one radix-4 sweep whose blocks
-   and twiddles come as the geometric runs of one pair stream.
+   prefix two at a time, each pair in one radix-4 sweep: block 0, and
+   then the blocks and twiddles of the geometric runs of one pair
+   stream.
 
 Passes 1 and 4 hand whole levels to the ring's block operations
-(``fold``, ``radix4``, and ``butterflies`` for the few radix-2 blocks
-at the edges of a level pair).  The rightmost-branch passes 2-3 touch
-O(ell) entries, also as block runs: pass 2 hands its full butterflies
-to ``butterflies``, and each special 2x2 step runs over its slots in
-one call (``axpy``, ``park``, ``restore``).
+(``fold``, one ``radix4`` call per level pair, and ``butterflies`` for
+a leftover half block and the unpaired top level).  The
+rightmost-branch passes 2-3 touch O(ell) entries, also as block runs:
+pass 2 hands its full butterflies to ``butterflies``, and each special
+2x2 step runs over its slots in one call (``axpy``, ``park``,
+``restore``).
 
 Multiplication counts stay within (ell/2)log2(ell) + O(ell) ring
 multiplications and ell*floor(log2 ell) + 2*ell additions; the exact
@@ -198,12 +200,12 @@ def prefix_levels(plan: TransformPlan, buffer, ring) -> None:
     per sweep, paired from the bottom: (1, 0), (3, 2), ...
 
     A pair (k, k-1) with size = 2^(k-1) and q = ell >> (k+1) runs
-    blocks 1..q-1 of 4*size entries through ``ring.radix4``, each with
-    b = psi^bit_reverse(i, m-2), in the geometric runs of the pair
-    stream of m-1: level k's twiddle is b*b and level k-1's are b and
-    b*iota.  Block 0 is two folds and one radix-2 block with twiddle
-    iota; when bit k of ell is set, the level-(k-1) block 2q is left
-    over, with its own twiddle.
+    blocks 0..q-1 of 4*size entries through one ``ring.radix4`` call,
+    each with b = psi^bit_reverse(i, m-2): level k's twiddle is b*b and
+    level k-1's are b and b*iota.  The call takes block 0 (b = 1) by
+    itself and blocks 1..q-1 as the geometric runs of the pair stream
+    of m-1, none when q = 1; when bit k of ell is set, the level-(k-1)
+    block 2q is left over, with its own twiddle.
     An odd level count leaves level m-2 unpaired: a fold, and block 1
     when ell = 2^m.
     """
@@ -218,12 +220,8 @@ def prefix_levels(plan: TransformPlan, buffer, ring) -> None:
             ring.butterflies(buffer, 2 * size, 3 * size, size, iota)
     for k in reversed(range(1, m - 1, 2)):
         size = 1 << (k - 1)
-        ring.fold(buffer, 0, 2 * size, 2 * size)
-        ring.fold(buffer, 0, size, size)
-        ring.butterflies(buffer, 2 * size, 3 * size, size, iota)
         q = ell >> (k + 1)
-        if q > 1:
-            ring.radix4(buffer, size, iota, pair_stream(ring, m - 1, psi, q))
+        ring.radix4(buffer, size, iota, pair_stream(ring, m - 1, psi, q) if q > 1 else ())
         if ell >> k & 1:
             alpha = twiddle_forward(ring, m, psi, 2 * q)
             ring.butterflies(buffer, 4 * q * size, (4 * q + 1) * size, size, alpha)

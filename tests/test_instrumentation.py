@@ -166,8 +166,10 @@ def test_root_power_tally_is_the_square_and_multiply_count():
 def test_radix4_step_is_two_radix2_levels(field):
     # one radix-4 sweep over blocks of 4*size equals the two radix-2
     # levels it merges: forward 2*size then size, inverse size then 2*size.
-    # The runs are a one-block run (bits = 0) and the first-run shape
-    # (2, 3, b, step, 2), blocks 2, 1, 3 with twiddles b, b*step, b*step^2
+    # Block 0 is always swept, as its two folds and one radix-2 block with
+    # iota (p - iota inverse); the runs are a one-block run (bits = 0) and
+    # the first-run shape (2, 3, b, step, 2), blocks 2, 1, 3 with twiddles
+    # b, b*step, b*step^2
     rng = random.Random(10)
     p = field.modulus
     iota = field.root_of_order(2)
@@ -177,8 +179,16 @@ def test_radix4_step_is_two_radix2_levels(field):
         b4, b, step = (rng.randrange(2, p) for _ in range(3))
         runs = [(4, 1, b4, rng.randrange(2, p), 0), (2, 3, b, step, 2)]
         blocks = [(4, b4), (2, b), (1, b * step % p), (3, b * step * step % p)]
-        forward = list(data)
-        inverse = list(data)
+        forward0 = list(data)
+        field.fold(forward0, 0, 2 * size, 2 * size)
+        field.fold(forward0, 0, size, size)
+        field.butterflies(forward0, 2 * size, 3 * size, size, iota)
+        inverse0 = list(data)
+        field.fold(inverse0, 0, size, size)
+        field.inverse_butterflies(inverse0, 2 * size, 3 * size, size, p - iota)
+        field.fold(inverse0, 0, 2 * size, 2 * size)
+        forward = list(forward0)
+        inverse = list(inverse0)
         for i, c in blocks:
             x0, x2 = 4 * size * i, 4 * size * i + 2 * size
             field.butterflies(forward, x0, x2, 2 * size, c * c % p)
@@ -187,21 +197,25 @@ def test_radix4_step_is_two_radix2_levels(field):
             field.inverse_butterflies(inverse, x0, x0 + size, size, c)
             field.inverse_butterflies(inverse, x2, x2 + size, size, c * (p - iota) % p)
             field.inverse_butterflies(inverse, x0, x2, 2 * size, c * c % p)
-        for name, want in (("radix4", forward), ("inverse_radix4", inverse)):
+        for name, want, want0 in (
+            ("radix4", forward, forward0), ("inverse_radix4", inverse, inverse0)
+        ):
             for ring in (field, CountingField(p)):
                 buf = AuditBuffer(data)
                 getattr(ring, name)(buf, size, iota, iter(runs))
                 assert buf.inner == want, (name, size)
-                assert not buf.oob and (buf.lo, buf.hi) == (4 * size, 20 * size - 1)
+                assert not buf.oob and (buf.lo, buf.hi) == (0, 20 * size - 1)
                 if isinstance(ring, CountingField):
-                    # (4*size + 3)*n - 1 per run of n blocks
-                    want_counts = OpCounters(mul_root=4 * (4 * size + 3) - 2, add_sub=4 * 8 * size)
+                    # block 0: size and 8*size; (4*size + 3)*n - 1 per run of n
+                    want_counts = OpCounters(mul_root=17 * size + 10, add_sub=40 * size)
                     assert ring.counters == want_counts, (name, size)
+            # no runs: block 0 alone
             ring = CountingField(p)
             buf = AuditBuffer(data)
-            getattr(ring, name)(buf, size, iota, iter([]))
-            assert buf.inner == data and buf.lo is None
-            assert ring.counters == OpCounters()
+            getattr(ring, name)(buf, size, iota, ())
+            assert buf.inner == want0 and want0[4 * size:] == data[4 * size:], (name, size)
+            assert (buf.lo, buf.hi) == (0, 4 * size - 1)
+            assert ring.counters == OpCounters(mul_root=size, add_sub=8 * size)
 
 
 def test_counted_ring_is_fresh(field):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tftkit.instrumentation import AuditBuffer, CountingField
+from tftkit.instrumentation import AuditBuffer, CountingField, TallyRing
 from tftkit.itft import branch_finish, branch_recombine, itft_in_place, scale_and_close
 from tftkit.oracle import naive_polymul, naive_tft
 from tftkit.polymul import tft_polymul
@@ -297,6 +297,41 @@ def test_kernels_make_no_scalar_call_per_radix4_block(field):
             ring = _ScalarCalls(field)
             kernel(plan, [0] * ell, ring)
             assert ring.calls <= m * m + 2 * m, (ell, kernel.__name__, ring.calls)
+
+
+class _BlockCalls(TallyRing):
+    """A TallyRing that also counts its fold and radix-4 calls."""
+
+    __slots__ = ("folds", "pairs")
+
+    def __init__(self, modulus):
+        super().__init__(modulus)
+        self.folds = self.pairs = 0
+
+    def fold(self, buffer, lo, hi, dist):
+        self.folds += 1
+        super().fold(buffer, lo, hi, dist)
+
+    def radix4(self, buffer, size, iota, runs):
+        self.pairs += 1
+        super().radix4(buffer, size, iota, runs)
+
+    inverse_radix4 = radix4
+
+
+def test_each_level_pair_is_one_ring_call(field):
+    # a level pair's block 0 goes inside its radix-4 call, so each kernel
+    # makes one radix-4 call per pair, floor((m-1)/2), and folds only in
+    # its O(ell) pass and at the unpaired top level: 1 + [m even]
+    for ell in range(2, 1100):
+        plan = make_plan(field, ell)
+        m = plan.m
+        for kernel in (tft_in_place, itft_in_place):
+            ring = _BlockCalls(field.modulus)
+            kernel(plan, [0] * ell, ring)
+            assert (ring.pairs, ring.folds) == ((m - 1) // 2, 1 + (m % 2 == 0)), (
+                kernel.__name__, ell
+            )
 
 
 def test_branch_exponents_are_the_block_twiddle_exponents(field):
