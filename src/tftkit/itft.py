@@ -19,8 +19,9 @@ Passes, mirroring the forward kernel in reverse, each a function of
    seeded with psi^-1; a leftover half block and the unpaired top level
    go through ``fold`` and ``inverse_butterflies``;
 2. ``branch_recombine``: descending rightmost-branch pass recombining
-   head and borrowed entries (x <- x - a*y, and the halving branch
-   x <- (x + a*y)/2);
+   head entries with the entries the forward kernel kept at their
+   mirrors, 2^(m-1) below the missing slots (x <- x - a*y, and the
+   halving branch x <- (x + a*y)/2);
 3. ``branch_finish``: re-descent finishing the tail entries
    (x <- 2x - a*y, the doubling an addition);
 4. ``scale_and_close``: the forward kernel's pass-1 fold, then one
@@ -87,33 +88,34 @@ def ascend_levels(plan: TransformPlan, buffer, ring) -> None:
 
 
 def branch_recombine(plan: TransformPlan, buffer, ring) -> None:
-    """Pass 2: descending recombination of head and borrowed entries."""
+    """Pass 2: descending recombination of head and mirrored entries."""
     ell = plan.ell
-    m = plan.m
-    for _, e, r, size, head, alias, aliased_head in branch_levels(plan, range(m - 2, plan.v, -1)):
+    half_len = 1 << (plan.m - 1)
+    for e, size, head in branch_levels(plan, range(plan.m - 2, plan.v, -1)):
         alpha = ring.root_power(plan.psi, e)
-        if r > size:
-            ring.recombine(buffer, ell - size, head + size, alias - head, alpha)
+        if ell > head + size:
+            ring.recombine(buffer, ell - size, head + size, size - half_len, alpha)
         else:
-            ring.axpy(buffer, aliased_head + r, aliased_head + size, size, alpha)
-            ring.scale(buffer, aliased_head + r, aliased_head + size, plan.half)
+            ring.axpy(buffer, ell - half_len, head + size - half_len, size, alpha)
+            ring.scale(buffer, ell - half_len, head + size - half_len, plan.half)
 
 
 def branch_finish(plan: TransformPlan, buffer, ring) -> None:
-    """Pass 3: re-descent finishing the tail entries; when r > size, two
-    butterfly runs, the second with the borrowed slots (dist < 0)."""
+    """Pass 3: re-descent finishing the tail entries; when the partial
+    block has a tail, two butterfly runs, the second with the slots kept
+    at their mirrors (dist = size - 2^(m-1) < 0)."""
     ell = plan.ell
-    m = plan.m
     psi = plan.psi
-    for _, e, r, size, head, alias, aliased_head in branch_levels(plan, range(plan.v, m - 1)):
-        if r > size:
-            alpha = ring.root_power(psi, (1 << m) - e)
+    half_len = 1 << (plan.m - 1)
+    for e, size, head in branch_levels(plan, range(plan.v, plan.m - 1)):
+        if ell > head + size:
+            alpha = ring.root_power(psi, 2 * half_len - e)
             ring.inverse_butterflies(buffer, head, ell - size, size, alpha)
-            ring.inverse_butterflies(buffer, ell - size, head + size, alias - head, alpha)
+            ring.inverse_butterflies(buffer, ell - size, head + size, size - half_len, alpha)
         else:
             alpha = ring.root_power(psi, e)
-            ring.double(buffer, head, ell, alias - head, alpha)
-            ring.double(buffer, aliased_head + r, aliased_head + size, size, alpha)
+            ring.double(buffer, head, ell, size - half_len, alpha)
+            ring.double(buffer, ell - half_len, head + size - half_len, size, alpha)
 
 
 def scale_and_close(plan: TransformPlan, buffer, ring) -> None:

@@ -14,11 +14,13 @@ The kernel runs in four passes, each a function of (plan, buffer, ring):
    sums/differences that fit in place);
 2. ``branch_descent``: descend the rightmost branch of the butterfly
    tree, producing the tail entries of each level; where a full
-   butterfly would need a slot that does not exist, a division-free 2x2
-   step [[0,1],[1,-a]] stashes the surviving combination instead;
-3. ``branch_restore``: walk back up restoring the head entries the
-   descent borrowed, via the inverse step [[2a,1],[1,0]] (the doubling
-   is an addition, so the pass divides by nothing);
+   butterfly would need a slot j >= ell, a division-free 2x2 step
+   [[0,1],[1,-a]] keeps the surviving combination at the slot's mirror
+   j - 2^(m-1) instead, inside [ell - 2^(m-1), 2^(m-1)): the entries
+   pass 1 leaves unpaired;
+3. ``branch_restore``: walk back up restoring the mirrored entries, via
+   the inverse step [[2a,1],[1,0]] (the doubling is an addition, so the
+   pass divides by nothing);
 4. ``prefix_levels``: run the butterfly levels over the completed
    prefix two at a time, each pair in one radix-4 sweep: block 0, and
    then the blocks and twiddles of the geometric runs of one pair
@@ -87,32 +89,26 @@ def make_plan(field: PrimeField, ell: int) -> TransformPlan:
 
 def branch_levels(plan: TransformPlan, ks):
     """Yield the rightmost-branch geometry of each level k in ks, as
-    (q, e, r, size, head, alias, aliased_head).
+    (e, size, head).
 
-    At level k the buffer holds 2q complete blocks of size = 2^k and
-    r = ell - 2^k * 2q entries past them, in the partial butterfly block
-    q; its twiddle is psi^e with e = bit_reverse(q, m-1), as every
-    level's block q has.  q is ell's bits above k, so e is ell's low m
-    bits reversed once per call, shifted left by k and cut to m-1 bits
-    (ell = 2^m has no such levels).  With q' = q - 2^(m-k-2):
+    At level k the buffer holds complete blocks of size = 2^k up to
+    head = 2^k * 2q, q = ell >> (k+1), and ell - head entries past them,
+    in the partial butterfly block q; its twiddle is psi^e with
+    e = bit_reverse(q, m-1), as every level's block q has.  q is ell's
+    bits above k, so e is ell's low m bits reversed once per call,
+    shifted left by k and cut to m-1 bits (ell = 2^m has no such levels).
 
-        head          2^k * 2q       start of the partial block
-        alias         2^k * (2q'+1)  the borrowed slots
-        aliased_head  2^k * 2q'      the head the borrowed slots pair with
-
-    The partial block's own tail starts at head + size = 2^k * (2q+1)
-    and exists only when r > size; there head + j pairs with it, at
-    dist = size, for j < r - size.
+    The partial block's own tail starts at head + size and exists only
+    when ell > head + size.  A slot j >= ell that the block lacks is kept
+    at its mirror j - 2^(m-1), inside [ell - 2^(m-1), 2^(m-1)): the
+    entries the top-level fold leaves unpaired.
     """
     ell = plan.ell
     m = plan.m
     rev = bit_reverse(ell % (1 << m), m)
     mask = (1 << (m - 1)) - 1
     for k in ks:
-        q = ell >> (k + 1)
-        qp = q - (1 << (m - k - 2))
-        head = q << (k + 1)
-        yield q, rev << k & mask, ell - head, 1 << k, head, (2 * qp + 1) << k, qp << (k + 1)
+        yield rev << k & mask, 1 << k, ell >> (k + 1) << (k + 1)
 
 
 def checked_ring(plan: TransformPlan, buffer, ring):
@@ -159,7 +155,7 @@ def tft_in_place(plan: TransformPlan, buffer, ring=None) -> None:
 
 
 def fold_tail(plan: TransformPlan, buffer, ring) -> None:
-    """Pass 1: fold the tail half onto the head."""
+    """Pass 1: fold the tail half_len onto the head."""
     half_len = 1 << (plan.m - 1)
     ring.fold(buffer, 0, plan.ell - half_len, half_len)
 
@@ -168,31 +164,31 @@ def branch_descent(plan: TransformPlan, buffer, ring) -> None:
     """Pass 2: rightmost-branch descent (runs only when ell < 2^m); each
     level is at most two runs, each one ring call."""
     ell = plan.ell
-    m = plan.m
-    for _, e, r, size, head, alias, aliased_head in branch_levels(plan, range(m - 2, plan.v - 1, -1)):
+    half_len = 1 << (plan.m - 1)
+    for e, size, head in branch_levels(plan, range(plan.m - 2, plan.v - 1, -1)):
         alpha = ring.root_power(plan.psi, e)
-        if r > size:
+        if ell > head + size:
             ring.butterflies(buffer, head, ell - size, size, alpha)
             # [[0,1],[1,-alpha]]: keep only the surviving combination,
-            # parking the partner where pass 3 can recover it
-            ring.park(buffer, ell - size, head + size, alias - head, alpha)
+            # parking the partner at its mirror, where pass 3 recovers it
+            ring.park(buffer, ell - size, head + size, size - half_len, alpha)
         else:
-            ring.axpy(buffer, head, ell, alias - head, alpha)
-            ring.axpy(buffer, aliased_head + r, aliased_head + size, size, alpha)
+            ring.axpy(buffer, head, ell, size - half_len, alpha)
+            ring.axpy(buffer, ell - half_len, head + size - half_len, size, alpha)
 
 
 def branch_restore(plan: TransformPlan, buffer, ring) -> None:
-    """Pass 3: restore the borrowed head entries, bottom level upward."""
+    """Pass 3: restore the mirrored entries, bottom level upward."""
     ell = plan.ell
-    m = plan.m
-    for _, e, r, size, head, alias, aliased_head in branch_levels(plan, range(plan.v + 1, m - 1)):
+    half_len = 1 << (plan.m - 1)
+    for e, size, head in branch_levels(plan, range(plan.v + 1, plan.m - 1)):
         alpha = ring.root_power(plan.psi, e)
-        if r > size:
+        if ell > head + size:
             # [[2a,1],[1,0]] undoes the parking step
-            ring.restore(buffer, ell - size, head + size, alias - head, alpha)
+            ring.restore(buffer, ell - size, head + size, size - half_len, alpha)
         else:
             # x - alpha*y as x + (p - alpha)*y: the same residue and counts
-            ring.axpy(buffer, aliased_head + r, aliased_head + size, size, ring.modulus - alpha)
+            ring.axpy(buffer, ell - half_len, head + size - half_len, size, ring.modulus - alpha)
 
 
 def prefix_levels(plan: TransformPlan, buffer, ring) -> None:

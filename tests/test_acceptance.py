@@ -224,11 +224,9 @@ def test_fft_counts_match_the_closed_form(field):
     )
 
 
-# bytes; at SCRATCH_LENGTHS the kernels read at most 992 (inverse, 5000).
-# 65536 and 100000 are not gated (a traced call there takes 8-15 s); by
-# the same method they read 992 and 1056 (worse kernel of the two).
+# bytes; at SCRATCH_LENGTHS the kernels read at most 1056 (100000).
 SCRATCH_LIMIT = 1536
-SCRATCH_LENGTHS = (1, 2, 3, 17, 1000, 1025, 4096, 5000, 16385)
+SCRATCH_LENGTHS = (1, 2, 3, 17, 1000, 1025, 4096, 5000, 16385, 65536, 100000)
 
 
 def _refill_free_lists():

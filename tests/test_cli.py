@@ -1,5 +1,6 @@
 """Command-line surface: golden outputs, exit codes, stream discipline."""
 
+import hashlib
 import io
 import subprocess
 import sys
@@ -153,6 +154,16 @@ def test_counts_csv(monkeypatch, capsys):
     assert out[1].startswith("1,forward,")
     # frozen row: length 4 forward = 1 root product, 8 add/sub
     assert "4,forward,1,0,8,16,84,0,1" in out
+
+
+def test_counts_digest_to_4096(capsys):
+    # every count row for l = 1..4096, both kinds, byte for byte:
+    # FORWARD_COUNTS and INVERSE_COUNTS pin only l <= 8
+    assert main(["counts", "--min", "1", "--max", "4096", "--kind", "both"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "6481610b97077a68b524f89dbcc0552fe8cd8f11b652a354ce37ad9d6fc116be"
+    )
 
 
 def test_counts_single_kind(capsys):

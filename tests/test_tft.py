@@ -342,10 +342,56 @@ def test_branch_exponents_are_the_block_twiddle_exponents(field):
     lengths += [(1 << k) + d for k in range(13, 18) for d in (-1, 0, 1, 5)]
     for ell in lengths:
         plan = make_plan(field, ell)
-        levels = list(branch_levels(plan, range(plan.v, plan.m - 1)))
+        ks = range(plan.v, plan.m - 1)
+        levels = list(branch_levels(plan, ks))
         assert len(levels) == max(plan.m - 1 - plan.v, 0), ell
-        for q, e, *_ in levels:
+        for k, (e, _, head) in zip(ks, levels):
+            q = head >> (k + 1)
             assert e == bit_reverse(q, plan.m - 1), (ell, q)
+
+
+class _BranchCalls:
+    """A ring that records each block call's (lo, hi, dist) and computes
+    nothing: the rightmost-branch passes' members, with scale at dist 0."""
+
+    def __init__(self, modulus):
+        self.modulus = modulus
+        self.calls = []
+
+    def root_power(self, x, e):
+        return 1
+
+    def _block(self, buffer, lo, hi, dist, alpha):
+        self.calls.append((lo, hi, dist))
+
+    butterflies = inverse_butterflies = park = restore = recombine = axpy = double = _block
+
+    def scale(self, buffer, lo, hi, c):
+        self.calls.append((lo, hi, 0))
+
+
+def test_branch_passes_touch_only_the_mirror_range(field):
+    # a slot j >= l that a partial block lacks is kept at its mirror
+    # j - 2^(m-1): every entry the four branch passes touch lies in
+    # [l - 2^(m-1), l), so the head [0, l - 2^(m-1)) that the top-level
+    # fold paired with the tail stays untouched
+    lengths = list(range(2, 4097))
+    lengths += [(1 << k) + d for k in range(13, 18) for d in (-1, 1, 5)]
+    runs = 0
+    for ell in lengths:
+        plan = make_plan(field, ell)
+        first = ell - (1 << (plan.m - 1))
+        for branch_pass in (branch_descent, branch_restore, branch_recombine, branch_finish):
+            ring = _BranchCalls(field.modulus)
+            branch_pass(plan, None, ring)
+            runs += bool(ring.calls)
+            for lo, hi, dist in ring.calls:
+                if lo < hi:
+                    assert first <= min(lo, lo + dist) and max(hi, hi + dist) <= ell, (
+                        branch_pass.__name__, ell, lo, hi, dist
+                    )
+    # the (length, pass) runs that make a call at all
+    assert runs == 16370, runs
 
 
 def test_fields_with_small_two_adicity():
