@@ -61,10 +61,23 @@ def _parse_residues(tokens, modulus: int) -> list[int]:
     return values
 
 
+_RUN = 1024  # values formatted per write
+
+
+def _write_values(values, sep: str) -> None:
+    # sep.join(values) and a newline, a bounded run at a time, so the
+    # output text is never held whole
+    for start in range(0, len(values), _RUN):
+        end = sep if start + _RUN < len(values) else "\n"
+        sys.stdout.write(sep.join(map(str, values[start : start + _RUN])) + end)
+
+
 # tft, itft and mul check their input in order and report the first problem
 # as a usage error: a bad modulus or length, an unreadable file (OSError, or
 # UnicodeDecodeError, a ValueError), a wrong count, a bad token, or a
-# product longer than the field's transform capacity.
+# product longer than the field's transform capacity.  The text and its
+# tokens, and mul's factors, are dropped once used: the transform and the
+# output run with the buffers alone.
 
 
 def cmd_transform(opts) -> int:
@@ -75,13 +88,14 @@ def cmd_transform(opts) -> int:
         if len(tokens) != opts["length"]:
             raise ValueError(f"expected {opts['length']} values, got {len(tokens)}")
         buffer = _parse_residues(tokens, field.modulus)
+        del tokens
     except (OSError, ValueError) as exc:
         return _usage_error(str(exc))
     if opts["command"] == "itft":
         itft_in_place(plan, buffer)
     else:
         tft_in_place(plan, buffer)
-    sys.stdout.write("".join(f"{value}\n" for value in buffer))
+    _write_values(buffer, "\n")
     return 0
 
 
@@ -93,12 +107,14 @@ def cmd_mul(opts) -> int:
             raise ValueError(f"expected 2 coefficient lines, got {len(lines)}")
         f = _parse_residues(lines[0].split(), field.modulus)
         g = _parse_residues(lines[1].split(), field.modulus)
+        del lines
         if not f or not g:
             raise ValueError("coefficient lines must be nonempty")
         product = tft_polymul(f, g, field)
+        del f, g
     except (OSError, ValueError) as exc:
         return _usage_error(str(exc))
-    print(" ".join(map(str, product)))
+    _write_values(product, " ")
     return 0
 
 
@@ -111,15 +127,14 @@ def cmd_counts(opts) -> int:
         return _usage_error("--max exceeds the field's transform capacity")
     _bind_checks()
     kinds = ("forward", "inverse") if opts["kind"] == "both" else (opts["kind"],)
-    reports = [
-        bound_check(ell, measure_transform(field, ell, kind), kind)
-        for ell in range(low, high + 1)
-        for kind in kinds
-    ]
     print(CSV_HEADER)
-    for report in reports:
-        print(report.csv_row())
-    return 0 if all(report.passed for report in reports) else 1
+    passed = True
+    for ell in range(low, high + 1):
+        for kind in kinds:
+            report = bound_check(ell, measure_transform(field, ell, kind), kind)
+            print(report.csv_row())
+            passed &= report.passed
+    return 0 if passed else 1
 
 
 def cmd_selftest(opts) -> int:

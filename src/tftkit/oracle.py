@@ -4,9 +4,12 @@ Everything here is deliberately independent of the transform code: no
 shared exponentiation helpers or bit reversal, arithmetic through
 builtin pow and explicit remainders.  ``naive_tft`` builds its points
 by doubling, as bit_reverse(i + 2^(k-1), m) = bit_reverse(i, m) +
-2^(m-k) for i < 2^(k-1); ``naive_itft_solve`` reverses the binary
-string.  All functions are pure and leave their inputs untouched.
-They are slow by design; tests keep lengths small.
+2^(m-k) for i < 2^(k-1); ``naive_itft_solve`` and ``reference_tft``
+reverse the binary string.  All functions are pure and leave their
+inputs untouched.  They are slow by design; tests keep lengths small,
+except for ``reference_tft``: an out-of-place radix-2 transform in
+O(ell log ell), which checks the kernels at lengths the O(ell^2)
+evaluation cannot reach.
 
 Only ``naive_tft`` uses numpy: one Horner loop over an array of
 evaluation points, in uint64 for moduli below 2^32 (products stay
@@ -15,7 +18,7 @@ above.  It imports numpy on its first call, so importing the package
 (and every CLI command that calls no oracle) does not pay for it.
 """
 
-__all__ = ["naive_dft", "naive_tft", "naive_itft_solve", "naive_polymul"]
+__all__ = ["naive_dft", "naive_tft", "naive_itft_solve", "naive_polymul", "reference_tft"]
 
 _NUMPY_LIMIT = 1 << 32
 
@@ -66,6 +69,32 @@ def naive_tft(field, psi: int, ell: int, a) -> list[int]:
     for c in reversed(a):
         vals = (vals * pts + c % p) % p
     return [int(x) for x in vals]
+
+
+def reference_tft(field, psi: int, ell: int, a) -> list[int]:
+    """The outputs of naive_tft, by an out-of-place radix-2 transform.
+
+    Zero-pads a to 2^m, m = ceil(log2 ell), and runs Cooley-Tukey levels
+    m-1..0 over only the blocks that start below ell: at level k, block
+    i holds [i*2^(k+1), (i+1)*2^(k+1)) and its twiddle is
+    psi^bit_reverse(i, m-1).  Entry j < ell of the result is then the
+    polynomial's value at psi^bit_reverse(j, m).  O(ell log ell)
+    products, in a new list of 2^m entries.
+    """
+    p = field.modulus
+    _check_point_generator(p, psi, ell, a)
+    m = (ell - 1).bit_length()
+    buf = [x % p for x in a] + [0] * ((1 << m) - ell)
+    for k in reversed(range(m)):
+        half = 1 << k
+        for i, lo in enumerate(range(0, ell, 2 * half)):
+            w = pow(psi, _bitrev(i, m - 1), p)
+            mid, hi = lo + half, lo + 2 * half
+            ys = [y * w % p for y in buf[mid:hi]]
+            xs = buf[lo:mid]
+            buf[lo:mid] = [(x + y) % p for x, y in zip(xs, ys)]
+            buf[mid:hi] = [(x - y) % p for x, y in zip(xs, ys)]
+    return buf[:ell]
 
 
 def naive_itft_solve(field, psi: int, ell: int, values) -> list[int]:

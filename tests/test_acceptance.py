@@ -12,13 +12,17 @@ tally.
 
 import gc
 import hashlib
+import io
 import random
+import sys
 import time
 import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
 
 from tftkit import bit_reverse
+from tftkit.cli import main
 from tftkit.instrumentation import (
     AuditBuffer,
     bound_check,
@@ -26,7 +30,7 @@ from tftkit.instrumentation import (
     measure_transform,
 )
 from tftkit.itft import itft_in_place
-from tftkit.oracle import naive_polymul, naive_tft
+from tftkit.oracle import naive_polymul, naive_tft, reference_tft
 from tftkit.polymul import operation_profile, tft_polymul
 from tftkit.tft import make_plan, tft_in_place
 from tftkit.twiddle import pair_stream
@@ -268,6 +272,51 @@ def test_scratch_space_is_constant(field):
     )
 
 
+# bytes above what the command leaves held (its output, kept in memory);
+# the CLI read 709,000 (tft, itft at 4096) and 78,100 (mul, 256 x 256)
+# while it kept its input text through the transform and built the whole
+# output as one string, and 377,600 and 55,800 once it did neither
+CLI_SCRATCH_LIMITS = {"tft": 540_000, "itft": 540_000, "mul": 64_000}
+
+
+def test_cli_scratch_is_bounded(field, monkeypatch):
+    # The CLI's own share of the in-place claim: the text each command
+    # reads is gone before it computes, and its output goes out in bounded
+    # runs, so the traced peak is the parse and the transform buffers.
+    rng = random.Random(SEED + 6)
+    p = field.modulus
+
+    def residues(n):
+        return " ".join(str(rng.randrange(p)) for _ in range(n))
+
+    cases = (
+        ("tft", ["tft", "--length", "4096"], residues(4096)),
+        ("itft", ["itft", "--length", "4096"], residues(4096)),
+        ("mul", ["mul"], f"{residues(256)}\n{residues(256)}\n"),
+    )
+    readings = {}
+    start = time.perf_counter()
+    for name, argv, text in cases:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        with redirect_stdout(io.StringIO()):
+            _refill_free_lists()
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0, name
+        readings[name] = peak - current
+    elapsed = time.perf_counter() - start
+    _verdict(
+        all(readings[name] <= limit for name, limit in CLI_SCRATCH_LIMITS.items()),
+        "cli scratch",
+        f"tft, itft at l=4096 and mul at 256 x 256: {readings} B above the output "
+        f"(limits {CLI_SCRATCH_LIMITS}) ({elapsed:.1f}s)",
+    )
+
+
 # sha256 of the comma-joined forward outputs of the seeded inputs below,
 # recorded from kernels whose outputs the oracle and round-trip claims
 # check up to 512; a changed digest is a changed transform
@@ -302,6 +351,34 @@ def test_outputs_are_pinned_beyond_the_oracle_range(field):
         "pinned outputs",
         f"l in {tuple(PINNED_FORWARD_DIGESTS)}: forward sha256 as recorded, "
         f"inverse restores the input ({elapsed:.1f}s)",
+    )
+
+
+# the benchmark's lengths, and both sides of the powers of two in between
+REFERENCE_LENGTHS = tuple(PINNED_FORWARD_DIGESTS) + tuple(
+    (1 << k) + d for k in range(13, 16) for d in (-1, 1, 5)
+)
+
+
+def test_forward_matches_the_out_of_place_reference(field):
+    # beyond the O(l^2) oracle's range, the kernel's outputs against an
+    # independent O(l log l) transform, not only against recorded digests
+    rng = random.Random(SEED + 7)
+    p = field.modulus
+    start = time.perf_counter()
+    for ell in REFERENCE_LENGTHS:
+        a = [rng.randrange(p) for _ in range(ell)]
+        plan = make_plan(field, ell)
+        buf = list(a)
+        tft_in_place(plan, buf)
+        if buf != reference_tft(field, plan.psi, ell, a):
+            _verdict(False, "reference equality", f"forward disagrees at length {ell}")
+    elapsed = time.perf_counter() - start
+    _verdict(
+        True,
+        "reference equality",
+        f"forward equals the out-of-place reference at l in {REFERENCE_LENGTHS} "
+        f"({elapsed:.1f}s)",
     )
 
 

@@ -2,9 +2,12 @@
 
 import hashlib
 import io
+import random
 import subprocess
 import sys
 import time
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,9 @@ import pytest
 import tftkit
 from tftkit.cli import CSV_HEADER, main, xorshift64star
 from tftkit.instrumentation import OpCounters
+from tftkit.itft import itft_in_place
+from tftkit.polymul import tft_polymul
+from tftkit.tft import make_plan, tft_in_place
 
 
 def run_cli(argv, stdin=None, monkeypatch=None):
@@ -104,6 +110,88 @@ def test_argv_problems_are_usage_errors(monkeypatch, capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
+# pieces of the random inputs below: what a decimal token may be confused
+# with (signs, "_", NUL, non-ASCII digits, digit runs too long for int())
+# and separators, among them some that str.split and str.splitlines take
+# but ASCII whitespace does not include
+_JUNK = ("17", "-1", "+3", "_", "1_0", "\x00", "\u0663", "9" * 40, "7" * 5000)
+_SEPARATORS = (" ", " ", "\n", "\t", "\x0c", "\x1c", "\x85", "\xa0", "")
+_BAD_VALUES = ("", "-", "--5", "+3", "1_7", " 3", "3\x85", "\xa0", "\x1c", "3.0", "\u0663", "x",
+               "9" * 5000)
+
+
+def _option_values(rng, command):
+    # every command's sweep stays at 16 lengths or fewer: counts draws --min
+    # and --max near one base, selftest's --max is small or past the capacity
+    base = rng.choice((1, (1 << 23) - 8))
+    near = [str(base + d) for d in range(-1, 15)]
+    return {
+        "modulus": ("17", "97", "998244353", "16", "1", "2", "-17", str((1 << 61) - 1)),
+        "length": [str(n) for n in range(-1, 18)] + [str((1 << 23) + 1), "9" * 30],
+        "input": ("/no/such/file",),
+        "min": near,
+        "max": near if command == "counts" else [str(n) for n in range(-1, 17)] + [str(1 << 24)],
+        "seed": ("0", "-5", "7", str(1 << 70)),
+        "kind": ("forward", "inverse", "both", "sideways"),
+    }
+
+
+def _option_soup(rng):
+    commands = ("tft", "itft", "mul", "counts", "selftest")
+    command = rng.choice(commands + ("frob", "--help"))
+    values = _option_values(rng, command)
+    argv = [command]
+    if command == "selftest":
+        argv.append(f"--max={rng.choice(values['max'])}")  # the default is 256
+    elif command == "counts" and rng.random() < 0.5:
+        argv += [f"--min={rng.choice(values['min'])}", f"--max={rng.choice(values['max'])}"]
+    for _ in range(rng.randrange(6)):
+        name = rng.choice(tuple(values) + ("len", "bogus", "help"))
+        pool = values.get(name, ())
+        value = rng.choice(pool) if pool and rng.random() < 0.8 else rng.choice(_BAD_VALUES)
+        form = rng.randrange(4)
+        if form == 0:
+            argv.append(f"--{name}={value}")
+        elif form == 1:
+            argv += [f"--{name}", value]
+        elif form == 2:
+            argv.append(f"--{name}")  # a value only if another argument follows
+        else:
+            argv.append(value)
+    return argv
+
+
+def _token_soup(rng):
+    command = rng.choice(("tft", "itft", "mul"))
+    argv = [command, "--modulus", rng.choice(("17", "97", "998244353"))]
+    if command != "mul":
+        argv += ["--length", str(rng.randrange(1, 6))]
+    pieces = []
+    for _ in range(rng.randrange(8)):
+        pieces.append(rng.choice(("0", "1", "3", "16")) if rng.random() < 0.8 else rng.choice(_JUNK))
+        pieces.append(rng.choice(_SEPARATORS))
+    return argv, "".join(pieces)
+
+
+def test_every_input_gets_a_documented_exit_code(monkeypatch, capsys):
+    # random token soups for the commands that read residues, random option
+    # soups for all five: each exits 0, 1 or 2 without an exception, and a
+    # usage error writes no data and one error line
+    rng = random.Random(2026)
+    for case in range(5000):
+        if case % 2:
+            argv, text = _token_soup(rng)
+        else:
+            argv, text = _option_soup(rng), "1 2 3"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), (argv, text)
+        if code == 2:
+            assert out == "", (argv, text)
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, text, err)
+
+
 def test_option_forms(monkeypatch, capsys):
     code = run_cli(["tft", "--modulus=17", "--length=3"], "1 2 3", monkeypatch)
     assert (code, capsys.readouterr().out) == (0, "6\n2\n7\n")
@@ -142,6 +230,74 @@ def test_mul_input_errors(tmp_path, monkeypatch, capsys):
     code = main(["mul", "--modulus", "17", "--input", str(src)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _residues(rng, p, n):
+    return [rng.randrange(p) for _ in range(n)]
+
+
+@pytest.mark.parametrize("ell", [1024, 2500])
+@pytest.mark.parametrize(
+    "command, kernel", [("tft", tft_in_place), ("itft", itft_in_place)], ids=["tft", "itft"]
+)
+def test_transform_output_across_write_runs(field, monkeypatch, capsys, command, kernel, ell):
+    # the output goes out a bounded run of values at a time; the bytes are
+    # those of the whole buffer, one value per line
+    data = _residues(random.Random(ell), field.modulus, ell)
+    code = run_cli([command, "--length", str(ell)], " ".join(map(str, data)), monkeypatch)
+    out, err = capsys.readouterr()
+    kernel(make_plan(field, ell), data)
+    assert (code, err) == (0, "")
+    assert out == "".join(f"{value}\n" for value in data)
+
+
+@pytest.mark.parametrize("sizes", [(1024, 1024), (1024, 1025)])
+def test_mul_output_across_write_runs(field, monkeypatch, capsys, sizes):
+    # products of 2047 and 2048 coefficients, on one space-separated line
+    rng = random.Random(sum(sizes))
+    f, g = (_residues(rng, field.modulus, n) for n in sizes)
+    text = " ".join(map(str, f)) + "\n" + " ".join(map(str, g)) + "\n"
+    code = run_cli(["mul"], text, monkeypatch)
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out == " ".join(map(str, tft_polymul(f, g, field))) + "\n"
+
+
+class _DigestSink:
+    """A stdout that keeps only a running sha256 of what is written."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_counts_streams_its_rows(capsys):
+    # each row is printed as it is measured, so the sweep's traced peak
+    # does not grow with the number of rows (it grew by about 324 B a row
+    # when the reports were all kept until the sweep ended)
+    main(["counts", "--min", "1", "--max", "1"])  # binds the checks
+    capsys.readouterr()
+    peaks, digests = {}, {}
+    for high in (128, 1024):
+        sink = _DigestSink()
+        with redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(["counts", "--min", "1", "--max", str(high), "--kind", "both"])
+                peaks[high] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        digests[high] = sink.digest.hexdigest()
+    assert peaks[1024] - peaks[128] < 4096, peaks
+    main(["counts", "--min", "1", "--max", "128", "--kind", "both"])
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digests[128]
 
 
 def test_counts_csv(monkeypatch, capsys):

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from tftkit.oracle import naive_dft, naive_itft_solve, naive_polymul, naive_tft
+from tftkit.oracle import naive_dft, naive_itft_solve, naive_polymul, naive_tft, reference_tft
 from tftkit.ring import PrimeField
 from tftkit.tft import make_plan, tft_in_place
 
@@ -82,6 +82,27 @@ def test_tft_validation(f17):
         naive_tft(f17, 9, 0, [])
 
 
+def test_reference_matches_direct_evaluation(field):
+    # the out-of-place reference checks the kernels far beyond naive_tft's
+    # range; here it meets naive_tft on every length up to 129, and at a
+    # modulus above 2^32, where naive_tft runs over Python ints
+    rng = random.Random(25)
+    big = PrimeField.from_modulus(BIG_P)
+    for fld, lengths in ((field, range(1, 130)), (big, (1, 2, 3, 7, 33, 100))):
+        p = fld.modulus
+        for ell in lengths:
+            psi = fld.root_of_order((ell - 1).bit_length())
+            a = [rng.randrange(p) for _ in range(ell)]
+            assert reference_tft(fld, psi, ell, a) == naive_tft(fld, psi, ell, a), ell
+    assert reference_tft(field, 1, 1, [field.modulus + 5]) == [5]
+
+
+def test_reference_validation(f17):
+    for psi, ell, a in ((9, 3, [1, 2]), (13, 5, [0] * 5), (9, 0, []), (13, 1, [3])):
+        with pytest.raises(ValueError):
+            reference_tft(f17, psi, ell, a)
+
+
 def test_solver_inverts_the_evaluator(f17):
     rng = random.Random(22)
     for ell in range(1, 13):
@@ -111,6 +132,7 @@ def test_inputs_are_not_mutated(f17):
     naive_tft(f17, 13, 4, a)
     naive_itft_solve(f17, 13, 4, a)
     naive_polymul(f17, a, a)
+    reference_tft(f17, 13, 4, a)
     assert a == b
 
 
