@@ -42,7 +42,8 @@ __all__ = [
 
 # The instrumentation and the oracles are imported on first use of one of
 # their names (PEP 562), so that importing the package, or running the CLI's
-# transform and mul commands, does not pay to compile them.
+# transform and mul commands, does not pay to compile them; dir() lists
+# those names before then too.
 _LAZY = dict.fromkeys(
     ("AuditBuffer", "BoundReport", "CountingField", "OpCounters", "bound_check",
      "measure_transform"),
@@ -56,3 +57,7 @@ def __getattr__(name):
     value = getattr(__import__(f"{__name__}.{_LAZY[name]}", fromlist=[name]), name)
     globals()[name] = value
     return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())

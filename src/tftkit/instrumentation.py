@@ -333,9 +333,7 @@ class BoundReport(Frozen):
         )
 
 
-def bound_check(ell: int, counters: OpCounters, kind: str) -> BoundReport:
-    """The same as BoundReport(ell, counters, kind)."""
-    return BoundReport(ell, counters, kind)
+bound_check = BoundReport
 
 
 def measure_transform(field, ell: int, kind: str) -> OpCounters:

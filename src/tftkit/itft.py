@@ -27,14 +27,16 @@ Passes, mirroring the forward kernel in reverse, each a function of
 4. ``scale_and_close``: the forward kernel's pass-1 fold, then one
    sweep by (2^-1)^m, or by (2^-1)^(m-1) on the entries the fold skips.
 
-Passes 2-4 touch O(ell) entries in block runs: pass 3 hands its full
-butterflies to ``inverse_butterflies``, and each special step runs over
-its slots in one call (``recombine``, ``axpy`` then ``scale`` by 1/2,
-``double``, and three ``scale`` runs for the closing sweep).
+Passes 2-4 touch O(ell) entries in block runs.  Passes 2-3 take each
+level's two runs from ``tft.branch_levels``, where dist > 0 says the
+partial block has a tail, and only pick ring members by that sign:
+pass 2 runs ``recombine``, or ``axpy`` then ``scale`` by 1/2, on the
+second run; pass 3 runs ``inverse_butterflies``, or ``double``, on both.
+Pass 4 is ``fold_tail`` and three ``scale`` runs.
 """
 
 from .ring import pow_by_squaring
-from .tft import TransformPlan, branch_levels, checked_ring
+from .tft import TransformPlan, branch_levels, checked_ring, fold_tail
 from .twiddle import pair_stream, twiddle_forward, twiddle_inverse
 
 __all__ = ["itft_in_place"]
@@ -60,23 +62,20 @@ def ascend_levels(plan: TransformPlan, buffer, ring) -> None:
     from the bottom, each pair one ``inverse_radix4`` call that takes
     block 0 by itself, then the unpaired top level; [[1,1],[a,-a]] needs
     no halving.  The reciprocal twiddles come from the pair stream
-    seeded with psi^-1 (built once, and only when a radix-4 block needs
-    it; the leftover block's twiddle is then a power of it too), and
+    seeded with psi^-1, built once when ell >= 8, exactly when the
+    bottom pair has a block past block 0; a leftover block's twiddle is
+    then a power of it too, and only ell = 6 and 7 take it from psi.
     iota^-1 = -iota = p - iota."""
     ell = plan.ell
     m = plan.m
     iota = plan.iota
-    psi_inv = None
+    psi_inv = ring.root_power(plan.psi, (1 << m) - 1) if ell >= 8 else None
     for k in range(1, m - 1, 2):
         size = 1 << (k - 1)
         q = ell >> (k + 1)
-        if q > 1 and psi_inv is None:
-            psi_inv = ring.root_power(plan.psi, (1 << m) - 1)
         if ell >> k & 1:
-            if psi_inv is None:
-                alpha = twiddle_inverse(ring, m, plan.psi, 2 * q)
-            else:
-                alpha = twiddle_forward(ring, m, psi_inv, 2 * q)
+            alpha = (twiddle_inverse(ring, m, plan.psi, 2 * q) if psi_inv is None
+                     else twiddle_forward(ring, m, psi_inv, 2 * q))
             ring.inverse_butterflies(buffer, 4 * q * size, (4 * q + 1) * size, size, alpha)
         runs = pair_stream(ring, m - 1, psi_inv, q) if q > 1 else ()
         ring.inverse_radix4(buffer, size, iota, runs)
@@ -88,44 +87,41 @@ def ascend_levels(plan: TransformPlan, buffer, ring) -> None:
 
 
 def branch_recombine(plan: TransformPlan, buffer, ring) -> None:
-    """Pass 2: descending recombination of head and mirrored entries."""
-    ell = plan.ell
-    half_len = 1 << (plan.m - 1)
-    for e, size, head in branch_levels(plan, range(plan.m - 2, plan.v, -1)):
+    """Pass 2: descending recombination of head and mirrored entries, on
+    each level's second run."""
+    for e, _, _, dist, lo2, hi2, dist2 in branch_levels(plan, range(plan.m - 2, plan.v, -1)):
         alpha = ring.root_power(plan.psi, e)
-        if ell > head + size:
-            ring.recombine(buffer, ell - size, head + size, size - half_len, alpha)
+        if dist > 0:
+            ring.recombine(buffer, lo2, hi2, dist2, alpha)
         else:
-            ring.axpy(buffer, ell - half_len, head + size - half_len, size, alpha)
-            ring.scale(buffer, ell - half_len, head + size - half_len, plan.half)
+            ring.axpy(buffer, lo2, hi2, dist2, alpha)
+            ring.scale(buffer, lo2, hi2, plan.half)
 
 
 def branch_finish(plan: TransformPlan, buffer, ring) -> None:
-    """Pass 3: re-descent finishing the tail entries; when the partial
-    block has a tail, two butterfly runs, the second with the slots kept
-    at their mirrors (dist = size - 2^(m-1) < 0)."""
-    ell = plan.ell
-    psi = plan.psi
-    half_len = 1 << (plan.m - 1)
-    for e, size, head in branch_levels(plan, range(plan.v, plan.m - 1)):
-        if ell > head + size:
-            alpha = ring.root_power(psi, 2 * half_len - e)
-            ring.inverse_butterflies(buffer, head, ell - size, size, alpha)
-            ring.inverse_butterflies(buffer, ell - size, head + size, size - half_len, alpha)
+    """Pass 3: re-descent finishing the tail entries over both runs: the
+    butterflies of [[1,1],[a',-a']] with the reciprocal twiddle
+    a' = psi^(2^m - e) when the partial block has a tail, else the
+    doubling step x <- 2x - a*y."""
+    for e, lo, hi, dist, lo2, hi2, dist2 in branch_levels(plan, range(plan.v, plan.m - 1)):
+        if dist > 0:
+            alpha = ring.root_power(plan.psi, (1 << plan.m) - e)
+            ring.inverse_butterflies(buffer, lo, hi, dist, alpha)
+            ring.inverse_butterflies(buffer, lo2, hi2, dist2, alpha)
         else:
-            alpha = ring.root_power(psi, e)
-            ring.double(buffer, head, ell, size - half_len, alpha)
-            ring.double(buffer, ell - half_len, head + size - half_len, size, alpha)
+            alpha = ring.root_power(plan.psi, e)
+            ring.double(buffer, lo, hi, dist, alpha)
+            ring.double(buffer, lo2, hi2, dist2, alpha)
 
 
 def scale_and_close(plan: TransformPlan, buffer, ring) -> None:
-    """Pass 4: the forward kernel's pass-1 fold closes the top level, then
-    one sweep in three runs settles the deferred halvings."""
+    """Pass 4: the forward kernel's pass 1, ``fold_tail``, closes the top
+    level, then one sweep in three runs settles the deferred halvings."""
+    fold_tail(plan, buffer, ring)
     m = plan.m
     half = plan.half
     half_len = 1 << (m - 1)
     lo = plan.ell - half_len
-    ring.fold(buffer, 0, lo, half_len)
     middle = pow_by_squaring(ring.mul_pow2, half, m - 1)
     # at m = 1 no entry is in the middle and middle is 1: take half itself
     folded = ring.mul_pow2(half, middle) if m > 1 else half

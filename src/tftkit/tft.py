@@ -29,10 +29,13 @@ The kernel runs in four passes, each a function of (plan, buffer, ring):
 Passes 1 and 4 hand whole levels to the ring's block operations
 (``fold``, one ``radix4`` call per level pair, and ``butterflies`` for
 a leftover half block and the unpaired top level).  The
-rightmost-branch passes 2-3 touch O(ell) entries, also as block runs:
-pass 2 hands its full butterflies to ``butterflies``, and each special
-2x2 step runs over its slots in one call (``axpy``, ``park``,
-``restore``).
+rightmost-branch passes 2-3 touch O(ell) entries, also as block runs.
+``branch_levels`` is their one source of geometry: per level it yields
+two runs of pairs (j, j + dist), with dist > 0 exactly when the
+partial block has a tail.  By that sign the passes only pick the ring
+members for the runs: ``butterflies`` then ``park``, or ``axpy``
+twice, on the way down; ``restore`` or ``axpy`` on the second run on
+the way up.
 
 Multiplication counts stay within (ell/2)log2(ell) + O(ell) ring
 multiplications and ell*floor(log2 ell) + 2*ell additions; the exact
@@ -82,14 +85,13 @@ class TransformPlan(Frozen):
         super().__init__(field, ell, m, v, field.root_of_order(m), half, iota)
 
 
-def make_plan(field: PrimeField, ell: int) -> TransformPlan:
-    """The same as TransformPlan(field, ell)."""
-    return TransformPlan(field, ell)
+make_plan = TransformPlan
 
 
 def branch_levels(plan: TransformPlan, ks):
     """Yield the rightmost-branch geometry of each level k in ks, as
-    (e, size, head).
+    (e, lo, hi, dist, lo2, hi2, dist2): the twiddle exponent and the
+    level's two runs, each the pairs (j, j + dist) for j in [lo, hi).
 
     At level k the buffer holds complete blocks of size = 2^k up to
     head = 2^k * 2q, q = ell >> (k+1), and ell - head entries past them,
@@ -98,17 +100,29 @@ def branch_levels(plan: TransformPlan, ks):
     bits above k, so e is ell's low m bits reversed once per call,
     shifted left by k and cut to m-1 bits (ell = 2^m has no such levels).
 
-    The partial block's own tail starts at head + size and exists only
-    when ell > head + size.  A slot j >= ell that the block lacks is kept
-    at its mirror j - 2^(m-1), inside [ell - 2^(m-1), 2^(m-1)): the
-    entries the top-level fold leaves unpaired.
+    Between them the two runs take each pair (j, j + size) of the
+    partial block once, starting at lo = head.  A slot j >= ell that the
+    block lacks is kept at its mirror j - 2^(m-1), inside
+    [ell - 2^(m-1), 2^(m-1)): the entries the top-level fold leaves
+    unpaired.  dist > 0 exactly when the block has a tail,
+    ell > head + size: the first run is its full butterflies (dist =
+    size) and the second its tail against mirrored partners (dist2 < 0).
+    Otherwise dist < 0: the first run pairs the slots below ell with
+    their partners' mirrors, and the second pairs the mirrors of the
+    slots at ell and above with their partners (dist2 = size).
     """
     ell = plan.ell
     m = plan.m
     rev = bit_reverse(ell % (1 << m), m)
-    mask = (1 << (m - 1)) - 1
+    half_len = 1 << (m - 1)
     for k in ks:
-        yield rev << k & mask, 1 << k, ell >> (k + 1) << (k + 1)
+        e = (rev << k) & (half_len - 1)
+        size = 1 << k
+        head = ell >> (k + 1) << (k + 1)
+        if ell > head + size:
+            yield e, head, ell - size, size, ell - size, head + size, size - half_len
+        else:
+            yield e, head, ell, size - half_len, ell - half_len, head + size - half_len, size
 
 
 def checked_ring(plan: TransformPlan, buffer, ring):
@@ -162,33 +176,30 @@ def fold_tail(plan: TransformPlan, buffer, ring) -> None:
 
 def branch_descent(plan: TransformPlan, buffer, ring) -> None:
     """Pass 2: rightmost-branch descent (runs only when ell < 2^m); each
-    level is at most two runs, each one ring call."""
-    ell = plan.ell
-    half_len = 1 << (plan.m - 1)
-    for e, size, head in branch_levels(plan, range(plan.m - 2, plan.v - 1, -1)):
+    level is its two runs of ``branch_levels``, each one ring call."""
+    for e, lo, hi, dist, lo2, hi2, dist2 in branch_levels(plan, range(plan.m - 2, plan.v - 1, -1)):
         alpha = ring.root_power(plan.psi, e)
-        if ell > head + size:
-            ring.butterflies(buffer, head, ell - size, size, alpha)
+        if dist > 0:
+            ring.butterflies(buffer, lo, hi, dist, alpha)
             # [[0,1],[1,-alpha]]: keep only the surviving combination,
             # parking the partner at its mirror, where pass 3 recovers it
-            ring.park(buffer, ell - size, head + size, size - half_len, alpha)
+            ring.park(buffer, lo2, hi2, dist2, alpha)
         else:
-            ring.axpy(buffer, head, ell, size - half_len, alpha)
-            ring.axpy(buffer, ell - half_len, head + size - half_len, size, alpha)
+            ring.axpy(buffer, lo, hi, dist, alpha)
+            ring.axpy(buffer, lo2, hi2, dist2, alpha)
 
 
 def branch_restore(plan: TransformPlan, buffer, ring) -> None:
-    """Pass 3: restore the mirrored entries, bottom level upward."""
-    ell = plan.ell
-    half_len = 1 << (plan.m - 1)
-    for e, size, head in branch_levels(plan, range(plan.v + 1, plan.m - 1)):
+    """Pass 3: restore the mirrored entries of each level's second run,
+    bottom level upward."""
+    for e, _, _, dist, lo2, hi2, dist2 in branch_levels(plan, range(plan.v + 1, plan.m - 1)):
         alpha = ring.root_power(plan.psi, e)
-        if ell > head + size:
+        if dist > 0:
             # [[2a,1],[1,0]] undoes the parking step
-            ring.restore(buffer, ell - size, head + size, size - half_len, alpha)
+            ring.restore(buffer, lo2, hi2, dist2, alpha)
         else:
             # x - alpha*y as x + (p - alpha)*y: the same residue and counts
-            ring.axpy(buffer, ell - half_len, head + size - half_len, size, ring.modulus - alpha)
+            ring.axpy(buffer, lo2, hi2, dist2, ring.modulus - alpha)
 
 
 def prefix_levels(plan: TransformPlan, buffer, ring) -> None:

@@ -354,10 +354,10 @@ def test_outputs_are_pinned_beyond_the_oracle_range(field):
     )
 
 
-# the benchmark's lengths, and both sides of the powers of two in between
-REFERENCE_LENGTHS = tuple(PINNED_FORWARD_DIGESTS) + tuple(
-    (1 << k) + d for k in range(13, 16) for d in (-1, 1, 5)
-)
+# the benchmark's lengths, and the powers of two 2^13..2^16 with both sides
+REFERENCE_LENGTHS = tuple(dict.fromkeys([
+    *PINNED_FORWARD_DIGESTS, *((1 << k) + d for k in range(13, 17) for d in (-1, 0, 1, 5))
+]))
 
 
 def test_forward_matches_the_out_of_place_reference(field):
@@ -380,6 +380,24 @@ def test_forward_matches_the_out_of_place_reference(field):
         f"forward equals the out-of-place reference at l in {REFERENCE_LENGTHS} "
         f"({elapsed:.1f}s)",
     )
+
+
+def test_round_trips_at_the_reference_lengths(field):
+    # the reference lengths that the pinned outputs do not already round-trip
+    rng = random.Random(SEED + 8)
+    p = field.modulus
+    lengths = tuple(ell for ell in REFERENCE_LENGTHS if ell not in PINNED_FORWARD_DIGESTS)
+    start = time.perf_counter()
+    for ell in lengths:
+        a = [rng.randrange(p) for _ in range(ell)]
+        plan = make_plan(field, ell)
+        buf = list(a)
+        tft_in_place(plan, buf)
+        itft_in_place(plan, buf)
+        if buf != a:
+            _verdict(False, "round trips", f"inverse(forward) broke at length {ell}")
+    elapsed = time.perf_counter() - start
+    _verdict(True, "round trips", f"inverse(forward) at l in {lengths} ({elapsed:.1f}s)")
 
 
 def test_transforms_stay_inside_the_buffer(field):

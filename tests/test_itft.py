@@ -5,11 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tftkit.instrumentation import AuditBuffer, CountingField
-from tftkit.itft import itft_in_place
+from tftkit import itft
+from tftkit.instrumentation import AuditBuffer, CountingField, TallyRing
+from tftkit.itft import ascend_levels, itft_in_place
 from tftkit.oracle import naive_itft_solve
 from tftkit.ring import PrimeField
 from tftkit.tft import make_plan, tft_in_place
+from tftkit.twiddle import twiddle_inverse
 
 
 def test_hand_checked_values(f17):
@@ -92,6 +94,43 @@ def test_frozen_operation_counts(field):
         c = ring.counters
         assert (c.mul_root, c.mul_pow2, c.add_sub) == want, ell
         assert c.mul_other == 0
+
+
+class _RootPowers(TallyRing):
+    """A TallyRing that records each root_power call's (x, e)."""
+
+    __slots__ = ("powers",)
+
+    def __init__(self, modulus):
+        super().__init__(modulus)
+        self.powers = []
+
+    def root_power(self, x, e):
+        self.powers.append((x, e))
+        return super().root_power(x, e)
+
+
+def test_psi_inverse_is_built_once_and_only_when_needed(field, monkeypatch):
+    # ascend_levels builds psi^-1 once, before its loop, exactly when
+    # l >= 8 (the bottom level pair then has a block past block 0); below
+    # that only the leftover blocks of l = 6 and 7 take twiddle_inverse
+    inverse_at = set()
+    lengths = [*range(2, 1100), *((1 << k) + d for k in range(13, 18) for d in (-1, 0, 1, 5))]
+    for ell in lengths:
+        plan = make_plan(field, ell)
+
+        def recorded(ring, m, psi, q, ell=ell):
+            # on a ring of its own: at l = 6 the leftover twiddle is psi^7,
+            # which is psi^-1 but is not the pair stream's seed
+            inverse_at.add(ell)
+            return twiddle_inverse(TallyRing(ring.modulus), m, psi, q)
+
+        monkeypatch.setattr(itft, "twiddle_inverse", recorded)
+        ring = _RootPowers(field.modulus)
+        ascend_levels(plan, [0] * ell, ring)
+        assert ring.powers.count((plan.psi, (1 << plan.m) - 1)) == (ell >= 8), ell
+        itft_in_place(plan, [0] * ell, TallyRing(field.modulus))
+    assert inverse_at == {6, 7}
 
 
 def test_stays_inside_the_buffer(field):

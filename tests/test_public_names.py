@@ -83,3 +83,16 @@ def test_benchmark_refusal_hook_still_runs():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.splitlines()[-1] == "selfcheck: ok", done.stdout
+
+
+def test_dir_lists_the_lazy_names_without_importing_them():
+    # the instrumentation and oracle names load on first use, but dir(),
+    # and so help() and completion, lists them before that
+    code = (
+        "import sys, tftkit; "
+        "print(set(tftkit.__all__) <= set(dir(tftkit)), "
+        "'tftkit.instrumentation' in sys.modules, 'tftkit.oracle' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True False False\n"

@@ -345,9 +345,33 @@ def test_branch_exponents_are_the_block_twiddle_exponents(field):
         ks = range(plan.v, plan.m - 1)
         levels = list(branch_levels(plan, ks))
         assert len(levels) == max(plan.m - 1 - plan.v, 0), ell
-        for k, (e, _, head) in zip(ks, levels):
+        for k, (e, head, *_) in zip(ks, levels):
             q = head >> (k + 1)
             assert e == bit_reverse(q, plan.m - 1), (ell, q)
+
+
+def test_branch_levels_runs_cover_each_partial_block_pair_once(field):
+    # across a level's two runs, every pair (j, j + 2^k) of the partial
+    # block appears once, a slot j >= l at its mirror j - 2^(m-1); dist > 0
+    # says the block has a tail, l > head + 2^k
+    lengths = list(range(2, 4097))
+    lengths += [(1 << k) + d for k in range(13, 18) for d in (-1, 0, 1, 5)]
+    for ell in lengths:
+        plan = make_plan(field, ell)
+        half_len = 1 << (plan.m - 1)
+        ks = range(plan.v, plan.m - 1)
+        for k, (_, lo, hi, dist, lo2, hi2, dist2) in zip(ks, branch_levels(plan, ks)):
+            size = 1 << k
+            head = ell >> (k + 1) << (k + 1)
+            assert lo == head and (dist > 0) == (ell > head + size), (ell, k)
+            # a pair (x, y) as the one int x * 2^32 + y, so numpy sorts them
+            kept = np.arange(head, head + 2 * size, dtype=np.int64)
+            kept[kept >= ell] -= half_len
+            want = np.sort(kept[:size] << 32 | kept[size:])
+            ran = np.concatenate([np.arange(lo, hi), np.arange(lo2, hi2)]).astype(np.int64)
+            step = np.repeat([dist, dist2], [max(hi - lo, 0), max(hi2 - lo2, 0)])
+            got = np.sort(ran << 32 | ran + step)
+            assert np.array_equal(got, want), (ell, k)
 
 
 class _BranchCalls:
