@@ -49,19 +49,26 @@ def _read_text(path: str | None) -> str:
         return handle.read()
 
 
-def _parse_residues(tokens, modulus: int) -> list[int]:
-    values = []
-    for token in tokens:
+def _parse_residues(tokens: list, modulus: int) -> list[int]:
+    # in place: each token gives way to its value, and the list is returned
+    for i, token in enumerate(tokens):
         if not (token.isascii() and token.isdigit()):
             raise ValueError(f"not a decimal integer: {token!r}")
         value = int(token)
         if not 0 <= value < modulus:
             raise ValueError(f"{value} is not a residue mod {modulus}")
-        values.append(value)
-    return values
+        tokens[i] = value
+    return tokens
 
 
-_RUN = 1024  # values formatted per write
+def _drain(values: list):
+    # values in order, each dropped from the list as it is read
+    values.reverse()
+    while values:
+        yield values.pop()
+
+
+_RUN = 128  # values formatted per write
 
 
 def _write_values(values, sep: str) -> None:
@@ -75,20 +82,20 @@ def _write_values(values, sep: str) -> None:
 # tft, itft and mul check their input in order and report the first problem
 # as a usage error: a bad modulus or length, an unreadable file (OSError, or
 # UnicodeDecodeError, a ValueError), a wrong count, a bad token, or a
-# product longer than the field's transform capacity.  The text and its
-# tokens, and mul's factors, are dropped once used: the transform and the
-# output run with the buffers alone.
+# product longer than the field's transform capacity.  The text is dropped
+# once split, each token gives way to its value in the same list, and mul
+# hands its factors to the product one value at a time: the transform and
+# the output run with the buffers alone.
 
 
 def cmd_transform(opts) -> int:
     try:
         field = PrimeField.from_modulus(opts["modulus"])
         plan = make_plan(field, opts["length"])
-        tokens = _read_text(opts["input"]).split()
-        if len(tokens) != opts["length"]:
-            raise ValueError(f"expected {opts['length']} values, got {len(tokens)}")
-        buffer = _parse_residues(tokens, field.modulus)
-        del tokens
+        buffer = _read_text(opts["input"]).split()
+        if len(buffer) != opts["length"]:
+            raise ValueError(f"expected {opts['length']} values, got {len(buffer)}")
+        _parse_residues(buffer, field.modulus)
     except (OSError, ValueError) as exc:
         return _usage_error(str(exc))
     if opts["command"] == "itft":
@@ -110,8 +117,7 @@ def cmd_mul(opts) -> int:
         del lines
         if not f or not g:
             raise ValueError("coefficient lines must be nonempty")
-        product = tft_polymul(f, g, field)
-        del f, g
+        product = tft_polymul(_drain(f), _drain(g), field)
     except (OSError, ValueError) as exc:
         return _usage_error(str(exc))
     _write_values(product, " ")

@@ -20,26 +20,35 @@ def tft_polymul(f, g, field, ring=None) -> list[int]:
 
     Coefficients may be any integer-like values (anything with
     __index__, such as numpy integers); they are reduced mod p first.
+    f and g may be any iterables, each read once and never changed, so
+    a generator that gives up its values as they are read lets the
+    caller's copy go while the transform buffers fill.  Since the
+    factors are read before they are checked, a non-integer coefficient
+    raises TypeError before the ValueError of an empty factor or of a
+    product beyond capacity.
 
     The output length must not exceed the field's transform capacity
     2^two_adicity.  ring defaults to the field itself; pass a counting
     ring to measure the cost.
     """
-    if len(f) == 0 or len(g) == 0:
-        raise ValueError("inputs must be nonempty")
     if ring is None:
         ring = field
     p = field.modulus
-    ell = len(f) + len(g) - 1
-    plan = make_plan(field, ell)
     # index(), unlike int(), rejects floats instead of truncating them
-    fbuf = [index(x) % p for x in f] + [0] * (ell - len(f))
-    gbuf = [index(x) % p for x in g] + [0] * (ell - len(g))
+    fbuf = [index(x) % p for x in f]
+    gbuf = [index(x) % p for x in g]
+    if not fbuf or not gbuf:
+        raise ValueError("inputs must be nonempty")
+    ell = len(fbuf) + len(gbuf) - 1
+    plan = make_plan(field, ell)
+    fbuf += [0] * (ell - len(fbuf))
+    gbuf += [0] * (ell - len(gbuf))
     tft_in_place(plan, fbuf, ring)
     tft_in_place(plan, gbuf, ring)
     mul = ring.mul
     for i in range(ell):
         fbuf[i] = mul(fbuf[i], gbuf[i])
+    del gbuf
     itft_in_place(plan, fbuf, ring)
     return fbuf
 

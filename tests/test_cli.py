@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import tftkit
-from tftkit.cli import CSV_HEADER, main, xorshift64star
+from tftkit.cli import _RUN, CSV_HEADER, main, xorshift64star
 from tftkit.instrumentation import OpCounters
 from tftkit.itft import itft_in_place
 from tftkit.polymul import tft_polymul
@@ -236,7 +236,11 @@ def _residues(rng, p, n):
     return [rng.randrange(p) for _ in range(n)]
 
 
-@pytest.mark.parametrize("ell", [1024, 2500])
+# output lengths on either side of one and two write runs
+RUN_BOUNDARIES = [_RUN - 1, _RUN, _RUN + 1, 2 * _RUN + 1]
+
+
+@pytest.mark.parametrize("ell", sorted({1024, 2500, *RUN_BOUNDARIES}))
 @pytest.mark.parametrize(
     "command, kernel", [("tft", tft_in_place), ("itft", itft_in_place)], ids=["tft", "itft"]
 )
@@ -251,9 +255,13 @@ def test_transform_output_across_write_runs(field, monkeypatch, capsys, command,
     assert out == "".join(f"{value}\n" for value in data)
 
 
-@pytest.mark.parametrize("sizes", [(1024, 1024), (1024, 1025)])
+@pytest.mark.parametrize(
+    "sizes",
+    [(1024, 1024), (1024, 1025)] + [(ell // 2 + 1, ell - ell // 2) for ell in RUN_BOUNDARIES],
+)
 def test_mul_output_across_write_runs(field, monkeypatch, capsys, sizes):
-    # products of 2047 and 2048 coefficients, on one space-separated line
+    # products of 2047 and 2048 coefficients, and of the run boundaries'
+    # lengths, on one space-separated line
     rng = random.Random(sum(sizes))
     f, g = (_residues(rng, field.modulus, n) for n in sizes)
     text = " ".join(map(str, f)) + "\n" + " ".join(map(str, g)) + "\n"

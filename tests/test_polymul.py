@@ -24,12 +24,69 @@ def test_rejects_empty_inputs(f17):
         tft_polymul([], [1], f17)
     with pytest.raises(ValueError):
         tft_polymul([1], [], f17)
+    for f, g in ((iter([]), [1]), ([1, 2], (x for x in ()))):
+        with pytest.raises(ValueError, match="inputs must be nonempty"):
+            tft_polymul(f, g, f17)
 
 
 def test_inputs_survive(f17):
     f, g = [1, 2], [3, 4, 5]
     tft_polymul(f, g, f17)
     assert f == [1, 2] and g == [3, 4, 5]
+    f, g = list(range(40, 26, -1)), [16, 17, 18]  # unreduced, and padded to 16
+    tft_polymul(f, g, f17)
+    assert f == list(range(40, 26, -1)) and g == [16, 17, 18]
+
+
+class _CountingIterable:
+    """An iterable that counts how often it is iterated and read."""
+
+    def __init__(self, values):
+        self.values = values
+        self.iterations = self.reads = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        for value in self.values:
+            self.reads += 1
+            yield value
+
+
+def _read_once_shapes():
+    yield 1, 1
+    for n in (2, 3, 17, 300):
+        yield 1, n
+        yield n, 1
+    yield from ((2, 299), (299, 2), (5, 300), (300, 7), (64, 237), (300, 300))
+
+
+def test_any_iterable_gives_the_list_product(field):
+    # tft_polymul reads each factor once, so generators and iterators,
+    # which can be read only once, give the product of the same lists
+    rng = random.Random(43)
+    p = field.modulus
+    for size_f, size_g in _read_once_shapes():
+        f = [rng.randrange(p) for _ in range(size_f)]
+        g = [rng.randrange(p) for _ in range(size_g)]
+        want = tft_polymul(f, g, field)
+        assert want == naive_polymul(field, f, g), (size_f, size_g)
+        assert tft_polymul((x for x in f), iter(g), field) == want, (size_f, size_g)
+        assert tft_polymul(iter(f), (x for x in g), field) == want, (size_f, size_g)
+        counted = _CountingIterable(f), _CountingIterable(g)
+        assert tft_polymul(*counted, field) == want, (size_f, size_g)
+        assert [(c.iterations, c.reads) for c in counted] == [(1, size_f), (1, size_g)]
+
+
+def test_type_error_comes_before_value_errors(f17):
+    # the factors are read before they are checked: a non-integer
+    # coefficient is reported first, even beside an empty factor or in a
+    # product beyond f17's capacity of 16 coefficients
+    with pytest.raises(ValueError):
+        tft_polymul([1] * 20, [1], f17)
+    with pytest.raises(TypeError):
+        tft_polymul([1] * 19 + [1.5], [1], f17)
+    with pytest.raises(TypeError):
+        tft_polymul([1.5], [], f17)
 
 
 def test_output_length(field):
