@@ -61,6 +61,43 @@ def _parse_residues(tokens: list, modulus: int) -> list[int]:
     return tokens
 
 
+_CHUNK = 4096  # characters tft and itft read at a time
+
+
+def _read_residues(path: str | None, length: int, modulus: int) -> list[int]:
+    # the text a chunk at a time, each chunk's tokens converted into a list
+    # of length values; a token cut at a chunk's end is carried into the
+    # next, and after a bad token the rest is only counted, so that a wrong
+    # count is still reported first
+    handle = sys.stdin if path is None else open(path, "r", encoding="ascii")
+    buffer, count, problem, carry = [0] * length, 0, None, ""
+    try:
+        while True:
+            chunk = handle.read(_CHUNK)
+            tokens = (carry + chunk).split()
+            carry = tokens.pop() if chunk and not chunk[-1].isspace() else ""
+            if problem is None and count + len(tokens) <= length:
+                try:
+                    buffer[count : count + len(tokens)] = _parse_residues(tokens, modulus)
+                except ValueError as exc:
+                    problem = str(exc)
+            count += len(tokens)
+            if not chunk:
+                break
+    except UnicodeDecodeError:
+        if path is not None:
+            _read_text(path)  # the same error, placed in the whole file
+        raise
+    finally:
+        if path is not None:
+            handle.close()
+    if count != length:
+        raise ValueError(f"expected {length} values, got {count}")
+    if problem is not None:
+        raise ValueError(problem)
+    return buffer
+
+
 def _drain(values: list):
     # values in order, each dropped from the list as it is read
     values.reverse()
@@ -82,20 +119,18 @@ def _write_values(values, sep: str) -> None:
 # tft, itft and mul check their input in order and report the first problem
 # as a usage error: a bad modulus or length, an unreadable file (OSError, or
 # UnicodeDecodeError, a ValueError), a wrong count, a bad token, or a
-# product longer than the field's transform capacity.  The text is dropped
-# once split, each token gives way to its value in the same list, and mul
-# hands its factors to the product one value at a time: the transform and
-# the output run with the buffers alone.
+# product longer than the field's transform capacity.  tft and itft read
+# their text in bounded chunks straight into the buffer; mul drops its text
+# once split, each token gives way to its value in the same list, and its
+# factors pass to the product one value at a time: the transform and the
+# output run with the buffers alone.
 
 
 def cmd_transform(opts) -> int:
     try:
         field = PrimeField.from_modulus(opts["modulus"])
         plan = make_plan(field, opts["length"])
-        buffer = _read_text(opts["input"]).split()
-        if len(buffer) != opts["length"]:
-            raise ValueError(f"expected {opts['length']} values, got {len(buffer)}")
-        _parse_residues(buffer, field.modulus)
+        buffer = _read_residues(opts["input"], opts["length"], field.modulus)
     except (OSError, ValueError) as exc:
         return _usage_error(str(exc))
     if opts["command"] == "itft":
@@ -168,16 +203,18 @@ def cmd_selftest(opts) -> int:
 
 # Each selftest family checks lengths 1..max_len, drawing its inputs from
 # the shared stream in turn, and returns the first failure's detail or None.
+# It drops a length's lists before drawing the next length's.
 
 
 def _check_oracle(field, rng, max_len: int) -> str | None:
     for ell in range(1, max_len + 1):
         plan = make_plan(field, ell)
-        data = [next(rng) % field.modulus for _ in range(ell)]
-        buffer = list(data)
+        buffer = [next(rng) % field.modulus for _ in range(ell)]
+        expected = naive_tft(field, plan.psi, ell, buffer)
         tft_in_place(plan, buffer)
-        if buffer != naive_tft(field, plan.psi, ell, data):
+        if buffer != expected:
             return f"length {ell}: forward transform disagrees with direct evaluation"
+        del buffer, expected
     return None
 
 
@@ -194,6 +231,7 @@ def _check_round_trip(field, rng, max_len: int) -> str | None:
         tft_in_place(plan, buffer)
         if buffer != data:
             return f"length {ell}: forward(inverse) is not the identity"
+        del data, buffer
     return None
 
 
@@ -208,6 +246,7 @@ def _check_access(field, rng, max_len: int) -> str | None:
             pass
         if audited.oob:
             return f"length {ell}: transform touched an index outside [0, {ell})"
+        del audited
     return None
 
 

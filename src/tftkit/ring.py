@@ -75,7 +75,9 @@ additions.  An axpy,
 park or recombine entry is one product by a root power and one
 addition, a restore or double entry the same product and two additions
 (a doubling is an addition), and a scale entry one product by a power
-of 2^-1.  Every full butterfly outside a radix-4 call is a radix-2 run
+of 2^-1.  ``PrimeField.restore`` forms 2a once per run, so it executes
+one addition per entry fewer than the model charges; the counts stay
+the model's.  Every full butterfly outside a radix-4 call is a radix-2 run
 with one twiddle: the blocks a level pair does not cover (a leftover
 half block, an unpaired top level) and the rightmost-branch passes'
 full runs.  Only the prime-field instantiation

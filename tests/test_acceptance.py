@@ -278,8 +278,10 @@ def test_scratch_space_is_constant(field):
 # output as one string, and 377,600 and 55,800 once it did neither; with
 # the tokens converted in place, mul's factors handed to the product one
 # value at a time and runs of 128 values, it reads 268,700 and 37,300
-# (limits were 540,000 and 64,000)
-CLI_SCRATCH_LIMITS = {"tft": 300_000, "itft": 300_000, "mul": 42_000}
+# (limits were 540,000 and 64,000); with tft and itft reading their text
+# in chunks of 4096 characters straight into the buffer, tft and itft
+# read 172,900, bound by the output phase (tft, itft limit was 300,000)
+CLI_SCRATCH_LIMITS = {"tft": 200_000, "itft": 200_000, "mul": 42_000}
 
 
 def test_cli_scratch_is_bounded(field, monkeypatch):
@@ -318,6 +320,43 @@ def test_cli_scratch_is_bounded(field, monkeypatch):
         "cli scratch",
         f"tft, itft at l=4096 and mul at 256 x 256: {readings} B above the output "
         f"(limits {CLI_SCRATCH_LIMITS}) ({elapsed:.1f}s)",
+    )
+
+
+# bytes above the output; selftest read 9,800-9,850 at --max 64 while each
+# family kept the previous length's lists and the oracle family a third
+# copy of its input, and 6,850-7,000 once they held one length's input
+# and one working copy
+SELFTEST_SCRATCH_LIMIT = 7_500
+SELFTEST_SEEDS = (0, 11, 12, 2026)
+
+
+def test_selftest_scratch_is_bounded():
+    # The selftest's own checks stay within one length's data: each family
+    # holds the drawn input and one working copy, and drops both before
+    # the next length.
+    argv = ["selftest", "--max", "64", "--seed"]
+    with redirect_stdout(io.StringIO()):
+        main(argv + ["0"])  # imports and first-use allocations stay untraced
+    readings = {}
+    start = time.perf_counter()
+    for seed in SELFTEST_SEEDS:
+        with redirect_stdout(io.StringIO()):
+            _refill_free_lists()
+            tracemalloc.start()
+            try:
+                code = main(argv + [str(seed)])
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0, seed
+        readings[seed] = peak - current
+    elapsed = time.perf_counter() - start
+    _verdict(
+        max(readings.values()) <= SELFTEST_SCRATCH_LIMIT,
+        "selftest scratch",
+        f"--max 64 at seeds {SELFTEST_SEEDS}: {readings} B above the output "
+        f"(limit {SELFTEST_SCRATCH_LIMIT} B) ({elapsed:.1f}s)",
     )
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import tftkit
-from tftkit.cli import _RUN, CSV_HEADER, main, xorshift64star
+from tftkit.cli import _CHUNK, _RUN, CSV_HEADER, _read_residues, main, xorshift64star
 from tftkit.instrumentation import OpCounters
 from tftkit.itft import itft_in_place
 from tftkit.polymul import tft_polymul
@@ -173,16 +173,30 @@ def _token_soup(rng):
     return argv, "".join(pieces)
 
 
+def _long_token_soup(rng):
+    # tft or itft input over one to three read chunks: residues with junk at
+    # one of three rates, and a --length that is mostly the token count
+    command = rng.choice(("tft", "itft"))
+    junk = rng.choice((0, 0.001, 0.05))
+    separators = _SEPARATORS if junk else tuple(sep for sep in _SEPARATORS if sep)
+    pieces, size = [], rng.randrange(_CHUNK + 1, 3 * _CHUNK)
+    while size > 0:
+        piece = rng.choice(_JUNK) if rng.random() < junk else str(rng.randrange(998244353))
+        pieces += (piece, rng.choice(separators))
+        size -= len(pieces[-2]) + len(pieces[-1])
+    text = "".join(pieces)
+    return [command, "--length", str(len(text.split()) + rng.choice((0, 0, 0, -1, 1)))], text
+
+
 def test_every_input_gets_a_documented_exit_code(monkeypatch, capsys):
     # random token soups for the commands that read residues, random option
-    # soups for all five: each exits 0, 1 or 2 without an exception, and a
-    # usage error writes no data and one error line
+    # soups for all five, and soups longer than one read chunk for tft and
+    # itft: each exits 0, 1 or 2 without an exception, and a usage error
+    # writes no data and one error line
     rng = random.Random(2026)
-    for case in range(5000):
-        if case % 2:
-            argv, text = _token_soup(rng)
-        else:
-            argv, text = _option_soup(rng), "1 2 3"
+    cases = [_token_soup(rng) if case % 2 else (_option_soup(rng), "1 2 3") for case in range(5000)]
+    cases += [_long_token_soup(rng) for _ in range(200)]
+    for argv, text in cases:
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         code = main(argv)
         out, err = capsys.readouterr()
@@ -230,6 +244,79 @@ def test_mul_input_errors(tmp_path, monkeypatch, capsys):
     code = main(["mul", "--modulus", "17", "--input", str(src)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+# tft and itft read their text _CHUNK characters at a time; the buffer is
+# the whole text's tokens wherever the chunk ends fall
+def _digits(n):
+    # n characters of one-digit tokens, ending in a digit
+    return "1 " * ((n - 1) // 2) + "1" * (2 - n % 2)
+
+
+def _assert_reads_as_split(text, monkeypatch, tmp_path):
+    expected = [int(token) for token in text.split()]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert _read_residues(None, len(expected), 998244353) == expected
+    if text.isascii():
+        src = tmp_path / "in.txt"
+        src.write_text(text, encoding="ascii", newline="")
+        assert _read_residues(str(src), len(expected), 998244353) == expected
+
+
+@pytest.mark.parametrize("offset", range(-9, 1))
+def test_a_token_across_a_chunk_end(monkeypatch, tmp_path, offset):
+    # a nine-digit token starting 9..0 characters before the first chunk's
+    # end, and the same two chunks later
+    for chunks in (1, 3):
+        head = _digits(chunks * _CHUNK + offset - 1) + " "
+        _assert_reads_as_split(head + "123456789 " + _digits(_CHUNK), monkeypatch, tmp_path)
+
+
+@pytest.mark.parametrize("offset", [-1, 0])
+@pytest.mark.parametrize("sep", ["\r\n", "\x1c", "\x85", "\xa0", "\n", "  "])
+def test_a_separator_at_a_chunk_end(monkeypatch, tmp_path, sep, offset):
+    # the separator starts on the first chunk's last character or the next
+    # chunk's first, right after a token
+    text = _digits(_CHUNK + offset) + sep + "42" + " 9" * _CHUNK
+    _assert_reads_as_split(text, monkeypatch, tmp_path)
+
+
+def test_text_without_a_trailing_newline(monkeypatch, tmp_path):
+    for size in (3 * _CHUNK - 1, 3 * _CHUNK, 3 * _CHUNK + 17):
+        _assert_reads_as_split(_digits(size), monkeypatch, tmp_path)
+
+
+def test_a_token_longer_than_a_chunk(monkeypatch, tmp_path):
+    # leading zeros keep a long token a residue: it spans three chunks, and
+    # one that fills the whole text spans two
+    long = "0" * (_CHUNK + 150) + "5"
+    _assert_reads_as_split(_digits(_CHUNK - 50) + " " + long + " 8 13", monkeypatch, tmp_path)
+    _assert_reads_as_split(long, monkeypatch, tmp_path)
+
+
+def test_chunked_input_errors_keep_their_order(tmp_path, monkeypatch, capsys):
+    # a wrong count before a bad token, wherever the token is; a bad token
+    # in a later chunk; an unreadable file before both, with the byte's
+    # position in the whole file
+    tokens = ["7"] * (3 * _CHUNK // 2)
+    late = len(tokens) - 5  # in the third chunk
+    ell = str(len(tokens))
+    for at, bad, message in (
+        (late, "x", "not a decimal integer: 'x'"),
+        (late, "998244353", "998244353 is not a residue mod 998244353"),
+        (3, "x", "not a decimal integer: 'x'"),
+    ):
+        text = " ".join(tokens[:at] + [bad] + tokens[at + 1 :])
+        for length, expected in ((ell, message), (str(len(tokens) + 1), f"expected {int(ell) + 1} values, got {ell}")):
+            assert run_cli(["tft", "--length", length], text, monkeypatch) == 2
+            assert capsys.readouterr() == ("", f"error: {expected}\n")
+    data = bytearray(" ".join(["x"] + tokens[1:]), "ascii")
+    data[2 * late] = 0xFF
+    src = tmp_path / "in.txt"
+    src.write_bytes(bytes(data))
+    assert main(["itft", "--length", "5", "--input", str(src)]) == 2
+    error = f"'ascii' codec can't decode byte 0xff in position {2 * late}: ordinal not in range(128)"
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def _residues(rng, p, n):

@@ -1,16 +1,19 @@
 """Print where the CLI's traced scratch peaks: the parse, compute and
-output phases of one tft, itft or mul run.
+output phases of one tft, itft or mul run, or each family of a selftest.
 
-The command runs in process on seeded random residues, as in the CLI
-scratch gate of tests/test_acceptance.py: stdin and stdout are in-memory
-text, and the interpreter's free lists are refilled before tracing.
-Each phase's peak is given in bytes above what the command leaves held
-(its output, kept in memory), so the largest of the three is the gate's
+The command runs in process, as in the CLI and selftest scratch gates of
+tests/test_acceptance.py: stdin (seeded random residues) and stdout are
+in-memory text, and the interpreter's free lists are refilled before
+tracing.  Each phase's peak is given in bytes above what the command
+leaves held (its output, kept in memory), so the largest is the gate's
 reading.  Parse runs until the compute call (the kernel, or tft_polymul
 for mul), compute until the first _write_values call, output to the end.
+A selftest's start runs until its first family, and each family until
+the next one's call (the last to the end).
 
 Usage: python tools/cli_scratch.py tft|itft L [SEED]
        python tools/cli_scratch.py mul N [SEED]     (two N-coefficient factors)
+       python tools/cli_scratch.py selftest N [SEED]   (--max N --seed SEED)
 """
 
 import io
@@ -36,15 +39,7 @@ def refill_free_lists():
 
 
 def run(command, n, seed, traced):
-    rng = random.Random(seed)
-
-    def line():
-        return " ".join(str(rng.randrange(cli.DEFAULT_MODULUS)) for _ in range(n))
-
-    if command == "mul":
-        argv, text = ["mul"], f"{line()}\n{line()}\n"
-    else:
-        argv, text = [command, "--length", str(n)], line()
+    """Each phase's name and traced peak, in bytes above the output."""
     peaks = []
 
     def entered(fn):
@@ -57,13 +52,29 @@ def run(command, n, seed, traced):
 
         return call
 
-    names = (COMPUTE[command], "_write_values")
-    saved = {name: getattr(cli, name) for name in names}
+    if command == "selftest":
+        argv, text = ["selftest", "--max", str(n), "--seed", str(seed)], ""
+        families = cli._SELFTEST_FAMILIES
+        patches = {"_SELFTEST_FAMILIES": tuple((name, entered(check)) for name, check in families)}
+        names = ("start", *(name for name, _ in families))
+    else:
+        rng = random.Random(seed)
+
+        def line():
+            return " ".join(str(rng.randrange(cli.DEFAULT_MODULUS)) for _ in range(n))
+
+        if command == "mul":
+            argv, text = ["mul"], f"{line()}\n{line()}\n"
+        else:
+            argv, text = [command, "--length", str(n)], line()
+        patches = {name: entered(getattr(cli, name)) for name in (COMPUTE[command], "_write_values")}
+        names = ("parse", "compute", "output")
+    saved = {name: getattr(cli, name) for name in patches}
     stdin = sys.stdin
     sys.stdin = io.StringIO(text)
     try:
-        for name in names:
-            setattr(cli, name, entered(saved[name]))
+        for name, value in patches.items():
+            setattr(cli, name, value)
         with redirect_stdout(io.StringIO()):
             if traced:
                 refill_free_lists()
@@ -79,21 +90,22 @@ def run(command, n, seed, traced):
             setattr(cli, name, fn)
     if code != 0:
         raise SystemExit(f"{command} exited {code}")
-    return [value - current for value in peaks + [peak]]
+    return dict(zip(names, (value - current for value in peaks + [peak])))
 
 
 def main(argv) -> None:
-    if len(argv) not in (3, 4) or argv[1] not in COMPUTE:
+    if len(argv) not in (3, 4) or argv[1] not in (*COMPUTE, "selftest"):
         raise SystemExit(__doc__.split("Usage: ")[1])
     command, n = argv[1], int(argv[2])
     seed = int(argv[3]) if len(argv) > 3 else 0
     run(command, n, seed, traced=False)  # first-use allocations stay out of the reading
-    phases = dict(zip(("parse", "compute", "output"), run(command, n, seed, traced=True)))
-    shape = f"{n} x {n}" if command == "mul" else f"l = {n}"
+    phases = run(command, n, seed, traced=True)
+    shape = {"mul": f"{n} x {n}", "selftest": f"--max {n} --seed {seed}"}.get(command, f"l = {n}")
+    width = max(map(len, phases))
     print(f"{command} at {shape}, bytes above the output:")
     for phase, value in phases.items():
-        print(f"  {phase:8} {value:>12,}")
-    print(f"  {'peak':8} {max(phases.values()):>12,}  ({max(phases, key=phases.get)})")
+        print(f"  {phase:{width}} {value:>12,}")
+    print(f"  {'peak':{width}} {max(phases.values()):>12,}  ({max(phases, key=phases.get)})")
 
 
 if __name__ == "__main__":
