@@ -61,43 +61,6 @@ def _parse_residues(tokens: list, modulus: int) -> list[int]:
     return tokens
 
 
-_CHUNK = 4096  # characters tft and itft read at a time
-
-
-def _read_residues(path: str | None, length: int, modulus: int) -> list[int]:
-    # the text a chunk at a time, each chunk's tokens converted into a list
-    # of length values; a token cut at a chunk's end is carried into the
-    # next, and after a bad token the rest is only counted, so that a wrong
-    # count is still reported first
-    handle = sys.stdin if path is None else open(path, "r", encoding="ascii")
-    buffer, count, problem, carry = [0] * length, 0, None, ""
-    try:
-        while True:
-            chunk = handle.read(_CHUNK)
-            tokens = (carry + chunk).split()
-            carry = tokens.pop() if chunk and not chunk[-1].isspace() else ""
-            if problem is None and count + len(tokens) <= length:
-                try:
-                    buffer[count : count + len(tokens)] = _parse_residues(tokens, modulus)
-                except ValueError as exc:
-                    problem = str(exc)
-            count += len(tokens)
-            if not chunk:
-                break
-    except UnicodeDecodeError:
-        if path is not None:
-            _read_text(path)  # the same error, placed in the whole file
-        raise
-    finally:
-        if path is not None:
-            handle.close()
-    if count != length:
-        raise ValueError(f"expected {length} values, got {count}")
-    if problem is not None:
-        raise ValueError(problem)
-    return buffer
-
-
 def _drain(values: list):
     # values in order, each dropped from the list as it is read
     values.reverse()
@@ -117,20 +80,22 @@ def _write_values(values, sep: str) -> None:
 
 
 # tft, itft and mul check their input in order and report the first problem
-# as a usage error: a bad modulus or length, an unreadable file (OSError, or
-# UnicodeDecodeError, a ValueError), a wrong count, a bad token, or a
+# as a usage error: a bad modulus or length, unreadable input (OSError, or
+# bytes that do not decode, a ValueError), a wrong count, a bad token, or a
 # product longer than the field's transform capacity.  tft and itft read
-# their text in bounded chunks straight into the buffer; mul drops its text
+# their text in bounded chunks straight onto the buffer; mul drops its text
 # once split, each token gives way to its value in the same list, and its
 # factors pass to the product one value at a time: the transform and the
 # output run with the buffers alone.
 
 
 def cmd_transform(opts) -> int:
+    from ._reader import read_residues  # here, so that only tft and itft compile it
+
     try:
         field = PrimeField.from_modulus(opts["modulus"])
         plan = make_plan(field, opts["length"])
-        buffer = _read_residues(opts["input"], opts["length"], field.modulus)
+        buffer = read_residues(opts["input"], opts["length"], field.modulus)
     except (OSError, ValueError) as exc:
         return _usage_error(str(exc))
     if opts["command"] == "itft":

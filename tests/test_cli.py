@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import tftkit
-from tftkit.cli import _CHUNK, _RUN, CSV_HEADER, _read_residues, main, xorshift64star
+from tftkit._reader import CHUNK, read_residues
+from tftkit.cli import _RUN, CSV_HEADER, main, xorshift64star
 from tftkit.instrumentation import OpCounters
 from tftkit.itft import itft_in_place
 from tftkit.polymul import tft_polymul
@@ -179,7 +180,7 @@ def _long_token_soup(rng):
     command = rng.choice(("tft", "itft"))
     junk = rng.choice((0, 0.001, 0.05))
     separators = _SEPARATORS if junk else tuple(sep for sep in _SEPARATORS if sep)
-    pieces, size = [], rng.randrange(_CHUNK + 1, 3 * _CHUNK)
+    pieces, size = [], rng.randrange(CHUNK + 1, 3 * CHUNK)
     while size > 0:
         piece = rng.choice(_JUNK) if rng.random() < junk else str(rng.randrange(998244353))
         pieces += (piece, rng.choice(separators))
@@ -246,21 +247,25 @@ def test_mul_input_errors(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-# tft and itft read their text _CHUNK characters at a time; the buffer is
-# the whole text's tokens wherever the chunk ends fall
+# tft and itft read their input CHUNK bytes (characters of a text stream)
+# at a time; the buffer is the whole text's tokens wherever the chunk ends
+# fall
 def _digits(n):
     # n characters of one-digit tokens, ending in a digit
     return "1 " * ((n - 1) // 2) + "1" * (2 - n % 2)
 
 
 def _assert_reads_as_split(text, monkeypatch, tmp_path):
+    # from a text stream, from bytes on stdin (a multibyte separator may
+    # then straddle a chunk end), and from an ASCII file
     expected = [int(token) for token in text.split()]
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-    assert _read_residues(None, len(expected), 998244353) == expected
+    for stdin in (io.StringIO(text), io.TextIOWrapper(io.BytesIO(text.encode()), "utf-8")):
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert read_residues(None, len(expected), 998244353) == expected
     if text.isascii():
         src = tmp_path / "in.txt"
         src.write_text(text, encoding="ascii", newline="")
-        assert _read_residues(str(src), len(expected), 998244353) == expected
+        assert read_residues(str(src), len(expected), 998244353) == expected
 
 
 @pytest.mark.parametrize("offset", range(-9, 1))
@@ -268,8 +273,8 @@ def test_a_token_across_a_chunk_end(monkeypatch, tmp_path, offset):
     # a nine-digit token starting 9..0 characters before the first chunk's
     # end, and the same two chunks later
     for chunks in (1, 3):
-        head = _digits(chunks * _CHUNK + offset - 1) + " "
-        _assert_reads_as_split(head + "123456789 " + _digits(_CHUNK), monkeypatch, tmp_path)
+        head = _digits(chunks * CHUNK + offset - 1) + " "
+        _assert_reads_as_split(head + "123456789 " + _digits(CHUNK), monkeypatch, tmp_path)
 
 
 @pytest.mark.parametrize("offset", [-1, 0])
@@ -277,20 +282,20 @@ def test_a_token_across_a_chunk_end(monkeypatch, tmp_path, offset):
 def test_a_separator_at_a_chunk_end(monkeypatch, tmp_path, sep, offset):
     # the separator starts on the first chunk's last character or the next
     # chunk's first, right after a token
-    text = _digits(_CHUNK + offset) + sep + "42" + " 9" * _CHUNK
+    text = _digits(CHUNK + offset) + sep + "42" + " 9" * CHUNK
     _assert_reads_as_split(text, monkeypatch, tmp_path)
 
 
 def test_text_without_a_trailing_newline(monkeypatch, tmp_path):
-    for size in (3 * _CHUNK - 1, 3 * _CHUNK, 3 * _CHUNK + 17):
+    for size in (3 * CHUNK - 1, 3 * CHUNK, 3 * CHUNK + 17):
         _assert_reads_as_split(_digits(size), monkeypatch, tmp_path)
 
 
 def test_a_token_longer_than_a_chunk(monkeypatch, tmp_path):
     # leading zeros keep a long token a residue: it spans three chunks, and
     # one that fills the whole text spans two
-    long = "0" * (_CHUNK + 150) + "5"
-    _assert_reads_as_split(_digits(_CHUNK - 50) + " " + long + " 8 13", monkeypatch, tmp_path)
+    long = "0" * (CHUNK + 150) + "5"
+    _assert_reads_as_split(_digits(CHUNK - 50) + " " + long + " 8 13", monkeypatch, tmp_path)
     _assert_reads_as_split(long, monkeypatch, tmp_path)
 
 
@@ -298,7 +303,7 @@ def test_chunked_input_errors_keep_their_order(tmp_path, monkeypatch, capsys):
     # a wrong count before a bad token, wherever the token is; a bad token
     # in a later chunk; an unreadable file before both, with the byte's
     # position in the whole file
-    tokens = ["7"] * (3 * _CHUNK // 2)
+    tokens = ["7"] * (3 * CHUNK // 2)
     late = len(tokens) - 5  # in the third chunk
     ell = str(len(tokens))
     for at, bad, message in (
@@ -317,6 +322,61 @@ def test_chunked_input_errors_keep_their_order(tmp_path, monkeypatch, capsys):
     assert main(["itft", "--length", "5", "--input", str(src)]) == 2
     error = f"'ascii' codec can't decode byte 0xff in position {2 * late}: ordinal not in range(128)"
     assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def test_a_wrong_length_is_reported_before_any_buffer_is_made(monkeypatch, capsys):
+    # the buffer grows with the input, not with --length.  At the default
+    # field's 2^23 a buffer made first would trace 64 MiB, so that is
+    # checked first; only then the Goldilocks prime's 2^32, where it would
+    # take 32 GiB
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1 2 3"))
+    tracemalloc.start()
+    try:
+        code = main(["tft", "--length", str(1 << 23)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, *capsys.readouterr()) == (2, "", f"error: expected {1 << 23} values, got 3\n")
+    assert peak < 1 << 20, peak
+    argv = ["tft", "--modulus", "18446744069414584321", "--length", str(1 << 32)]
+    assert run_cli(argv, "1 2 3", monkeypatch) == 2
+    assert capsys.readouterr() == ("", f"error: expected {1 << 32} values, got 3\n")
+
+
+def test_text_without_whitespace_reads_in_linear_time(monkeypatch, capsys):
+    # a token that never ends is kept as pieces and joined once, so 2 MB of
+    # comma-separated values cost one pass (about 15 ms), not one per chunk
+    # (about 0.8 s when each chunk was joined to the text before it)
+    text = ",".join(["7"] * 1_000_000)
+    for stdin in (io.StringIO(text), io.TextIOWrapper(io.BytesIO(text.encode()), "utf-8")):
+        monkeypatch.setattr(sys, "stdin", stdin)
+        start = time.perf_counter()
+        assert main(["tft", "--length", "3"]) == 2
+        elapsed = time.perf_counter() - start
+        assert capsys.readouterr() == ("", "error: expected 3 values, got 1\n")
+        assert elapsed < 0.25, elapsed
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+def test_stdin_bytes_are_decoded_as_a_whole_read_would(monkeypatch, capsys, errors):
+    # bad bytes past the first chunks, a sequence cut by a chunk end, and
+    # one cut by the end of the input: a strict stdin names each at its
+    # position in the whole input, as one read of it would
+    head = b"1 " * (4 * CHUNK // 2)
+    for data in (
+        head + b"\xff 2",
+        head[:-1] + b"\xe2\x28 2",
+        head[:-2] + b"\xc2\xa0\xe2\x82\xac 2",
+        head[: CHUNK + 1] + b"\xe2\x82",
+    ):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8", errors))
+        code = main(["tft", "--length", str(len(data.split()))])
+        try:
+            bad = next(token for token in data.decode("utf-8", errors).split() if not token.isdigit())
+            expected = f"error: not a decimal integer: {bad!r}\n"
+        except UnicodeDecodeError as exc:
+            expected = f"error: {exc}\n"
+        assert (code, *capsys.readouterr()) == (2, "", expected), data[-8:]
 
 
 def _residues(rng, p, n):

@@ -2,9 +2,9 @@
 output phases of one tft, itft or mul run, or each family of a selftest.
 
 The command runs in process, as in the CLI and selftest scratch gates of
-tests/test_acceptance.py: stdin (seeded random residues) and stdout are
-in-memory text, and the interpreter's free lists are refilled before
-tracing.  Each phase's peak is given in bytes above what the command
+tests/test_acceptance.py: stdin holds seeded random residues as bytes,
+decoded as from a pipe, stdout is in-memory text, and the interpreter's
+free lists are refilled before tracing.  Each phase's peak is given in bytes above what the command
 leaves held (its output, kept in memory), so the largest is the gate's
 reading.  Parse runs until the compute call (the kernel, or tft_polymul
 for mul), compute until the first _write_values call, output to the end.
@@ -71,7 +71,7 @@ def run(command, n, seed, traced):
         names = ("parse", "compute", "output")
     saved = {name: getattr(cli, name) for name in patches}
     stdin = sys.stdin
-    sys.stdin = io.StringIO(text)
+    sys.stdin = io.TextIOWrapper(io.BytesIO(text.encode()), "ascii")
     try:
         for name, value in patches.items():
             setattr(cli, name, value)
