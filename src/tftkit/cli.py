@@ -50,13 +50,16 @@ def _read_text(path: str | None) -> str:
 
 
 def _parse_residues(tokens: list, modulus: int) -> list[int]:
-    # in place: each token gives way to its value, and the list is returned
+    # in place: each token gives way to its value, and the list is returned.
+    # Past its leading zeros, a token with more digits than the modulus is
+    # refused unread, so int() never meets the interpreter's digit limit.
+    width = len(str(modulus))
     for i, token in enumerate(tokens):
         if not (token.isascii() and token.isdigit()):
             raise ValueError(f"not a decimal integer: {token!r}")
-        value = int(token)
-        if not 0 <= value < modulus:
-            raise ValueError(f"{value} is not a residue mod {modulus}")
+        digits = token.lstrip("0") or "0"
+        if len(digits) > width or (value := int(digits)) >= modulus:
+            raise ValueError(f"{digits} is not a residue mod {modulus}")
         tokens[i] = value
     return tokens
 

@@ -15,6 +15,7 @@ The production kernels are generic over the ring, so none of this
 costs anything when a plain PrimeField is passed.
 """
 
+import sys
 from operator import index
 
 from ._frozen import Frozen
@@ -197,11 +198,16 @@ del _name
 class _Length:
     """The buffer measure_transform counts on: len is ell, iteration is
     empty (so the kernels' entry-type scan costs nothing), and only the
-    one entry of ell = 1 can be read, as 0, or written, to no effect."""
+    one entry of ell = 1 can be read, as 0, or written, to no effect.
+    len() reports at most sys.maxsize, so no longer buffer is made."""
 
     __slots__ = ("ell",)
 
     def __init__(self, ell: int) -> None:
+        if ell > sys.maxsize:
+            raise ValueError(
+                f"length {ell} exceeds {sys.maxsize}, the longest a counting buffer can be"
+            )
         self.ell = ell
 
     def __len__(self) -> int:
@@ -341,7 +347,9 @@ def measure_transform(field, ell: int, kind: str) -> OpCounters:
 
     Counts do not depend on the buffer contents, so the transform runs
     on a TallyRing over a buffer that holds only its length, at the cost
-    of the kernel's O(m^2) ring calls for any ell the field supports.
+    of the kernel's O(m^2) ring calls for any ell the field supports up
+    to sys.maxsize (2^63 - 1 on 64-bit builds); a longer ell, which only
+    a field of two-adicity 63 or more allows, raises ValueError.
     """
     plan = make_plan(field, ell)
     ring = TallyRing(field.modulus)

@@ -5,6 +5,12 @@ many evaluation points determine it exactly: transform both inputs at
 precisely that length, multiply pointwise, transform back.  Because
 nothing is padded to a power of two, the operation count grows smoothly
 with the output length instead of doubling whenever it crosses one.
+
+Both transforms run in place on a list of ints.  For p < 2^64 only one
+factor is such a list at a time: the other waits packed in an
+``array``, so the product holds one list as large as its output and one
+packed copy beside it.  The kernels never run on the array, where they
+take longer.
 """
 
 from operator import index
@@ -30,6 +36,13 @@ def tft_polymul(f, g, field, ring=None) -> list[int]:
     The output length must not exceed the field's transform capacity
     2^two_adicity.  ring defaults to the field itself; pass a counting
     ring to measure the cost.
+
+    While f is transformed, g waits in an array of 4-byte items when
+    p < 2^32, or of 8-byte items when p < 2^64; then f's transform waits
+    so while g is transformed, multiplied into and transformed back in
+    its own list, the one returned.  Beside the output the product thus
+    holds 4 or 8 bytes an entry, where a second list of ints holds about
+    40.  Larger moduli keep both factors as lists.
     """
     if ring is None:
         ring = field
@@ -41,16 +54,23 @@ def tft_polymul(f, g, field, ring=None) -> list[int]:
         raise ValueError("inputs must be nonempty")
     ell = len(fbuf) + len(gbuf) - 1
     plan = make_plan(field, ell)
+    code = "I" if p < 1 << 32 else "Q" if p < 1 << 64 else None
+    if code:
+        from array import array  # here, so that only a product loads the extension
+        gbuf = array(code, gbuf)
     fbuf += [0] * (ell - len(fbuf))
-    gbuf += [0] * (ell - len(gbuf))
     tft_in_place(plan, fbuf, ring)
+    if code:
+        fbuf = array(code, fbuf)
+    gbuf = list(gbuf)
+    gbuf += [0] * (ell - len(gbuf))
     tft_in_place(plan, gbuf, ring)
     mul = ring.mul
     for i in range(ell):
-        fbuf[i] = mul(fbuf[i], gbuf[i])
-    del gbuf
-    itft_in_place(plan, fbuf, ring)
-    return fbuf
+        gbuf[i] = mul(fbuf[i], gbuf[i])
+    del fbuf
+    itft_in_place(plan, gbuf, ring)
+    return gbuf
 
 
 def operation_profile(field, lengths) -> dict[int, int]:

@@ -275,6 +275,41 @@ def test_scratch_space_is_constant(field):
     )
 
 
+# bytes above the output; the product read 6,132 (64 x 64) and 83,116
+# (1024 x 1024) while it held both transformed factors as lists of ints,
+# and 1,632 and 12,644 once the factor out of its transform waited packed
+PRODUCT_SCRATCH_LIMITS = {64: 2_000, 1024: 15_000}
+
+
+def test_product_scratch_is_bounded(field):
+    # tft_polymul holds one list of ints, the one it returns: beside it
+    # are the factor out of its transform, packed in 4-byte items on this
+    # field, and the kernels' constant scratch
+    rng = random.Random(SEED + 9)
+    p = field.modulus
+    readings = {}
+    start = time.perf_counter()
+    for n in PRODUCT_SCRATCH_LIMITS:
+        f = [rng.randrange(p) for _ in range(n)]
+        g = [rng.randrange(p) for _ in range(n)]
+        _refill_free_lists()
+        tracemalloc.start()
+        try:
+            product = tft_polymul(f, g, field)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert product == naive_polymul(field, f, g), n
+        readings[n] = peak - current
+    elapsed = time.perf_counter() - start
+    _verdict(
+        all(readings[n] <= limit for n, limit in PRODUCT_SCRATCH_LIMITS.items()),
+        "product scratch",
+        f"tft_polymul at n x n for n in {tuple(PRODUCT_SCRATCH_LIMITS)}: {readings} B "
+        f"above the output (limits {PRODUCT_SCRATCH_LIMITS}) ({elapsed:.1f}s)",
+    )
+
+
 # bytes above what the command leaves held (its output, kept in memory);
 # the CLI read 709,000 (tft, itft at 4096) and 78,100 (mul, 256 x 256)
 # while it kept its input text through the transform and built the whole
@@ -283,8 +318,10 @@ def test_scratch_space_is_constant(field):
 # value at a time and runs of 128 values, it reads 268,700 and 37,300
 # (limits were 540,000 and 64,000); with tft and itft reading their text
 # in chunks of 4096 bytes straight onto the buffer, tft and itft read
-# 177,000, bound by the output phase (tft, itft limit was 300,000)
-CLI_SCRATCH_LIMITS = {"tft": 200_000, "itft": 200_000, "mul": 42_000}
+# 177,000, bound by the output phase (tft, itft limit was 300,000); with
+# the product holding one list of ints and its other factor packed, mul
+# reads 29,100, bound by the output phase (limit was 42,000)
+CLI_SCRATCH_LIMITS = {"tft": 200_000, "itft": 200_000, "mul": 32_000}
 
 
 def test_cli_scratch_is_bounded(field, monkeypatch):

@@ -247,6 +247,35 @@ def test_mul_input_errors(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# Tokens longer than the interpreter's limit on int() of a str (4,300
+# digits by default): each command reads them past their leading zeros,
+# and refuses one with more digits than p without converting it
+_LONG_CASES = (
+    (["tft", "--length", "2"], "{} 0"),
+    (["itft", "--length", "2"], "0 {}"),
+    (["mul"], "{} 1\n1\n"),
+)
+
+
+def test_a_residue_with_many_leading_zeros(monkeypatch, capsys):
+    zeros = "0" * 8851 + "7"
+    for argv, text in _LONG_CASES:
+        outputs = []
+        for token in (zeros, "7"):
+            assert run_cli(argv, text.format(token), monkeypatch) == 0, argv
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == "", argv
+    assert run_cli(["mul", "--modulus", "17"], "000 0017\n0\n", monkeypatch) == 2
+    assert capsys.readouterr() == ("", "error: 17 is not a residue mod 17\n")
+
+
+def test_a_token_with_more_digits_than_the_modulus(monkeypatch, capsys):
+    nines = "9" * 5000
+    for argv, text in _LONG_CASES:
+        assert run_cli(argv, text.format(nines), monkeypatch) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {nines} is not a residue mod 998244353\n")
+
+
 # tft and itft read their input CHUNK bytes (characters of a text stream)
 # at a time; the buffer is the whole text's tokens wherever the chunk ends
 # fall

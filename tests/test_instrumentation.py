@@ -1,5 +1,6 @@
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -14,7 +15,7 @@ from tftkit.instrumentation import (
     measure_transform,
 )
 from tftkit.itft import itft_in_place
-from tftkit.ring import pow_by_squaring
+from tftkit.ring import PrimeField, pow_by_squaring
 from tftkit.tft import make_plan, tft_in_place
 
 
@@ -352,6 +353,18 @@ def test_measure_transform_reaches_the_field_capacity(field):
         assert bound_check(top, measure_transform(field, top, kind), kind).passed
         with pytest.raises(ValueError):
             measure_transform(field, top + 1, kind)
+
+
+def test_measure_transform_names_the_longest_countable_length():
+    # len() of the counting buffer holds at most sys.maxsize (2^63 - 1 on
+    # 64-bit builds); this field's two-adicity of 75 allows longer lengths
+    field = PrimeField.from_modulus(5 * 2**75 + 1)
+    for kind in ("forward", "inverse"):
+        for ell in (2**62 + 5, sys.maxsize):
+            assert bound_check(ell, measure_transform(field, ell, kind), kind).passed
+        for ell in (sys.maxsize + 1, 2**75):
+            with pytest.raises(ValueError, match=f"exceeds {sys.maxsize}"):
+                measure_transform(field, ell, kind)
 
 
 def test_counts_ignore_buffer_contents(field):

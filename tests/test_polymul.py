@@ -1,4 +1,6 @@
 import random
+import sys
+from array import array
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from tftkit.instrumentation import CountingField
 from tftkit.oracle import naive_polymul
 from tftkit.polymul import operation_profile, tft_polymul
-from tftkit.ring import PrimeField
+from tftkit.ring import DEFAULT_MODULUS, PrimeField
+from tftkit.tft import make_plan, tft_in_place
 
 
 def test_known_product(f17):
@@ -87,6 +90,62 @@ def test_type_error_comes_before_value_errors(f17):
         tft_polymul([1] * 19 + [1.5], [1], f17)
     with pytest.raises(TypeError):
         tft_polymul([1.5], [], f17)
+
+
+class _PointwiseLog:
+    """The field's ring, with each general product logged: in a product,
+    mul runs only for the pointwise step."""
+
+    def __init__(self, field):
+        self.field, self.modulus, self.calls = field, field.modulus, []
+
+    def __getattr__(self, name):
+        return getattr(self.field, name)
+
+    def mul(self, x, y):
+        self.calls.append((x, y))
+        return self.field.mul(x, y)
+
+
+def _transform(field, values, ell):
+    buf = values + [0] * (ell - len(values))
+    tft_in_place(make_plan(field, ell), buf)
+    return buf
+
+
+@pytest.mark.parametrize(
+    "modulus, itemsize",
+    [(DEFAULT_MODULUS, 4), (2**64 - 2**32 + 1, 8), (5 * 2**75 + 1, None)],
+)
+def test_each_storage_path_gives_the_product(modulus, itemsize, monkeypatch):
+    # the factor out of its transform waits in an array of itemsize-byte
+    # items, or, beyond 64 bits, in its list; every path gives the
+    # schoolbook product, as a list of exact ints, through the pointwise
+    # products of f's and g's transforms in that order
+    packed = []
+
+    def logged_array(code, values):
+        made = array(code, values)
+        packed.append(made.itemsize)
+        return made
+
+    monkeypatch.setattr(sys.modules["array"], "array", logged_array)
+    field = PrimeField.from_modulus(modulus)
+    p = field.modulus
+    rng = random.Random(47)
+    for size_f, size_g in _read_once_shapes():
+        for top in (False, True):  # random residues, then all p - 1
+            f = [p - 1 if top else rng.randrange(p) for _ in range(size_f)]
+            g = [p - 1 if top else rng.randrange(p) for _ in range(size_g)]
+            ell = size_f + size_g - 1
+            packed.clear()
+            ring = _PointwiseLog(field)
+            out = tft_polymul(f, g, field, ring)
+            assert out == naive_polymul(field, f, g), (size_f, size_g)
+            assert type(out) is list and all(type(x) is int for x in out)
+            assert packed == ([itemsize] * 2 if itemsize else [])
+            pairs = zip(_transform(field, f, ell), _transform(field, g, ell))
+            assert ring.calls == list(pairs), (size_f, size_g)
 
 
 def test_output_length(field):
