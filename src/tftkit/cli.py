@@ -49,6 +49,15 @@ def _read_text(path: str | None) -> str:
         return handle.read()
 
 
+_SHOWN = 40  # characters of a refused token that its error message echoes
+
+
+def _cut(token: str) -> tuple[str, str]:
+    # a refused token as its message shows it: whole, or its first _SHOWN
+    # characters and then its length, so the message stays one short line
+    return token[:_SHOWN], f"... ({len(token)} characters)" if len(token) > _SHOWN else ""
+
+
 def _parse_residues(tokens: list, modulus: int) -> list[int]:
     # in place: each token gives way to its value, and the list is returned.
     # Past its leading zeros, a token with more digits than the modulus is
@@ -56,10 +65,12 @@ def _parse_residues(tokens: list, modulus: int) -> list[int]:
     width = len(str(modulus))
     for i, token in enumerate(tokens):
         if not (token.isascii() and token.isdigit()):
-            raise ValueError(f"not a decimal integer: {token!r}")
+            head, tail = _cut(token)
+            raise ValueError(f"not a decimal integer: {head!r}{tail}")
         digits = token.lstrip("0") or "0"
         if len(digits) > width or (value := int(digits)) >= modulus:
-            raise ValueError(f"{digits} is not a residue mod {modulus}")
+            head, tail = _cut(digits)
+            raise ValueError(f"{head}{tail} is not a residue mod {modulus}")
         tokens[i] = value
     return tokens
 
@@ -86,8 +97,10 @@ def _write_values(values, sep: str) -> None:
 # as a usage error: a bad modulus or length, unreadable input (OSError, or
 # bytes that do not decode, a ValueError), a wrong count, a bad token, or a
 # product longer than the field's transform capacity.  tft and itft read
-# their text in bounded chunks straight onto the buffer; mul drops its text
-# once split, each token gives way to its value in the same list, and its
+# their text once and split it in bounded slices of the text onto the
+# buffer, so they hold the text but never its token strings (malformed
+# input far longer than --length is held whole); mul drops its text once
+# split, each token gives way to its value in the same list, and its
 # factors pass to the product one value at a time: the transform and the
 # output run with the buffers alone.
 

@@ -14,10 +14,12 @@ import gc
 import hashlib
 import io
 import random
+import runpy
 import sys
 import time
 import tracemalloc
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,7 @@ from tftkit.instrumentation import (
 from tftkit.itft import itft_in_place
 from tftkit.oracle import naive_polymul, naive_tft, reference_tft
 from tftkit.polymul import operation_profile, tft_polymul
+from tftkit.ring import DEFAULT_MODULUS, PrimeField
 from tftkit.tft import make_plan, tft_in_place
 from tftkit.twiddle import pair_stream
 
@@ -160,50 +163,66 @@ def test_multiplication_counts_meet_declared_bounds(bound_sweep):
     _verdict(ok, "multiplication bounds", "; ".join(peaks))
 
 
-# up to 2^23, the default field's transform capacity
-EXTREMAL_LENGTHS = tuple(
-    ell
-    for k in range(13, 24)
-    for ell in ((1 << k) - 1, 1 << k, (1 << k) + 1, (1 << k) + 5)
-    if ell <= 1 << 23
-)
+# the default field (capacity 2^23), Goldilocks (2^32) and 5*2^75 + 1,
+# checked up to 2^62: measure_transform counts lengths up to sys.maxsize
+EXTREMAL_MODULI = (DEFAULT_MODULUS, (1 << 64) - (1 << 32) + 1, 5 * (1 << 75) + 1)
 
 
-def test_bounds_hold_at_extremal_lengths_beyond_the_sweep(field):
+def _extremal_top(field):
+    return min(field.two_adicity, 62)
+
+
+def _extremal_lengths(top):
+    return tuple(
+        ell
+        for k in range(13, top + 1)
+        for ell in ((1 << k) - 1, 1 << k, (1 << k) + 1, (1 << k) + 5)
+        if ell <= 1 << top
+    )
+
+
+def test_bounds_hold_at_extremal_lengths_beyond_the_sweep():
     # The sweep stops at 16384, but the bounds are claimed for every
-    # length the field supports; just below, at and just past a power of
+    # length a field supports; just below, at and just past a power of
     # two is where the split term and the ceil(lg) terms jump.  Zero
     # bounds (forward mul_pow2, mul_other) are checked by `passed` and not
     # tabulated.
+    fields = [PrimeField.from_modulus(modulus) for modulus in EXTREMAL_MODULI]
     gc.disable()
     try:
         start = time.perf_counter()
         reports = [
-            bound_check(ell, measure_transform(field, ell, kind), kind)
-            for kind in ("forward", "inverse")
-            for ell in EXTREMAL_LENGTHS
+            [
+                bound_check(ell, measure_transform(field, ell, kind), kind)
+                for kind in ("forward", "inverse")
+                for ell in _extremal_lengths(_extremal_top(field))
+            ]
+            for field in fields
         ]
         elapsed = time.perf_counter() - start
     finally:
         gc.enable()
-    worst = {}
-    for rep in reports:
-        c = rep.counters
-        for name, used, limit in (
-            ("add_sub", c.add_sub, rep.add_bound),
-            ("mul_root", c.mul_root, rep.root_bound),
-            ("mul_pow2", c.mul_pow2, rep.pow2_bound),
-        ):
-            key = f"{rep.kind} {name}"
-            if limit and (key not in worst or limit - used < worst[key][0]):
-                worst[key] = (limit - used, rep.ell)
-    failed = [f"{rep.kind} l={rep.ell}" for rep in reports if not rep.passed]
-    slacks = "; ".join(f"{key} {slack} at l={ell}" for key, (slack, ell) in worst.items())
+    failed, lines = [], []
+    for field, field_reports in zip(fields, reports):
+        p, worst = field.modulus, {}
+        for rep in field_reports:
+            c = rep.counters
+            for name, used, limit in (
+                ("add_sub", c.add_sub, rep.add_bound),
+                ("mul_root", c.mul_root, rep.root_bound),
+                ("mul_pow2", c.mul_pow2, rep.pow2_bound),
+            ):
+                key = f"{rep.kind} {name}"
+                if limit and (key not in worst or limit - used < worst[key][0]):
+                    worst[key] = (limit - used, rep.ell)
+        failed += [f"p={p} {rep.kind} l={rep.ell}" for rep in field_reports if not rep.passed]
+        slacks = "; ".join(f"{key} {slack} at l={ell}" for key, (slack, ell) in worst.items())
+        lines.append(f"p={p} to 2^{_extremal_top(field)}, {len(field_reports)} checks: worst slack {slacks}")
     _verdict(
         not failed,
         "bounds at extremal lengths",
-        f"l = 2^k-1, 2^k, 2^k+1, 2^k+5 <= 2^23 for k = 13..23, both kinds; "
-        f"worst slack {slacks}"
+        "l = 2^k-1, 2^k, 2^k+1, 2^k+5 for k >= 13 up to each field's capacity or 2^62, both kinds; "
+        + "; ".join(f"[{line}]" for line in lines)
         + (f"; failed at {', '.join(failed)}" if failed else "")
         + f" ({elapsed:.1f}s)",
     )
@@ -320,7 +339,11 @@ def test_product_scratch_is_bounded(field):
 # in chunks of 4096 bytes straight onto the buffer, tft and itft read
 # 177,000, bound by the output phase (tft, itft limit was 300,000); with
 # the product holding one list of ints and its other factor packed, mul
-# reads 29,100, bound by the output phase (limit was 42,000)
+# reads 29,100, bound by the output phase (limit was 42,000).  tft and itft
+# now read their text once and split it in bounded slices of the text:
+# their parse holds the text beside the buffer (164,800, up from 128,500,
+# and malformed input far longer than --length is held whole), still below
+# the output phase, so they read 177,000 as before
 CLI_SCRATCH_LIMITS = {"tft": 200_000, "itft": 200_000, "mul": 32_000}
 
 
@@ -360,6 +383,26 @@ def test_cli_scratch_is_bounded(field, monkeypatch):
         "cli scratch",
         f"tft, itft at l=4096 and mul at 256 x 256: {readings} B above the output "
         f"(limits {CLI_SCRATCH_LIMITS}) ({elapsed:.1f}s)",
+    )
+
+
+def test_cli_transforms_peak_in_their_output():
+    # tft and itft peak while they write their output (the transformed
+    # buffer and one run's text), not while they parse (the decoded text
+    # beside the buffer as it fills), so the CLI limits above are set by
+    # the output; phases as tools/cli_scratch.py splits and traces them,
+    # with the same free-list refill
+    run = runpy.run_path(str(Path(__file__).resolve().parent.parent / "tools" / "cli_scratch.py"))["run"]
+    readings = {}
+    start = time.perf_counter()
+    for command in ("tft", "itft"):
+        run(command, 4096, SEED, traced=False)  # first-use allocations stay out of the reading
+        readings[command] = run(command, 4096, SEED, traced=True)
+    elapsed = time.perf_counter() - start
+    _verdict(
+        all(phases["parse"] < phases["output"] for phases in readings.values()),
+        "cli phase order",
+        f"tft, itft at l=4096, parse below output: {readings} B above the output ({elapsed:.1f}s)",
     )
 
 

@@ -273,12 +273,36 @@ def test_a_token_with_more_digits_than_the_modulus(monkeypatch, capsys):
     nines = "9" * 5000
     for argv, text in _LONG_CASES:
         assert run_cli(argv, text.format(nines), monkeypatch) == 2, argv
-        assert capsys.readouterr() == ("", f"error: {nines} is not a residue mod 998244353\n")
+        expected = f"error: {'9' * 40}... (5000 characters) is not a residue mod 998244353\n"
+        assert capsys.readouterr() == ("", expected)
 
 
-# tft and itft read their input CHUNK bytes (characters of a text stream)
-# at a time; the buffer is the whole text's tokens wherever the chunk ends
-# fall
+def test_a_refused_token_is_echoed_in_one_short_line(tmp_path, monkeypatch, capsys):
+    # up to 40 characters a refused token is echoed whole; past that, its
+    # first 40 and its length, however long it is
+    for token, shown in (
+        ("x" * 40, f"not a decimal integer: {'x' * 40!r}"),
+        ("x" * 41, f"not a decimal integer: {'x' * 40!r}... (41 characters)"),
+        ("9" * 40, f"{'9' * 40} is not a residue mod 998244353"),
+        ("00" + "9" * 41, f"{'9' * 40}... (41 characters) is not a residue mod 998244353"),
+    ):
+        for argv, text in _LONG_CASES:
+            assert run_cli(argv, text.format(token), monkeypatch) == 2, argv
+            assert capsys.readouterr() == ("", f"error: {shown}\n"), (argv, token)
+    src = tmp_path / "in.txt"
+    for token in ("x" * 1_000_000, "9" * 1_000_000, "7" * 999_999 + "\x00"):
+        for argv, text in _LONG_CASES:
+            src.write_text(text.format(token), encoding="ascii")
+            assert main(argv + ["--input", str(src)]) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1 and len(err.encode()) < 120, (argv, err[:80])
+            assert "... (1000000 characters)" in err, argv
+
+
+# tft and itft read their text once and split it in bounded slices of the
+# text, CHUNK characters at a time; the buffer is the whole text's tokens
+# wherever the slice ends fall (the text is held whole, malformed input far
+# longer than --length included)
 def _digits(n):
     # n characters of one-digit tokens, ending in a digit
     return "1 " * ((n - 1) // 2) + "1" * (2 - n % 2)
