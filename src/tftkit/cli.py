@@ -271,12 +271,22 @@ def __getattr__(name):
     return globals()[name]
 
 
+_DIGITS = 4300  # the most digits int() converts under CPython's default limit
+
+
 def _integer(text: str) -> int:
-    # stricter than int(): no "+", "_", whitespace or non-ASCII digits
-    digits = text[1:] if text.startswith("-") else text
+    # stricter than int(): no "+", "_", whitespace or non-ASCII digits.
+    # Past its leading zeros, a value with more than _DIGITS digits is
+    # refused before int() sees it, so int() never meets its digit limit.
+    sign, digits = ("-", text[1:]) if text.startswith("-") else ("", text)
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a decimal integer: {text!r}")
-    return int(text)
+        head, tail = _cut(text)
+        raise ValueError(f"not a decimal integer: {head!r}{tail}")
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > _DIGITS:
+        head, tail = _cut(digits)
+        raise ValueError(f"{head}{tail} has more than {_DIGITS} digits")
+    return int(sign + digits)
 
 
 def _kind(text: str) -> str:

@@ -167,23 +167,17 @@ def _computing(name: str):
     """CountingField's member name: PrimeField's loop, then TallyRing's
     tally; the radix-4 pair tallies through ``_drawn`` as the loop draws
     its runs, block 0 at the first draw.  Each member keeps
-    PrimeField's parameter list."""
+    PrimeField's parameter list, the pair runs' through ``__wrapped__``."""
     loop, count = getattr(PrimeField, name), getattr(TallyRing, name)
     if name in ("radix4", "inverse_radix4"):
         def member(self, buffer, size, iota, runs):
             loop(self, buffer, size, iota, self._drawn(runs, size))
-    elif name == "fold":
-        def member(self, buffer, lo, hi, dist):
-            loop(self, buffer, lo, hi, dist)
-            count(self, buffer, lo, hi, dist)
-    elif name == "scale":
-        def member(self, buffer, lo, hi, c):
-            loop(self, buffer, lo, hi, c)
-            count(self, buffer, lo, hi, c)
     else:
-        def member(self, buffer, lo, hi, dist, alpha):
-            loop(self, buffer, lo, hi, dist, alpha)
-            count(self, buffer, lo, hi, dist, alpha)
+        def member(self, *args):
+            loop(self, *args)
+            count(self, *args)
+
+        member.__wrapped__ = loop
 
     member.__name__ = name
     return member

@@ -1,3 +1,6 @@
+import runpy
+from pathlib import Path
+
 import pytest
 
 from tftkit.ring import DEFAULT_MODULUS, PrimeField
@@ -12,3 +15,10 @@ def f17():
 @pytest.fixture(scope="session")
 def field():
     return PrimeField.from_modulus(DEFAULT_MODULUS)
+
+
+@pytest.fixture(scope="session")
+def cli_scratch():
+    # tools/cli_scratch.py's names: measure, the one traced procedure of
+    # every scratch reading, and run, its phases of one CLI command
+    return runpy.run_path(str(Path(__file__).resolve().parent.parent / "tools" / "cli_scratch.py"))

@@ -3,29 +3,25 @@
 Each test prints a single PASS/FAIL line, with measured maxima where
 the claim includes them, so a verbose run doubles as the acceptance
 report (pytest tests/test_acceptance.py -v -s, or see the PASSES
-section under the default -rP).  The heaviest items are the oracle
-and round-trip sweeps to length 512; the length-16384 operation-count
+section under the default -rP).  The heaviest item is the constant
+scratch gate, whose traced kernel calls at 65536 and 100000 took 88 of
+the 144 s of a whole tier-1 run on 2 cores; the oracle and round-trip
+sweeps to length 512 come next, and the length-16384 operation-count
 sweep shared by the two bound checks takes a few seconds, since
 ``measure_transform`` counts on a ring whose block operations only
-tally.
+tally.  Every scratch reading goes through ``measure`` of
+tools/cli_scratch.py.
 """
 
 import gc
 import hashlib
 import io
 import random
-import runpy
-import sys
 import time
-import tracemalloc
 from contextlib import redirect_stdout
-from pathlib import Path
 
 import pytest
 
-# tft and itft import their reader when they first run; imported here, its
-# code stays out of the CLI scratch gate, as every other module's does
-import tftkit._reader  # noqa: F401
 from tftkit import bit_reverse
 from tftkit.cli import main
 from tftkit.instrumentation import (
@@ -255,18 +251,10 @@ SCRATCH_LIMIT = 1536
 SCRATCH_LENGTHS = (1, 2, 3, 17, 1000, 1025, 4096, 5000, 16385, 65536, 100000)
 
 
-def _refill_free_lists():
-    # tracemalloc does not see an object the interpreter hands out from a
-    # free list, so whatever earlier code left on those lists would move
-    # the measured peak by tens of bytes; a fixed burst, made and dropped
-    # before each traced call, puts them in the same state every time
-    burst = [((i,) * (1 + i % 7), [i], {i: i}, i + 0.5, 1 << (64 + i % 64)) for i in range(2000)]
-    del burst
-
-
-def test_scratch_space_is_constant(field):
+def test_scratch_space_is_constant(field, cli_scratch):
     # In place means O(1) auxiliary space: the traced peak above what the
     # call leaves allocated must stay under one constant at every length.
+    measure = cli_scratch["measure"]
     rng = random.Random(SEED + 5)
     p = field.modulus
     worst = (0, None, None)
@@ -275,13 +263,7 @@ def test_scratch_space_is_constant(field):
         plan = make_plan(field, ell)
         for kind, kernel in (("forward", tft_in_place), ("inverse", itft_in_place)):
             buf = [rng.randrange(p) for _ in range(ell)]
-            _refill_free_lists()
-            tracemalloc.start()
-            try:
-                kernel(plan, buf)
-                current, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            _, peak, current = measure(lambda: kernel(plan, buf))
             if peak - current > worst[0]:
                 worst = (peak - current, kind, ell)
     elapsed = time.perf_counter() - start
@@ -300,10 +282,11 @@ def test_scratch_space_is_constant(field):
 PRODUCT_SCRATCH_LIMITS = {64: 2_000, 1024: 15_000}
 
 
-def test_product_scratch_is_bounded(field):
+def test_product_scratch_is_bounded(field, cli_scratch):
     # tft_polymul holds one list of ints, the one it returns: beside it
     # are the factor out of its transform, packed in 4-byte items on this
     # field, and the kernels' constant scratch
+    measure = cli_scratch["measure"]
     rng = random.Random(SEED + 9)
     p = field.modulus
     readings = {}
@@ -311,13 +294,7 @@ def test_product_scratch_is_bounded(field):
     for n in PRODUCT_SCRATCH_LIMITS:
         f = [rng.randrange(p) for _ in range(n)]
         g = [rng.randrange(p) for _ in range(n)]
-        _refill_free_lists()
-        tracemalloc.start()
-        try:
-            product = tft_polymul(f, g, field)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        product, peak, current = measure(lambda: tft_polymul(f, g, field))
         assert product == naive_polymul(field, f, g), n
         readings[n] = peak - current
     elapsed = time.perf_counter() - start
@@ -347,37 +324,27 @@ def test_product_scratch_is_bounded(field):
 CLI_SCRATCH_LIMITS = {"tft": 200_000, "itft": 200_000, "mul": 32_000}
 
 
-def test_cli_scratch_is_bounded(field, monkeypatch):
+@pytest.fixture(scope="module")
+def cli_phases(cli_scratch):
+    """Each command's phases as tools/cli_scratch.py reads them, at
+    l = 4096 and 256 x 256 from SEED + 6, and the seconds taken; both
+    CLI gates read them, so each command is traced once."""
+    run = cli_scratch["run"]
+    start = time.perf_counter()
+    phases = {}
+    for command, n in (("tft", 4096), ("itft", 4096), ("mul", 256)):
+        run(command, n, SEED + 6, traced=False)  # first-use allocations stay out of the reading
+        phases[command] = run(command, n, SEED + 6, traced=True)
+    return phases, time.perf_counter() - start
+
+
+def test_cli_scratch_is_bounded(cli_phases):
     # The CLI's own share of the in-place claim: the text each command
     # reads is gone before it computes, its tokens turn into its values in
     # place, and its output goes out in bounded runs, so the traced peak is
     # the parse and the transform buffers.
-    rng = random.Random(SEED + 6)
-    p = field.modulus
-
-    def residues(n):
-        return " ".join(str(rng.randrange(p)) for _ in range(n))
-
-    cases = (
-        ("tft", ["tft", "--length", "4096"], residues(4096)),
-        ("itft", ["itft", "--length", "4096"], residues(4096)),
-        ("mul", ["mul"], f"{residues(256)}\n{residues(256)}\n"),
-    )
-    readings = {}
-    start = time.perf_counter()
-    for name, argv, text in cases:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-        with redirect_stdout(io.StringIO()):
-            _refill_free_lists()
-            tracemalloc.start()
-            try:
-                code = main(argv)
-                current, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        assert code == 0, name
-        readings[name] = peak - current
-    elapsed = time.perf_counter() - start
+    phases, elapsed = cli_phases
+    readings = {name: max(phases[name].values()) for name in CLI_SCRATCH_LIMITS}
     _verdict(
         all(readings[name] <= limit for name, limit in CLI_SCRATCH_LIMITS.items()),
         "cli scratch",
@@ -386,21 +353,15 @@ def test_cli_scratch_is_bounded(field, monkeypatch):
     )
 
 
-def test_cli_transforms_peak_in_their_output():
+def test_cli_transforms_peak_in_their_output(cli_phases):
     # tft and itft peak while they write their output (the transformed
     # buffer and one run's text), not while they parse (the decoded text
     # beside the buffer as it fills), so the CLI limits above are set by
-    # the output; phases as tools/cli_scratch.py splits and traces them,
-    # with the same free-list refill
-    run = runpy.run_path(str(Path(__file__).resolve().parent.parent / "tools" / "cli_scratch.py"))["run"]
-    readings = {}
-    start = time.perf_counter()
-    for command in ("tft", "itft"):
-        run(command, 4096, SEED, traced=False)  # first-use allocations stay out of the reading
-        readings[command] = run(command, 4096, SEED, traced=True)
-    elapsed = time.perf_counter() - start
+    # the output
+    phases, elapsed = cli_phases
+    readings = {command: phases[command] for command in ("tft", "itft")}
     _verdict(
-        all(phases["parse"] < phases["output"] for phases in readings.values()),
+        all(reading["parse"] < reading["output"] for reading in readings.values()),
         "cli phase order",
         f"tft, itft at l=4096, parse below output: {readings} B above the output ({elapsed:.1f}s)",
     )
@@ -414,10 +375,11 @@ SELFTEST_SCRATCH_LIMIT = 7_500
 SELFTEST_SEEDS = (0, 11, 12, 2026)
 
 
-def test_selftest_scratch_is_bounded():
+def test_selftest_scratch_is_bounded(cli_scratch):
     # The selftest's own checks stay within one length's data: each family
     # holds the drawn input and one working copy, and drops both before
     # the next length.
+    measure = cli_scratch["measure"]
     argv = ["selftest", "--max", "64", "--seed"]
     with redirect_stdout(io.StringIO()):
         main(argv + ["0"])  # imports and first-use allocations stay untraced
@@ -425,13 +387,7 @@ def test_selftest_scratch_is_bounded():
     start = time.perf_counter()
     for seed in SELFTEST_SEEDS:
         with redirect_stdout(io.StringIO()):
-            _refill_free_lists()
-            tracemalloc.start()
-            try:
-                code = main(argv + [str(seed)])
-                current, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            code, peak, current = measure(lambda: main(argv + [str(seed)]))
         assert code == 0, seed
         readings[seed] = peak - current
     elapsed = time.perf_counter() - start

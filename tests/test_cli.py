@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 import time
-import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -214,6 +213,23 @@ def test_option_forms(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "seed: -5"
 
 
+def test_a_refused_option_value_is_echoed_in_one_short_line(capsys):
+    assert main(["tft", "--length", "x" * 100_000]) == 2
+    error = f"error: tft: --length: not a decimal integer: {'x' * 40!r}... (100000 characters)\n"
+    assert len(error.encode()) < 120 and capsys.readouterr() == ("", error)
+
+
+def test_an_option_value_is_read_past_its_leading_zeros(capsys):
+    # int() converts at most 4300 digits by default: a value is read past
+    # its leading zeros, and one with more digits is refused by the CLI
+    for seed, shown in (("0" * 4400 + "7", "7"), ("9" * 4300, "9" * 4300)):
+        assert main(["selftest", "--max", "1", "--seed", seed]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"seed: {shown}"
+    assert main(["selftest", "--max", "9" * 5000]) == 2
+    too_long = f"{'9' * 40}... (5000 characters) has more than 4300 digits"
+    assert capsys.readouterr() == ("", f"error: selftest: --max: {too_long}\n")
+
+
 def test_missing_input_file(capsys):
     code = main(["tft", "--modulus", "17", "--length", "1", "--input", "/no/such/file"])
     assert code == 2
@@ -377,18 +393,13 @@ def test_chunked_input_errors_keep_their_order(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
-def test_a_wrong_length_is_reported_before_any_buffer_is_made(monkeypatch, capsys):
+def test_a_wrong_length_is_reported_before_any_buffer_is_made(monkeypatch, capsys, cli_scratch):
     # the buffer grows with the input, not with --length.  At the default
     # field's 2^23 a buffer made first would trace 64 MiB, so that is
     # checked first; only then the Goldilocks prime's 2^32, where it would
     # take 32 GiB
     monkeypatch.setattr(sys, "stdin", io.StringIO("1 2 3"))
-    tracemalloc.start()
-    try:
-        code = main(["tft", "--length", str(1 << 23)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak, _ = cli_scratch["measure"](lambda: main(["tft", "--length", str(1 << 23)]))
     assert (code, *capsys.readouterr()) == (2, "", f"error: expected {1 << 23} values, got 3\n")
     assert peak < 1 << 20, peak
     argv = ["tft", "--modulus", "18446744069414584321", "--length", str(1 << 32)]
@@ -485,7 +496,7 @@ class _DigestSink:
         pass
 
 
-def test_counts_streams_its_rows(capsys):
+def test_counts_streams_its_rows(capsys, cli_scratch):
     # each row is printed as it is measured, so the sweep's traced peak
     # does not grow with the number of rows (it grew by about 324 B a row
     # when the reports were all kept until the sweep ended)
@@ -494,13 +505,9 @@ def test_counts_streams_its_rows(capsys):
     peaks, digests = {}, {}
     for high in (128, 1024):
         sink = _DigestSink()
+        argv = ["counts", "--min", "1", "--max", str(high), "--kind", "both"]
         with redirect_stdout(sink):
-            tracemalloc.start()
-            try:
-                code = main(["counts", "--min", "1", "--max", str(high), "--kind", "both"])
-                peaks[high] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, peaks[high], _ = cli_scratch["measure"](lambda: main(argv))
         assert code == 0
         digests[high] = sink.digest.hexdigest()
     assert peaks[1024] - peaks[128] < 4096, peaks

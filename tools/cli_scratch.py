@@ -1,15 +1,17 @@
 """Print where the CLI's traced scratch peaks: the parse, compute and
 output phases of one tft, itft or mul run, or each family of a selftest.
 
-The command runs in process, as in the CLI and selftest scratch gates of
-tests/test_acceptance.py: stdin holds seeded random residues as bytes,
-decoded as from a pipe, stdout is in-memory text, and the interpreter's
-free lists are refilled before tracing.  Each phase's peak is given in bytes above what the command
-leaves held (its output, kept in memory), so the largest is the gate's
-reading.  Parse runs until the compute call (the kernel, or tft_polymul
-for mul), compute until the first _write_values call, output to the end.
-A selftest's start runs until its first family, and each family until
-the next one's call (the last to the end).
+``measure(call)`` is the one traced procedure of the scratch gates in
+tests/: it refills the interpreter's free lists, runs call() under
+tracemalloc and returns its result, its traced peak and the bytes it
+still holds.  ``run`` reads one command through it, in process: stdin
+holds seeded random residues as bytes, decoded as from a pipe, and
+stdout is in-memory text.  Each phase's peak is given in bytes above what
+the command leaves held (its output, kept in memory), so the largest is
+the gate's reading.  Parse runs until the compute call (the kernel, or
+tft_polymul for mul), compute until the first _write_values call, output
+to the end.  A selftest's start runs until its first family, and each
+family until the next one's call (the last to the end).
 
 Usage: python tools/cli_scratch.py tft|itft L [SEED]
        python tools/cli_scratch.py mul N [SEED]     (two N-coefficient factors)
@@ -31,11 +33,21 @@ from tftkit import cli  # noqa: E402
 COMPUTE = {"tft": "tft_in_place", "itft": "itft_in_place", "mul": "tft_polymul"}
 
 
-def refill_free_lists():
-    # the gate's burst: tracemalloc does not see an object served from a
-    # free list, so each traced run starts from the same free-list state
+def measure(call):
+    """call()'s result, traced peak and traced bytes still held at its end."""
+    # tracemalloc does not see an object the interpreter hands out from a
+    # free list, so whatever earlier code left on those lists would move
+    # the measured peak by tens of bytes; a fixed burst, made and dropped
+    # before each traced call, puts them in the same state every time
     burst = [((i,) * (1 + i % 7), [i], {i: i}, i + 0.5, 1 << (64 + i % 64)) for i in range(2000)]
     del burst
+    tracemalloc.start()
+    try:
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, current
 
 
 def run(command, n, seed, traced):
@@ -76,14 +88,7 @@ def run(command, n, seed, traced):
         for name, value in patches.items():
             setattr(cli, name, value)
         with redirect_stdout(io.StringIO()):
-            if traced:
-                refill_free_lists()
-                tracemalloc.start()
-            try:
-                code = cli.main(argv)
-                current, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            code, peak, current = measure(lambda: cli.main(argv)) if traced else (cli.main(argv), 0, 0)
     finally:
         sys.stdin = stdin
         for name, fn in saved.items():
