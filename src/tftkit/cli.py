@@ -10,9 +10,11 @@ Subcommands:
 
 I/O is decimal text, whitespace-separated.  stdout carries data only;
 diagnostics go to stderr.  Exit codes: 0 success, 1 verification
-failure, 2 usage or input error.
+failure, 2 usage or input error, 141 (128 + SIGPIPE, as a shell
+reports a command its reader stopped) when stdout closes early.
 """
 
+import os
 import sys
 
 from .itft import itft_in_place
@@ -322,7 +324,7 @@ _HELP = ("-h", "--help")
 _RULES = """
 Options take full names, as --OPTION VALUE or --OPTION=VALUE; an integer
 is ASCII digits with an optional leading '-'.  Exit codes: 0 success,
-1 verification failure, 2 usage or input error."""
+1 verification failure, 2 usage or input error, 141 output closed early."""
 
 
 def _help(command: str | None) -> str:
@@ -342,14 +344,32 @@ def _help(command: str | None) -> str:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: stop quietly, and point fd 1 at
+        # os.devnull so the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
+
+
+def _run(argv) -> int:
     args = iter(sys.argv[1:] if argv is None else argv)
     command = next(args, None)
     if command in _HELP:
         print(_help(None))
         return 0
     if command not in _COMMANDS:
-        problem = "no command" if command is None else f"unknown command {command!r}"
-        return _usage_error(f"{problem} (choose from {', '.join(_COMMANDS)})")
+        choices = f"(choose from {', '.join(_COMMANDS)})"
+        if command is None:
+            return _usage_error(f"no command {choices}")
+        head, tail = _cut(command)
+        # a name cut short is no typo: its line leaves the choices out
+        return _usage_error(f"unknown command {head!r}{tail or ' ' + choices}")
     handler, _, options = _COMMANDS[command]
     opts = {"command": command, **options}
     for arg in args:
@@ -359,7 +379,8 @@ def main(argv=None) -> int:
         flag, eq, text = arg.partition("=")
         name = flag[2:]
         if not flag.startswith("--") or name not in options:
-            return _usage_error(f"{command}: unrecognized argument {arg!r}")
+            head, tail = _cut(arg)
+            return _usage_error(f"{command}: unrecognized argument {head!r}{tail}")
         text = text if eq else next(args, None)
         if text is None:
             return _usage_error(f"{command}: {flag} needs a value")

@@ -22,6 +22,7 @@ from ._frozen import Frozen
 from .itft import itft_in_place
 from .ring import PrimeField
 from .tft import make_plan, tft_in_place
+from .twiddle import pair_stream
 
 __all__ = [
     "CSV_HEADER",
@@ -58,8 +59,8 @@ class TallyRing:
     tallies and never touches the buffer.  A pair run [lo, hi) states
     its per-entry cost through ``_entries`` (nothing when hi <= lo);
     members of equal cost and parameters are one method under several
-    names.  The radix-4 pair tallies its block 0 and then each run as
-    it draws it from runs.  So a whole kernel costs its O(m^2) ring
+    names.  The radix-4 pair tallies its block 0 and then each run it
+    draws from ``pair_stream``.  So a whole kernel costs its O(m^2) ring
     calls, whatever ell.  The scalar products ``mul`` (mul_other),
     ``mul_root`` and ``mul_pow2`` compute their residue and count one
     each.  ``root_power`` takes
@@ -125,29 +126,25 @@ class TallyRing:
     def scale(self, buffer, lo: int, hi: int, c: int) -> None:
         self._entries(lo, hi, 0, 0, 1)
 
-    def radix4(self, buffer, size: int, iota: int, runs) -> None:
-        for _ in self._drawn(runs, size):
-            pass
-
-    inverse_butterflies = restore = double = butterflies
-    park = recombine = axpy
-    inverse_radix4 = radix4
-
-    def _drawn(self, runs, size: int):
-        """Yield runs, tallying block 0 before the first and then each run
-        as it is drawn.  Block 0 costs size products by iota and 8*size
-        additions, what its two folds and one radix-2 block with iota
-        would; a run of n blocks costs per block 4*size butterflies and
+    def radix4(self, buffer, size: int, iota: int, m: int, psi: int, q: int) -> None:
+        """Block 0 costs size products by iota and 8*size additions, what
+        its two folds and one radix-2 block with iota would.  The other
+        blocks are drawn from pair_stream(self, m, psi, q), whose powers
+        and products tally here as the field's inline walk would make
+        them; a run of n blocks costs per block 4*size butterflies and
         the twiddle products b*b and b*iota, and the n - 1 products by
         step inside the run."""
         tally = self._tally
         tally[0] += size
         tally[2] += 8 * size
-        for run in runs:
-            n = run[1]
-            tally[0] += (4 * size + 3) * n - 1
-            tally[2] += 8 * size * n
-            yield run
+        if q > 1:
+            for _, n, _, _, _ in pair_stream(self, m, psi, q):
+                tally[0] += (4 * size + 3) * n - 1
+                tally[2] += 8 * size * n
+
+    inverse_butterflies = restore = double = butterflies
+    park = recombine = axpy
+    inverse_radix4 = radix4
 
 
 class CountingField(TallyRing):
@@ -165,20 +162,14 @@ class CountingField(TallyRing):
 
 def _computing(name: str):
     """CountingField's member name: PrimeField's loop, then TallyRing's
-    tally; the radix-4 pair tallies through ``_drawn`` as the loop draws
-    its runs, block 0 at the first draw.  Each member keeps
-    PrimeField's parameter list, the pair runs' through ``__wrapped__``."""
+    tally, with PrimeField's parameter list through ``__wrapped__``."""
     loop, count = getattr(PrimeField, name), getattr(TallyRing, name)
-    if name in ("radix4", "inverse_radix4"):
-        def member(self, buffer, size, iota, runs):
-            loop(self, buffer, size, iota, self._drawn(runs, size))
-    else:
-        def member(self, *args):
-            loop(self, *args)
-            count(self, *args)
 
-        member.__wrapped__ = loop
+    def member(self, *args):
+        loop(self, *args)
+        count(self, *args)
 
+    member.__wrapped__ = loop
     member.__name__ = name
     return member
 

@@ -15,9 +15,10 @@ Passes, mirroring the forward kernel in reverse, each a function of
 
 1. ``ascend_levels``: ascending butterfly levels over the completed
    prefix, two per sweep, one ``inverse_radix4`` call per level pair:
-   block 0, then reciprocal twiddles drawn as runs from the pair stream
-   seeded with psi^-1; a leftover half block and the unpaired top level
-   go through ``fold`` and ``inverse_butterflies``;
+   block 0, then the blocks of the pair stream seeded with psi^-1,
+   whose runs of reciprocal twiddles the ring walks itself; a leftover
+   half block and the unpaired top level go through ``fold`` and
+   ``inverse_butterflies``;
 2. ``branch_recombine``: descending rightmost-branch pass recombining
    head entries with the entries the forward kernel kept at their
    mirrors, 2^(m-1) below the missing slots (x <- x - a*y, and the
@@ -28,7 +29,7 @@ Passes, mirroring the forward kernel in reverse, each a function of
    sweep by (2^-1)^m, or by (2^-1)^(m-1) on the entries the fold skips.
 
 Passes 2-4 touch O(ell) entries in block runs.  Passes 2-3 take each
-level's two runs from ``tft.branch_levels``, where dist > 0 says the
+level's two runs from ``tft.branch_level``, where dist > 0 says the
 partial block has a tail, and only pick ring members by that sign:
 pass 2 runs ``recombine``, or ``axpy`` then ``scale`` by 1/2, on the
 second run; pass 3 runs ``inverse_butterflies``, or ``double``, on both.
@@ -36,8 +37,9 @@ Pass 4 is ``fold_tail`` and three ``scale`` runs.
 """
 
 from .ring import pow_by_squaring
-from .tft import TransformPlan, branch_levels, checked_ring, fold_tail
-from .twiddle import pair_stream, twiddle_forward, twiddle_inverse
+from .tft import TransformPlan, branch_level, checked_ring, fold_tail
+# pair_stream stays bound here for the benchmark's tracer, as in tft.py
+from .twiddle import bit_reverse, pair_stream, twiddle_forward, twiddle_inverse  # noqa: F401
 
 __all__ = ["itft_in_place"]
 
@@ -61,7 +63,7 @@ def ascend_levels(plan: TransformPlan, buffer, ring) -> None:
     """Pass 1: the forward pass 4 in reverse, level pair by level pair
     from the bottom, each pair one ``inverse_radix4`` call that takes
     block 0 by itself, then the unpaired top level; [[1,1],[a,-a]] needs
-    no halving.  The reciprocal twiddles come from the pair stream
+    no halving.  The reciprocal twiddles are those of the pair stream
     seeded with psi^-1, built once when ell >= 8, exactly when the
     bottom pair has a block past block 0; a leftover block's twiddle is
     then a power of it too, and only ell = 6 and 7 take it from psi.
@@ -77,8 +79,7 @@ def ascend_levels(plan: TransformPlan, buffer, ring) -> None:
             alpha = (twiddle_inverse(ring, m, plan.psi, 2 * q) if psi_inv is None
                      else twiddle_forward(ring, m, psi_inv, 2 * q))
             ring.inverse_butterflies(buffer, 4 * q * size, (4 * q + 1) * size, size, alpha)
-        runs = pair_stream(ring, m - 1, psi_inv, q) if q > 1 else ()
-        ring.inverse_radix4(buffer, size, iota, runs)
+        ring.inverse_radix4(buffer, size, iota, m - 1, psi_inv, q)
     if m % 2 == 0:
         size = 1 << (m - 2)
         ring.fold(buffer, 0, size, size)
@@ -89,7 +90,9 @@ def ascend_levels(plan: TransformPlan, buffer, ring) -> None:
 def branch_recombine(plan: TransformPlan, buffer, ring) -> None:
     """Pass 2: descending recombination of head and mirrored entries, on
     each level's second run."""
-    for e, _, _, dist, lo2, hi2, dist2 in branch_levels(plan, range(plan.m - 2, plan.v, -1)):
+    rev = bit_reverse(plan.ell % (1 << plan.m), plan.m)
+    for k in range(plan.m - 2, plan.v, -1):
+        e, _, _, dist, lo2, hi2, dist2 = branch_level(plan, rev, k)
         alpha = ring.root_power(plan.psi, e)
         if dist > 0:
             ring.recombine(buffer, lo2, hi2, dist2, alpha)
@@ -103,7 +106,9 @@ def branch_finish(plan: TransformPlan, buffer, ring) -> None:
     butterflies of [[1,1],[a',-a']] with the reciprocal twiddle
     a' = psi^(2^m - e) when the partial block has a tail, else the
     doubling step x <- 2x - a*y."""
-    for e, lo, hi, dist, lo2, hi2, dist2 in branch_levels(plan, range(plan.v, plan.m - 1)):
+    rev = bit_reverse(plan.ell % (1 << plan.m), plan.m)
+    for k in range(plan.v, plan.m - 1):
+        e, lo, hi, dist, lo2, hi2, dist2 = branch_level(plan, rev, k)
         if dist > 0:
             alpha = ring.root_power(plan.psi, (1 << plan.m) - e)
             ring.inverse_butterflies(buffer, lo, hi, dist, alpha)

@@ -12,7 +12,6 @@ kernels and ``tft_polymul`` use every one of them, and nothing else.
 
     modulus                       attribute, the odd prime p
     mul(x, y)                     general product
-    mul_root(x, y)                product tagged "by a root power"
     mul_pow2(x, y)                product tagged "by a power of 2 or 2^-1"
     fold(buffer, lo, hi, dist)    for j in [lo, hi): (x_j, x_{j+dist}) <-
                                   (x_j + x_{j+dist}, x_j - x_{j+dist})
@@ -23,19 +22,20 @@ kernels and ``tft_polymul`` use every one of them, and nothing else.
     inverse_butterflies(buffer, lo, hi, dist, alpha)
                                   the same pairs, Gentleman-Sande step
                                   (x, y) <- (x + y, a*(x - y))
-    radix4(buffer, size, iota, runs)
+    radix4(buffer, size, iota, m, psi, q)
                                   two levels in one sweep over blocks of
                                   size 4*size: block 0, at [0, 4*size),
-                                  with b = 1, and then for each run
-                                  (i, n, b, step, bits) drawn from runs
-                                  (possibly none), the n blocks from
-                                  block i on, their low bits counted in
-                                  bit-reversed order, with twiddles b,
-                                  b*step, b*step^2, ...; each block takes
-                                  the Cooley-Tukey step with b*b on its
-                                  halves, then with b and b*iota on its
-                                  quarters
-    inverse_radix4(buffer, size, iota, runs)
+                                  with b = 1, and then, when q > 1, for
+                                  each run (i, n, b, step, bits) of
+                                  twiddle.pair_stream(ring, m, psi, q),
+                                  the n blocks from block i on, their low
+                                  bits counted in bit-reversed order,
+                                  with twiddles b, b*step, b*step^2, ...
+                                  (psi is not read when q = 1); each
+                                  block takes the Cooley-Tukey step with
+                                  b*b on its halves, then with b and
+                                  b*iota on its quarters
+    inverse_radix4(buffer, size, iota, m, psi, q)
                                   the same blocks, Gentleman-Sande steps
                                   in the reverse order: b on the first
                                   quarter pair, b*iota with the
@@ -54,9 +54,14 @@ closing sweep, on (x, y) = (x_j, x_{j+dist}) for j in [lo, hi):
     double(buffer, lo, hi, dist, alpha)     x <- 2x - a*y
     scale(buffer, lo, hi, c)                x <- c*x
 
-On this plain handle the tagged variants are aliases of the untagged ones;
-the instrumentation module ships two rings that give each tag its own
-counter, one of which runs no block loop.  ``root_power`` may compute
+On this plain handle ``mul_pow2`` and ``mul_root``, the product tagged
+"by a root power", are aliases of ``mul``.  ``mul_root`` is not a
+member: the radix-4 members here walk ``pair_stream``'s runs with
+builtin pow and products of their own, so no kernel reaches it; it is
+the product ``pair_stream`` takes.  The instrumentation module ships
+two rings that give each tag its own counter, one of which runs no
+block loop; their radix-4 members tally by drawing ``pair_stream`` over
+their own ``mul_root``, as a custom ring's may.  ``root_power`` may compute
 x^e any way (here builtin pow), but it costs, and a counting ring
 counts, the products ``pow_by_squaring`` makes over ``mul_root``; the
 inverse kernel's one power of 2^-1 runs ``pow_by_squaring`` over
@@ -69,7 +74,8 @@ fold as two additions.  A radix-4 block is 4*size butterflies plus the
 two products b*b and b*iota that give its other twiddles, and a run of
 n blocks adds the n - 1 products by step that give its twiddles after
 the first: (4*size + 3)*n - 1 products by a root power and 8*size*n
-additions per run.  Block 0 costs what its two folds and one radix-2
+additions per run, beside the powers and products ``pair_stream``
+makes between runs.  Block 0 costs what its two folds and one radix-2
 block with iota would: size products by a root power and 8*size
 additions.  An axpy,
 park or recombine entry is one product by a root power and one
@@ -185,7 +191,8 @@ class PrimeField(Frozen):
     def mul(self, x: int, y: int) -> int:
         return x * y % self.modulus
 
-    # Tag aliases; CountingField separates these.
+    # Tag aliases; CountingField separates these.  mul_root is for
+    # twiddle.pair_stream, which the radix-4 members walk inline.
     mul_root = mul
     mul_pow2 = mul
 
@@ -224,127 +231,11 @@ class PrimeField(Frozen):
             buffer[j + dist] = alpha * (u - w) % p
             buffer[j] = (u + w) % p
 
-    def radix4(self, buffer, size: int, iota: int, runs) -> None:
-        # each name is rebound as soon as its value is spent, and u and t
-        # to what was stored, so an input's int is freed by the store into
-        # its slot and the traced scratch stays at radix-2's
-        p = self.modulus
-        size2, size3, size4 = 2 * size, 3 * size, 4 * size
-        for j in range(size):  # block 0: b = b*b = 1, b*iota = iota
-            u = buffer[j]
-            w = buffer[j + size]
-            t = buffer[j + size2]
-            s = buffer[j + size3]
-            x = iota * (w - s) % p
-            s += w
-            w = u - t
-            t += u
-            u = buffer[j] = (t + s) % p
-            t = buffer[j + size] = (t - s) % p
-            buffer[j + size2] = (w + x) % p
-            buffer[j + size3] = (w - x) % p
-        for i, n, b, step, bits in runs:
-            top = 1 << bits >> 1
-            while True:
-                a = b * b % p
-                c = b * iota % p
-                if size == 1:  # the bottom pair: one 4-entry block, no loop
-                    j = 4 * i
-                    u = buffer[j]
-                    w = buffer[j + 1]
-                    t = a * buffer[j + 2] % p
-                    s = a * buffer[j + 3] % p
-                    x = c * (w - s) % p
-                    s = b * (w + s) % p
-                    w = u - t
-                    t += u
-                    u = buffer[j] = (t + s) % p
-                    t = buffer[j + 1] = (t - s) % p
-                    buffer[j + 2] = (w + x) % p
-                    buffer[j + 3] = (w - x) % p
-                else:
-                    for j in range(size4 * i, size4 * i + size):
-                        u = buffer[j]
-                        w = buffer[j + size]
-                        t = a * buffer[j + size2] % p
-                        s = a * buffer[j + size3] % p
-                        x = c * (w - s) % p
-                        s = b * (w + s) % p
-                        w = u - t
-                        t += u
-                        u = buffer[j] = (t + s) % p
-                        t = buffer[j + size] = (t - s) % p
-                        buffer[j + size2] = (w + x) % p
-                        buffer[j + size3] = (w - x) % p
-                n -= 1
-                if not n:
-                    break
-                bit = top
-                while i & bit:
-                    i ^= bit
-                    bit >>= 1
-                i |= bit
-                b = b * step % p
+    def radix4(self, buffer, size: int, iota: int, m: int, psi: int, q: int) -> None:
+        _level_pair(self.modulus, buffer, size, iota, m, psi, q, True)
 
-    def inverse_radix4(self, buffer, size: int, iota: int, runs) -> None:
-        # the upper level's outputs are formed from the four inputs
-        # directly, and u and x are rebound to what was stored, so an
-        # input's int is freed by the store into its slot and the traced
-        # scratch stays at radix-2's
-        p = self.modulus
-        size2, size3, size4 = 2 * size, 3 * size, 4 * size
-        for j in range(size):  # block 0: b = b*b = 1, b*iota^-1 = p - iota
-            u = buffer[j]
-            w = buffer[j + size]
-            x = buffer[j + size2]
-            t = buffer[j + size3]
-            s = u - w
-            v = (u + w - x - t) % p
-            u = buffer[j] = (u + w + x + t) % p
-            w = iota * (t - x) % p
-            x = buffer[j + size2] = v
-            buffer[j + size] = (s + w) % p
-            buffer[j + size3] = (s - w) % p
-        for i, n, b, step, bits in runs:
-            top = 1 << bits >> 1
-            while True:
-                a = b * b % p
-                c = b * iota % p
-                if size == 1:  # the bottom pair: one 4-entry block, no loop
-                    j = 4 * i
-                    u = buffer[j]
-                    w = buffer[j + 1]
-                    x = buffer[j + 2]
-                    t = buffer[j + 3]
-                    s = b * (u - w) % p
-                    v = a * (u + w - x - t) % p
-                    u = buffer[j] = (u + w + x + t) % p
-                    w = c * (t - x) % p
-                    x = buffer[j + 2] = v
-                    buffer[j + 1] = (s + w) % p
-                    buffer[j + 3] = a * (s - w) % p
-                else:
-                    for j in range(size4 * i, size4 * i + size):
-                        u = buffer[j]
-                        w = buffer[j + size]
-                        x = buffer[j + size2]
-                        t = buffer[j + size3]
-                        s = b * (u - w) % p
-                        v = a * (u + w - x - t) % p
-                        u = buffer[j] = (u + w + x + t) % p
-                        w = c * (t - x) % p
-                        x = buffer[j + size2] = v
-                        buffer[j + size] = (s + w) % p
-                        buffer[j + size3] = a * (s - w) % p
-                n -= 1
-                if not n:
-                    break
-                bit = top
-                while i & bit:
-                    i ^= bit
-                    bit >>= 1
-                i |= bit
-                b = b * step % p
+    def inverse_radix4(self, buffer, size: int, iota: int, m: int, psi: int, q: int) -> None:
+        _level_pair(self.modulus, buffer, size, iota, m, psi, q, False)
 
     # The runs below take fold's pairs; each step's one expression has
     # the residue of the scalar ring calls it stands for.
@@ -396,3 +287,125 @@ class PrimeField(Frozen):
                 f"no root of order 2^{m}: field supports at most 2^{self.two_adicity}"
             )
         return pow(self.generator_root, 1 << (self.two_adicity - m), self.modulus)
+
+def _level_pair(p, buffer, size, iota, m, psi, q, forward):
+    # Both radix-4 members, the direction tested once per block.  Each
+    # name is rebound as soon as its value is spent, and u, t and x to
+    # what was stored, so an input's int is freed by the store into its
+    # slot and the traced scratch stays at radix-2's; the inverse forms
+    # the upper level's outputs from the four inputs directly.
+    size2, size3, size4 = 2 * size, 3 * size, 4 * size
+    if forward:
+        for j in range(size):  # block 0: b = b*b = 1, b*iota = iota
+            u = buffer[j]
+            w = buffer[j + size]
+            t = buffer[j + size2]
+            s = buffer[j + size3]
+            x = iota * (w - s) % p
+            s += w
+            w = u - t
+            t += u
+            u = buffer[j] = (t + s) % p
+            t = buffer[j + size] = (t - s) % p
+            buffer[j + size2] = (w + x) % p
+            buffer[j + size3] = (w - x) % p
+    else:
+        for j in range(size):  # block 0: b = b*b = 1, b*iota^-1 = p - iota
+            u = buffer[j]
+            w = buffer[j + size]
+            x = buffer[j + size2]
+            t = buffer[j + size3]
+            s = u - w
+            v = (u + w - x - t) % p
+            u = buffer[j] = (u + w + x + t) % p
+            w = iota * (t - x) % p
+            x = buffer[j + size2] = v
+            buffer[j + size] = (s + w) % p
+            buffer[j + size3] = (s - w) % p
+    if q == 1:
+        return
+    # The runs of twiddle.pair_stream(ring, m, psi, q), walked with its
+    # exponents (see _runs there) so that no generator outlives a block:
+    # first blocks 2^(bits-1).. of the top digit, then one run per lower
+    # digit of q, each from offset on with factors scale*step^j.
+    bits = q.bit_length() - 1
+    lift = min(m - 1 - bits, 1)
+    seed = pow(psi, 1 << (m - 1 - bits - lift), p)
+    b = step = pow(seed, 1 << lift, p)
+    i, n = 1 << bits >> 1, (1 << bits) - 1
+    offset, scale = 1 << bits, 1
+    while True:
+        top = 1 << bits >> 1
+        while True:
+            a = b * b % p
+            c = b * iota % p
+            if size == 1 and forward:  # the bottom pair: one 4-entry block, no loop
+                j = 4 * i
+                u = buffer[j]
+                w = buffer[j + 1]
+                t = a * buffer[j + 2] % p
+                s = a * buffer[j + 3] % p
+                x = c * (w - s) % p
+                s = b * (w + s) % p
+                w = u - t
+                t += u
+                u = buffer[j] = (t + s) % p
+                t = buffer[j + 1] = (t - s) % p
+                buffer[j + 2] = (w + x) % p
+                buffer[j + 3] = (w - x) % p
+            elif size == 1:
+                j = 4 * i
+                u = buffer[j]
+                w = buffer[j + 1]
+                x = buffer[j + 2]
+                t = buffer[j + 3]
+                s = b * (u - w) % p
+                v = a * (u + w - x - t) % p
+                u = buffer[j] = (u + w + x + t) % p
+                w = c * (t - x) % p
+                x = buffer[j + 2] = v
+                buffer[j + 1] = (s + w) % p
+                buffer[j + 3] = a * (s - w) % p
+            elif forward:
+                for j in range(size4 * i, size4 * i + size):
+                    u = buffer[j]
+                    w = buffer[j + size]
+                    t = a * buffer[j + size2] % p
+                    s = a * buffer[j + size3] % p
+                    x = c * (w - s) % p
+                    s = b * (w + s) % p
+                    w = u - t
+                    t += u
+                    u = buffer[j] = (t + s) % p
+                    t = buffer[j + size] = (t - s) % p
+                    buffer[j + size2] = (w + x) % p
+                    buffer[j + size3] = (w - x) % p
+            else:
+                for j in range(size4 * i, size4 * i + size):
+                    u = buffer[j]
+                    w = buffer[j + size]
+                    x = buffer[j + size2]
+                    t = buffer[j + size3]
+                    s = b * (u - w) % p
+                    v = a * (u + w - x - t) % p
+                    u = buffer[j] = (u + w + x + t) % p
+                    w = c * (t - x) % p
+                    x = buffer[j + size2] = v
+                    buffer[j + size] = (s + w) % p
+                    buffer[j + size3] = a * (s - w) % p
+            n -= 1
+            if not n:
+                break
+            bit = top  # the next block: i's low bits counted in bit-reversed order
+            while i & bit:
+                i ^= bit
+                bit >>= 1
+            i |= bit
+            b = b * step % p
+        if offset >= q:
+            return
+        prev, bits = bits, (q - offset).bit_length() - 1
+        scale = scale * seed % p
+        seed = pow(seed, 1 << (prev - bits), p)
+        i, n, b, step = offset, 1 << bits, scale, seed * seed % p
+        offset += 1 << bits

@@ -24,13 +24,13 @@ The kernel runs in four passes, each a function of (plan, buffer, ring):
 4. ``prefix_levels``: run the butterfly levels over the completed
    prefix two at a time, each pair in one radix-4 sweep: block 0, and
    then the blocks and twiddles of the geometric runs of one pair
-   stream.
+   stream, which the ring walks itself from (m-1, psi, q).
 
 Passes 1 and 4 hand whole levels to the ring's block operations
 (``fold``, one ``radix4`` call per level pair, and ``butterflies`` for
 a leftover half block and the unpaired top level).  The
 rightmost-branch passes 2-3 touch O(ell) entries, also as block runs.
-``branch_levels`` is their one source of geometry: per level it yields
+``branch_level`` is their one source of geometry: per level it returns
 two runs of pairs (j, j + dist), with dist > 0 exactly when the
 partial block has a tail.  By that sign the passes only pick the ring
 members for the runs: ``butterflies`` then ``park``, or ``axpy``
@@ -46,7 +46,11 @@ from operator import index
 
 from ._frozen import Frozen
 from .ring import PrimeField
-from .twiddle import bit_reverse, pair_stream, twiddle_forward
+# pair_stream is not called here: the ring's radix-4 members walk its
+# runs themselves.  The name stays bound because perfbench/spans.py
+# rebinds it in this module, and tests/test_public_names.py requires
+# every name it rebinds to be bound, until the benchmark is rekeyed.
+from .twiddle import bit_reverse, pair_stream, twiddle_forward  # noqa: F401
 
 __all__ = ["TransformPlan", "make_plan", "tft_in_place"]
 
@@ -88,17 +92,19 @@ class TransformPlan(Frozen):
 make_plan = TransformPlan
 
 
-def branch_levels(plan: TransformPlan, ks):
-    """Yield the rightmost-branch geometry of each level k in ks, as
-    (e, lo, hi, dist, lo2, hi2, dist2): the twiddle exponent and the
-    level's two runs, each the pairs (j, j + dist) for j in [lo, hi).
+def branch_level(plan: TransformPlan, rev: int, k: int):
+    """The rightmost-branch geometry of level k, as (e, lo, hi, dist,
+    lo2, hi2, dist2): the twiddle exponent and the level's two runs,
+    each the pairs (j, j + dist) for j in [lo, hi).  rev is
+    bit_reverse(ell % 2^m, m), which a pass computes once for all its
+    levels.
 
     At level k the buffer holds complete blocks of size = 2^k up to
     head = 2^k * 2q, q = ell >> (k+1), and ell - head entries past them,
     in the partial butterfly block q; its twiddle is psi^e with
     e = bit_reverse(q, m-1), as every level's block q has.  q is ell's
-    bits above k, so e is ell's low m bits reversed once per call,
-    shifted left by k and cut to m-1 bits (ell = 2^m has no such levels).
+    bits above k, so e is rev shifted left by k and cut to m-1 bits
+    (ell = 2^m has no such levels).
 
     Between them the two runs take each pair (j, j + size) of the
     partial block once, starting at lo = head.  A slot j >= ell that the
@@ -112,17 +118,13 @@ def branch_levels(plan: TransformPlan, ks):
     slots at ell and above with their partners (dist2 = size).
     """
     ell = plan.ell
-    m = plan.m
-    rev = bit_reverse(ell % (1 << m), m)
-    half_len = 1 << (m - 1)
-    for k in ks:
-        e = (rev << k) & (half_len - 1)
-        size = 1 << k
-        head = ell >> (k + 1) << (k + 1)
-        if ell > head + size:
-            yield e, head, ell - size, size, ell - size, head + size, size - half_len
-        else:
-            yield e, head, ell, size - half_len, ell - half_len, head + size - half_len, size
+    half_len = 1 << (plan.m - 1)
+    e = (rev << k) & (half_len - 1)
+    size = 1 << k
+    head = ell >> (k + 1) << (k + 1)
+    if ell > head + size:
+        return e, head, ell - size, size, ell - size, head + size, size - half_len
+    return e, head, ell, size - half_len, ell - half_len, head + size - half_len, size
 
 
 def checked_ring(plan: TransformPlan, buffer, ring):
@@ -132,7 +134,7 @@ def checked_ring(plan: TransformPlan, buffer, ring):
     ring defaults to plan.field and must share its modulus; buffer must
     have plan.ell entries, each of type int exactly (numpy scalars and
     floats would compute in their own arithmetic; bool is refused with
-    them).  The scan allocates a few hundred bytes, freed before pass 1.
+    them).  The scan allocates one small set, freed before pass 1.
     """
     if ring is None:
         ring = plan.field
@@ -142,7 +144,8 @@ def checked_ring(plan: TransformPlan, buffer, ring):
         )
     if len(buffer) != plan.ell:
         raise ValueError(f"buffer length {len(buffer)} != plan length {plan.ell}")
-    bad = set(map(type, buffer)) - {int}
+    bad = set(map(type, buffer))  # one set: a difference would make two more
+    bad.discard(int)
     if bad:
         names = ", ".join(sorted(kind.__name__ for kind in bad))
         raise TypeError(f"buffer entries must be Python ints, got {names}")
@@ -176,8 +179,10 @@ def fold_tail(plan: TransformPlan, buffer, ring) -> None:
 
 def branch_descent(plan: TransformPlan, buffer, ring) -> None:
     """Pass 2: rightmost-branch descent (runs only when ell < 2^m); each
-    level is its two runs of ``branch_levels``, each one ring call."""
-    for e, lo, hi, dist, lo2, hi2, dist2 in branch_levels(plan, range(plan.m - 2, plan.v - 1, -1)):
+    level is the two runs of its ``branch_level``, each one ring call."""
+    rev = bit_reverse(plan.ell % (1 << plan.m), plan.m)
+    for k in range(plan.m - 2, plan.v - 1, -1):
+        e, lo, hi, dist, lo2, hi2, dist2 = branch_level(plan, rev, k)
         alpha = ring.root_power(plan.psi, e)
         if dist > 0:
             ring.butterflies(buffer, lo, hi, dist, alpha)
@@ -192,7 +197,9 @@ def branch_descent(plan: TransformPlan, buffer, ring) -> None:
 def branch_restore(plan: TransformPlan, buffer, ring) -> None:
     """Pass 3: restore the mirrored entries of each level's second run,
     bottom level upward."""
-    for e, _, _, dist, lo2, hi2, dist2 in branch_levels(plan, range(plan.v + 1, plan.m - 1)):
+    rev = bit_reverse(plan.ell % (1 << plan.m), plan.m)
+    for k in range(plan.v + 1, plan.m - 1):
+        e, _, _, dist, lo2, hi2, dist2 = branch_level(plan, rev, k)
         alpha = ring.root_power(plan.psi, e)
         if dist > 0:
             # [[2a,1],[1,0]] undoes the parking step
@@ -211,8 +218,9 @@ def prefix_levels(plan: TransformPlan, buffer, ring) -> None:
     each with b = psi^bit_reverse(i, m-2): level k's twiddle is b*b and
     level k-1's are b and b*iota.  The call takes block 0 (b = 1) by
     itself and blocks 1..q-1 as the geometric runs of the pair stream
-    of m-1, none when q = 1; when bit k of ell is set, the level-(k-1)
-    block 2q is left over, with its own twiddle.
+    of m-1, which it walks from (m-1, psi, q) (none when q = 1); when
+    bit k of ell is set, the level-(k-1) block 2q is left over, with its
+    own twiddle.
     An odd level count leaves level m-2 unpaired: a fold, and block 1
     when ell = 2^m.
     """
@@ -228,7 +236,7 @@ def prefix_levels(plan: TransformPlan, buffer, ring) -> None:
     for k in reversed(range(1, m - 1, 2)):
         size = 1 << (k - 1)
         q = ell >> (k + 1)
-        ring.radix4(buffer, size, iota, pair_stream(ring, m - 1, psi, q) if q > 1 else ())
+        ring.radix4(buffer, size, iota, m - 1, psi, q)
         if ell >> k & 1:
             alpha = twiddle_forward(ring, m, psi, 2 * q)
             ring.butterflies(buffer, 4 * q * size, (4 * q + 1) * size, size, alpha)

@@ -10,9 +10,13 @@ through two channels:
 
 * ``pair_stream`` -- a generator of the factors
   ``psi^bit_reverse(i, m-1)`` for ``i = 1, ..., q-1`` as geometric runs,
-  which the radix-4 step draws with m-1 in place of m and the same psi.
-  q is split along its binary digits, one run per digit, and within a
-  run the factors form a geometric progression: a run
+  the specification of the radix-4 step's twiddles, which the kernels
+  hand to the ring as (m-1, psi, q).  ``PrimeField`` walks these runs
+  inline, with the exponents of ``_runs`` below, so no generator stays
+  alive through a sweep; the counting rings draw the generator itself
+  and tally each run, and a test holds the walk to it.  q is split
+  along its binary digits, one run per digit, and within a run the
+  factors form a geometric progression: a run
   ``(i, n, b, step, bits)`` is n blocks from block i on, visited in the
   bit-reversed order of their low ``bits`` bits, with factors b,
   b*step, b*step^2, ...  The consumer makes the n - 1 products inside
@@ -26,9 +30,9 @@ through two channels:
   inverse uses the complementary positive exponent
   ``2^m - bit_reverse(q, m-1)``, so no field inversion is needed.  The
   rightmost-branch passes take the same powers with the exponent from
-  ``tft.branch_levels``, which reads it off ell's bits.
+  ``tft.branch_level``, which reads it off ell's bits.
 
-Every product is a ``ring.mul_root`` and every power a
+Every product here is a ``ring.mul_root`` and every power a
 ``ring.root_power``, which both rings take by builtin pow and a
 counting ring counts as the products ``pow_by_squaring`` makes over
 ``mul_root``.

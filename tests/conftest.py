@@ -20,5 +20,6 @@ def field():
 @pytest.fixture(scope="session")
 def cli_scratch():
     # tools/cli_scratch.py's names: measure, the one traced procedure of
-    # every scratch reading, and run, its phases of one CLI command
+    # every scratch reading, run, its phases of one CLI command, and
+    # passes, the reading of each kernel pass function
     return runpy.run_path(str(Path(__file__).resolve().parent.parent / "tools" / "cli_scratch.py"))

@@ -246,8 +246,12 @@ def test_fft_counts_match_the_closed_form(field):
     )
 
 
-# bytes; at SCRATCH_LENGTHS the kernels read at most 1056 (100000).
-SCRATCH_LIMIT = 1536
+# bytes; at SCRATCH_LENGTHS the kernels read at most 1056 (100000) while
+# a pair-stream generator stayed alive through each radix-4 call and the
+# branch passes drew their levels from a generator (limit was 1536), and
+# 752 (100000) once the radix-4 members walked their twiddle runs inline
+# and each branch pass took one level's geometry at a time.
+SCRATCH_LIMIT = 1024
 SCRATCH_LENGTHS = (1, 2, 3, 17, 1000, 1025, 4096, 5000, 16385, 65536, 100000)
 
 
@@ -276,10 +280,27 @@ def test_scratch_space_is_constant(field, cli_scratch):
     )
 
 
+def test_each_pass_scratch_is_bounded(cli_scratch):
+    # tools/cli_scratch.py kernel L reads each of the eight pass functions
+    # through measure, as the kernels run them; at 5000 every pass has
+    # work, and none may need more than the whole kernel may
+    passes = cli_scratch["passes"]
+    passes(5000, SEED, traced=False)
+    readings = passes(5000, SEED, traced=True)
+    assert len(readings) == 8 and all(value > 0 for value in readings.values())
+    _verdict(
+        max(readings.values()) <= SCRATCH_LIMIT,
+        "pass scratch",
+        f"each pass at l=5000: {readings} B above what it leaves held (limit {SCRATCH_LIMIT} B)",
+    )
+
+
 # bytes above the output; the product read 6,132 (64 x 64) and 83,116
 # (1024 x 1024) while it held both transformed factors as lists of ints,
 # and 1,632 and 12,644 once the factor out of its transform waited packed
-PRODUCT_SCRATCH_LIMITS = {64: 2_000, 1024: 15_000}
+# (64 x 64 limit was 2,000); 1,328 and 12,644 once the kernels kept no
+# generator alive through a pass
+PRODUCT_SCRATCH_LIMITS = {64: 1_600, 1024: 15_000}
 
 
 def test_product_scratch_is_bounded(field, cli_scratch):

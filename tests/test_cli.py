@@ -219,6 +219,21 @@ def test_a_refused_option_value_is_echoed_in_one_short_line(capsys):
     assert len(error.encode()) < 120 and capsys.readouterr() == ("", error)
 
 
+def test_an_unknown_command_is_echoed_in_one_short_line(capsys):
+    assert main(["y" * 100_000]) == 2
+    error = f"error: unknown command {'y' * 40!r}... (100000 characters)\n"
+    assert len(error.encode()) < 120 and capsys.readouterr() == ("", error)
+    assert main(["yy"]) == 2  # a short name is shown with the choices
+    choices = "(choose from tft, itft, mul, counts, selftest)"
+    assert capsys.readouterr() == ("", f"error: unknown command 'yy' {choices}\n")
+
+
+def test_an_unrecognized_argument_is_echoed_in_one_short_line(capsys):
+    assert main(["tft", "--" + "x" * 99_998]) == 2
+    error = f"error: tft: unrecognized argument {'--' + 'x' * 38!r}... (100000 characters)\n"
+    assert len(error.encode()) < 120 and capsys.readouterr() == ("", error)
+
+
 def test_an_option_value_is_read_past_its_leading_zeros(capsys):
     # int() converts at most 4300 digits by default: a value is read past
     # its leading zeros, and one with more digits is refused by the CLI
@@ -694,6 +709,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "6\n2\n7\n"
+
+
+def test_a_closed_output_stops_quietly():
+    # a reader that stops early, as `| head -1` does, closes the pipe: the
+    # CLI exits 141 (128 + SIGPIPE, what a shell reports for a command
+    # stopped there) with nothing on stderr, not 1, the code of a failed
+    # verification, with a traceback.  counts overflows the pipe's buffer,
+    # so its rows meet the close mid-stream; selftest's few lines meet it
+    # in the flush that ends the command, since the pipe closes first.
+    counts = ["counts", "--min", "1", "--max", "4096", "--kind", "both"]
+    for argv, lines_read in ((counts, 1), (["selftest", "--max", "8"], 0)):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tftkit", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        for _ in range(lines_read):
+            assert proc.stdout.readline() == (CSV_HEADER + "\n").encode()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b""), argv
 
 
 def test_console_script_help():

@@ -17,6 +17,7 @@ from tftkit.instrumentation import (
 from tftkit.itft import itft_in_place
 from tftkit.ring import PrimeField, pow_by_squaring
 from tftkit.tft import make_plan, tft_in_place
+from tftkit.twiddle import bit_reverse, pair_stream
 
 
 def test_counters_default_to_zero():
@@ -164,59 +165,97 @@ def test_root_power_tally_is_the_square_and_multiply_count():
         ring.root_power(3, -1)
 
 
+def _two_levels(field, data, size, blocks):
+    """The two radix-2 levels one radix-4 sweep over blocks of 4*size
+    merges, forward 2*size then size, inverse size then 2*size: block 0
+    as its two folds and one radix-2 block with iota (p - iota inverse),
+    then each (i, b) of blocks with twiddles b*b, b and b*iota."""
+    p = field.modulus
+    iota = field.root_of_order(2)
+    forward = list(data)
+    field.fold(forward, 0, 2 * size, 2 * size)
+    field.fold(forward, 0, size, size)
+    field.butterflies(forward, 2 * size, 3 * size, size, iota)
+    inverse = list(data)
+    field.fold(inverse, 0, size, size)
+    field.inverse_butterflies(inverse, 2 * size, 3 * size, size, p - iota)
+    field.fold(inverse, 0, 2 * size, 2 * size)
+    for i, c in blocks:
+        x0, x2 = 4 * size * i, 4 * size * i + 2 * size
+        field.butterflies(forward, x0, x2, 2 * size, c * c % p)
+        field.butterflies(forward, x0, x0 + size, size, c)
+        field.butterflies(forward, x2, x2 + size, size, c * iota % p)
+        field.inverse_butterflies(inverse, x0, x0 + size, size, c)
+        field.inverse_butterflies(inverse, x2, x2 + size, size, c * (p - iota) % p)
+        field.inverse_butterflies(inverse, x0, x2, 2 * size, c * c % p)
+    return {"radix4": forward, "inverse_radix4": inverse}
+
+
 def test_radix4_step_is_two_radix2_levels(field):
     # one radix-4 sweep over blocks of 4*size equals the two radix-2
-    # levels it merges: forward 2*size then size, inverse size then 2*size.
-    # Block 0 is always swept, as its two folds and one radix-2 block with
-    # iota (p - iota inverse); the runs are a one-block run (bits = 0) and
-    # the first-run shape (2, 3, b, step, 2), blocks 2, 1, 3 with twiddles
-    # b, b*step, b*step^2
+    # levels it merges.  Block 0 is always swept; at m = 4 and q = 5 the
+    # pair stream's runs are the first-run shape (2, 3, b, step, 2),
+    # blocks 2, 1, 3, and a one-block run (4, 1, b', step', 0), with the
+    # block twiddles psi^bit_reverse(i, 3)
     rng = random.Random(10)
     p = field.modulus
     iota = field.root_of_order(2)
+    psi = rng.randrange(2, p)
+    drawn = TallyRing(p)
+    assert [run[:2] for run in pair_stream(drawn, 4, psi, 5)] == [(2, 3), (4, 1)]
+    blocks = [(i, pow(psi, bit_reverse(i, 3), p)) for i in range(1, 5)]
     for size in (1, 2, 4, 32):
-        n = 4 * size * 5
-        data = [rng.randrange(p) for _ in range(n)]
-        b4, b, step = (rng.randrange(2, p) for _ in range(3))
-        runs = [(4, 1, b4, rng.randrange(2, p), 0), (2, 3, b, step, 2)]
-        blocks = [(4, b4), (2, b), (1, b * step % p), (3, b * step * step % p)]
-        forward0 = list(data)
-        field.fold(forward0, 0, 2 * size, 2 * size)
-        field.fold(forward0, 0, size, size)
-        field.butterflies(forward0, 2 * size, 3 * size, size, iota)
-        inverse0 = list(data)
-        field.fold(inverse0, 0, size, size)
-        field.inverse_butterflies(inverse0, 2 * size, 3 * size, size, p - iota)
-        field.fold(inverse0, 0, 2 * size, 2 * size)
-        forward = list(forward0)
-        inverse = list(inverse0)
-        for i, c in blocks:
-            x0, x2 = 4 * size * i, 4 * size * i + 2 * size
-            field.butterflies(forward, x0, x2, 2 * size, c * c % p)
-            field.butterflies(forward, x0, x0 + size, size, c)
-            field.butterflies(forward, x2, x2 + size, size, c * iota % p)
-            field.inverse_butterflies(inverse, x0, x0 + size, size, c)
-            field.inverse_butterflies(inverse, x2, x2 + size, size, c * (p - iota) % p)
-            field.inverse_butterflies(inverse, x0, x2, 2 * size, c * c % p)
-        for name, want, want0 in (
-            ("radix4", forward, forward0), ("inverse_radix4", inverse, inverse0)
-        ):
+        data = [rng.randrange(p) for _ in range(4 * size * 5)]
+        want = _two_levels(field, data, size, blocks)
+        want0 = _two_levels(field, data, size, [])
+        for name in ("radix4", "inverse_radix4"):
             for ring in (field, CountingField(p)):
                 buf = AuditBuffer(data)
-                getattr(ring, name)(buf, size, iota, iter(runs))
-                assert buf.inner == want, (name, size)
+                getattr(ring, name)(buf, size, iota, 4, psi, 5)
+                assert buf.inner == want[name], (name, size)
                 assert not buf.oob and (buf.lo, buf.hi) == (0, 20 * size - 1)
                 if isinstance(ring, CountingField):
-                    # block 0: size and 8*size; (4*size + 3)*n - 1 per run of n
-                    want_counts = OpCounters(mul_root=17 * size + 10, add_sub=40 * size)
+                    # block 0: size and 8*size; (4*size + 3)*n - 1 per run
+                    # of n; and what drawing the pair stream costs
+                    want_counts = OpCounters(
+                        mul_root=17 * size + 10 + drawn.counters.mul_root, add_sub=40 * size
+                    )
                     assert ring.counters == want_counts, (name, size)
-            # no runs: block 0 alone
+            # q = 1: block 0 alone, and psi is never read
             ring = CountingField(p)
             buf = AuditBuffer(data)
-            getattr(ring, name)(buf, size, iota, ())
-            assert buf.inner == want0 and want0[4 * size:] == data[4 * size:], (name, size)
+            getattr(ring, name)(buf, size, iota, 4, None, 1)
+            assert buf.inner == want0[name] and want0[name][4 * size:] == data[4 * size:]
             assert (buf.lo, buf.hi) == (0, 4 * size - 1)
             assert ring.counters == OpCounters(mul_root=size, add_sub=8 * size)
+
+
+def test_radix4_walks_the_pair_stream(field):
+    # the field's radix-4 members walk the runs of pair_stream(ring, m,
+    # psi, q) inline, with its exponents: each block i gets the twiddle
+    # that expanding the stream's runs gives it, for every m <= 8 and
+    # every q in [2, 2^(m-1)], on the bottom pair and on wider blocks
+    rng = random.Random(13)
+    p = field.modulus
+    iota = field.root_of_order(2)
+    for m in range(2, 9):
+        psi = field.root_of_order(m + 1)
+        for q in range(2, (1 << (m - 1)) + 1):
+            blocks = []
+            for i, n, b, step, bits in pair_stream(field, m, psi, q):
+                low = i & ((1 << bits) - 1)
+                j = bit_reverse(low, bits)
+                for t in range(n):
+                    blocks.append((i - low + bit_reverse(j + t, bits), b))
+                    b = b * step % p
+            assert sorted(i for i, _ in blocks) == list(range(1, q)), (m, q)
+            for size in (1, 2):
+                data = [rng.randrange(p) for _ in range(4 * size * q)]
+                want = _two_levels(field, data, size, blocks)
+                for name in ("radix4", "inverse_radix4"):
+                    buf = list(data)
+                    getattr(field, name)(buf, size, iota, m, psi, q)
+                    assert buf == want[name], (name, m, q, size)
 
 
 def test_counted_ring_is_fresh(field):
@@ -313,11 +352,6 @@ def test_measure_transform_matches_direct_run(field):
         measure_transform(field, 4, "fft")
 
 
-def _fresh(arg):
-    # a radix-4 call drains its runs, so each ring gets its own iterator
-    return iter(arg) if isinstance(arg, list) else arg
-
-
 def test_tally_ring_counts_block_operations_without_touching_the_buffer(field):
     # each block member tallies what CountingField's does on the same
     # arguments, empty and negative-distance runs included, and reads or
@@ -332,14 +366,14 @@ def test_tally_ring_counts_block_operations_without_touching_the_buffer(field):
         for lo, hi, dist in ((0, 20, 32), (40, 52, -23), (7, 7, 3), (9, 5, 2))
     ]
     calls += [("scale", (lo, hi, 3)) for lo, hi in ((3, 40), (8, 8))]
-    for size in (1, 4):
-        runs = [(4, 1, 5, 7, 0), (2, 3, 11, 13, 2)]
-        calls += [(name, (size, iota, runs)) for name in ("radix4", "inverse_radix4")]
+    for size, q in ((1, 5), (4, 5), (4, 1)):
+        args = (size, iota, 4, field.root_of_order(5), q)
+        calls += [(name, args) for name in ("radix4", "inverse_radix4")]
     for name, args in calls:
         tally, counted = TallyRing(p), CountingField(p)
         buf = AuditBuffer(data)
-        getattr(tally, name)(buf, *map(_fresh, args))
-        getattr(counted, name)(list(data), *map(_fresh, args))
+        getattr(tally, name)(buf, *args)
+        getattr(counted, name)(list(data), *args)
         assert buf.inner == data and buf.lo is None, (name, args)
         assert tally.counters == counted.counters, (name, args)
         with pytest.raises(TypeError):  # PrimeField's arity, not any

@@ -15,7 +15,6 @@ from tftkit.tft import make_plan, tft_in_place
 PROTOCOL = (
     "modulus",
     "mul",
-    "mul_root",
     "mul_pow2",
     "fold",
     "butterflies",

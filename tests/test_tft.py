@@ -15,12 +15,12 @@ from tftkit.ring import PrimeField, pow_by_squaring
 from tftkit.tft import (
     TransformPlan,
     branch_descent,
-    branch_levels,
+    branch_level,
     branch_restore,
     make_plan,
     tft_in_place,
 )
-from tftkit.twiddle import bit_reverse
+from tftkit.twiddle import bit_reverse, pair_stream
 
 
 def test_plan_fields(f17):
@@ -153,13 +153,16 @@ class NoIdentityGuard:
     their twiddles: alpha of a radix-2 or 2x2 run (p - alpha for the
     forward restore pass's axpy, which is what it multiplies by), c of
     a non-empty scale run, and b, b*b, b*iota and -b*iota of each
-    radix-4 block, expanding each run the pair stream yields to b,
-    b*step, ... over its own checked mul_root, so every product the
-    loop makes inside a run is checked too.  Its root_power runs
-    pow_by_squaring over the checked mul_root, never builtin pow, so
-    each product of a power is checked as well.  It has the sixteen
-    protocol members, no forwarding of any other, and a tally of the
-    radix-4 blocks it checked in each direction.
+    radix-4 block.  A radix-4 member walks the runs of
+    pair_stream(ring, m, psi, q) for its (m, psi, q) (a test in
+    test_instrumentation.py holds the walk to the stream), so the guard
+    draws that stream over itself and expands each run to b, b*step, ...
+    over its own checked mul_root: every product the walk makes is
+    checked too.  Its root_power runs pow_by_squaring over the checked
+    mul_root, never builtin pow, so each product of a power is checked
+    as well.  It has the fifteen protocol members and mul_root, which
+    the stream it draws multiplies by, no forwarding of any other, and a
+    tally of the radix-4 blocks it checked in each direction.
     """
 
     def __init__(self, inner):
@@ -212,24 +215,24 @@ class NoIdentityGuard:
     def double(self, buffer, lo, hi, dist, alpha):
         self._run("double", buffer, lo, hi, dist, alpha)
 
-    def radix4(self, buffer, size, iota, runs):
-        self.inner.radix4(buffer, size, iota, self._checked("radix4", runs, iota))
+    def radix4(self, buffer, size, iota, m, psi, q):
+        self._check("radix4", iota, m, psi, q)
+        self.inner.radix4(buffer, size, iota, m, psi, q)
 
-    def inverse_radix4(self, buffer, size, iota, runs):
-        self.inner.inverse_radix4(
-            buffer, size, iota, self._checked("inverse_radix4", runs, iota)
-        )
+    def inverse_radix4(self, buffer, size, iota, m, psi, q):
+        self._check("inverse_radix4", iota, m, psi, q)
+        self.inner.inverse_radix4(buffer, size, iota, m, psi, q)
 
-    def _checked(self, name, runs, iota):
+    def _check(self, name, iota, m, psi, q):
+        # at q = 1 the member sweeps block 0 alone and reads no twiddle
         p = self.modulus
-        for run in runs:
+        for run in pair_stream(self, m, psi, q) if q > 1 else ():
             _, n, b, step, _ = run
             for t in range(n):
                 if t:
                     b = self.mul_root(b, step)
                 assert 1 not in (b, b * b % p, b * iota % p, (p - b) * iota % p), (run, t)
             self.radix4_blocks[name] += n
-            yield run
 
 
 def test_never_multiplies_by_one(field):
@@ -283,20 +286,20 @@ def test_branch_passes_make_no_per_entry_ring_call(field):
 
 
 def test_kernels_make_no_scalar_call_per_radix4_block(field):
-    # the radix-4 loops step their twiddles inline, and the pair stream
-    # makes at most two scalar products per run, at most m runs per level
-    # pair; with the inverse's closing power of 2^-1 (at most 2*m calls),
-    # a whole kernel on a field makes at most m*m + 2*m scalar ring calls,
-    # far fewer than its radix-4 blocks
+    # the radix-4 members walk their twiddle runs inline, by builtin pow
+    # and products of their own, so on a field a whole kernel reaches the
+    # scalar members only for the inverse's closing power of 2^-1 and its
+    # one extra product, at most 2*m calls, far fewer than its radix-4
+    # blocks
     for ell in (4096, 5000, 16385):
         plan = make_plan(field, ell)
         m = plan.m
         blocks = sum(max((ell >> (k + 1)) - 1, 0) for k in range(1, m - 1, 2))
-        assert m * m + 2 * m < blocks / 4, (ell, blocks)
+        assert 2 * m < blocks / 4, (ell, blocks)
         for kernel in (tft_in_place, itft_in_place):
             ring = _ScalarCalls(field)
             kernel(plan, [0] * ell, ring)
-            assert ring.calls <= m * m + 2 * m, (ell, kernel.__name__, ring.calls)
+            assert ring.calls <= 2 * m, (ell, kernel.__name__, ring.calls)
 
 
 class _BlockCalls(TallyRing):
@@ -312,9 +315,9 @@ class _BlockCalls(TallyRing):
         self.folds += 1
         super().fold(buffer, lo, hi, dist)
 
-    def radix4(self, buffer, size, iota, runs):
+    def radix4(self, buffer, size, iota, m, psi, q):
         self.pairs += 1
-        super().radix4(buffer, size, iota, runs)
+        super().radix4(buffer, size, iota, m, psi, q)
 
     inverse_radix4 = radix4
 
@@ -335,17 +338,16 @@ def test_each_level_pair_is_one_ring_call(field):
 
 
 def test_branch_exponents_are_the_block_twiddle_exponents(field):
-    # branch_levels reads e off ell's bits, reversed once; at every level
+    # branch_level reads e off ell's bits, reversed once; at every level
     # the branch passes visit (v..m-2, none at a power of two) it must be
     # bit_reverse(q, m-1), the twiddle exponent of the partial block q
     lengths = list(range(2, 4097))
     lengths += [(1 << k) + d for k in range(13, 18) for d in (-1, 0, 1, 5)]
     for ell in lengths:
         plan = make_plan(field, ell)
-        ks = range(plan.v, plan.m - 1)
-        levels = list(branch_levels(plan, ks))
-        assert len(levels) == max(plan.m - 1 - plan.v, 0), ell
-        for k, (e, head, *_) in zip(ks, levels):
+        rev = bit_reverse(ell % (1 << plan.m), plan.m)
+        for k in range(plan.v, plan.m - 1):
+            e, head, *_ = branch_level(plan, rev, k)
             q = head >> (k + 1)
             assert e == bit_reverse(q, plan.m - 1), (ell, q)
 
@@ -359,8 +361,9 @@ def test_branch_levels_runs_cover_each_partial_block_pair_once(field):
     for ell in lengths:
         plan = make_plan(field, ell)
         half_len = 1 << (plan.m - 1)
-        ks = range(plan.v, plan.m - 1)
-        for k, (_, lo, hi, dist, lo2, hi2, dist2) in zip(ks, branch_levels(plan, ks)):
+        rev = bit_reverse(ell % (1 << plan.m), plan.m)
+        for k in range(plan.v, plan.m - 1):
+            _, lo, hi, dist, lo2, hi2, dist2 = branch_level(plan, rev, k)
             size = 1 << k
             head = ell >> (k + 1) << (k + 1)
             assert lo == head and (dist > 0) == (ell > head + size), (ell, k)

@@ -1,5 +1,6 @@
 """Print where the CLI's traced scratch peaks: the parse, compute and
-output phases of one tft, itft or mul run, or each family of a selftest.
+output phases of one tft, itft or mul run, or each family of a selftest;
+or the traced scratch of each of the kernels' eight pass functions.
 
 ``measure(call)`` is the one traced procedure of the scratch gates in
 tests/: it refills the interpreter's free lists, runs call() under
@@ -11,11 +12,15 @@ the command leaves held (its output, kept in memory), so the largest is
 the gate's reading.  Parse runs until the compute call (the kernel, or
 tft_polymul for mul), compute until the first _write_values call, output
 to the end.  A selftest's start runs until its first family, and each
-family until the next one's call (the last to the end).
+family until the next one's call (the last to the end).  ``passes``
+runs each kernel's four passes in order on seeded residues, as the
+kernel does, each through ``measure``, and gives each pass's peak above
+what it leaves held.
 
 Usage: python tools/cli_scratch.py tft|itft L [SEED]
        python tools/cli_scratch.py mul N [SEED]     (two N-coefficient factors)
        python tools/cli_scratch.py selftest N [SEED]   (--max N --seed SEED)
+       python tools/cli_scratch.py kernel L [SEED]     (each pass, L >= 2)
 """
 
 import io
@@ -27,10 +32,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tftkit import cli  # noqa: E402
+from tftkit import cli, itft, tft  # noqa: E402
 
 # the cli module global each command computes through
 COMPUTE = {"tft": "tft_in_place", "itft": "itft_in_place", "mul": "tft_polymul"}
+# each kernel's pass functions, in the order it runs them
+PASSES = {
+    tft: ("fold_tail", "branch_descent", "branch_restore", "prefix_levels"),
+    itft: ("ascend_levels", "branch_recombine", "branch_finish", "scale_and_close"),
+}
 
 
 def measure(call):
@@ -98,16 +108,42 @@ def run(command, n, seed, traced):
     return dict(zip(names, (value - current for value in peaks + [peak])))
 
 
+def passes(ell, seed, traced):
+    """Each pass function's name and traced peak, in bytes above what it
+    leaves held."""
+    plan = tft.make_plan(cli.PrimeField(cli.DEFAULT_MODULUS), ell)
+    rng = random.Random(seed)
+    readings = {}
+    for module, names in PASSES.items():
+        buf = [rng.randrange(plan.field.modulus) for _ in range(ell)]
+        for name in names:
+            call = getattr(module, name)
+            if traced:
+                _, peak, current = measure(lambda: call(plan, buf, plan.field))
+                readings[f"{module.__name__.split('.')[-1]}.{name}"] = peak - current
+            else:
+                call(plan, buf, plan.field)
+    return readings
+
+
 def main(argv) -> None:
-    if len(argv) not in (3, 4) or argv[1] not in (*COMPUTE, "selftest"):
+    if len(argv) not in (3, 4) or argv[1] not in (*COMPUTE, "selftest", "kernel"):
         raise SystemExit(__doc__.split("Usage: ")[1])
     command, n = argv[1], int(argv[2])
     seed = int(argv[3]) if len(argv) > 3 else 0
-    run(command, n, seed, traced=False)  # first-use allocations stay out of the reading
-    phases = run(command, n, seed, traced=True)
-    shape = {"mul": f"{n} x {n}", "selftest": f"--max {n} --seed {seed}"}.get(command, f"l = {n}")
+    # each reading runs untraced first, so first-use allocations stay out of it
+    if command == "kernel":
+        if n < 2:
+            raise SystemExit("kernel needs L >= 2: at L = 1 the kernels run no pass")
+        passes(n, seed, traced=False)
+        phases = passes(n, seed, traced=True)
+        print(f"kernel passes at l = {n}, bytes above what each leaves held:")
+    else:
+        run(command, n, seed, traced=False)
+        phases = run(command, n, seed, traced=True)
+        shape = {"mul": f"{n} x {n}", "selftest": f"--max {n} --seed {seed}"}.get(command, f"l = {n}")
+        print(f"{command} at {shape}, bytes above the output:")
     width = max(map(len, phases))
-    print(f"{command} at {shape}, bytes above the output:")
     for phase, value in phases.items():
         print(f"  {phase:{width}} {value:>12,}")
     print(f"  {'peak':{width}} {max(phases.values()):>12,}  ({max(phases, key=phases.get)})")
