@@ -27,8 +27,6 @@ __all__ = [
     "itft_in_place",
     "make_plan",
     "measure_transform",
-    "naive_dft",
-    "naive_itft_solve",
     "naive_polymul",
     "naive_tft",
     "operation_profile",
@@ -48,7 +46,7 @@ _LAZY = dict.fromkeys(
     ("AuditBuffer", "BoundReport", "CountingField", "OpCounters", "bound_check",
      "measure_transform"),
     "instrumentation",
-) | dict.fromkeys(("naive_dft", "naive_itft_solve", "naive_polymul", "naive_tft"), "oracle")
+) | dict.fromkeys(("naive_polymul", "naive_tft"), "oracle")
 
 
 def __getattr__(name):

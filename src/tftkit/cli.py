@@ -44,13 +44,6 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _read_text(path: str | None) -> str:
-    if path is None:
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as handle:
-        return handle.read()
-
-
 _SHOWN = 40  # characters of a refused token that its error message echoes
 
 
@@ -58,6 +51,16 @@ def _cut(token: str) -> tuple[str, str]:
     # a refused token as its message shows it: whole, or its first _SHOWN
     # characters and then its length, so the message stays one short line
     return token[:_SHOWN], f"... ({len(token)} characters)" if len(token) > _SHOWN else ""
+
+
+CHUNK = 512  # characters of the input text split at a time
+
+
+def _read_text(path: str | None) -> str:
+    if path is None:
+        return sys.stdin.read()
+    with open(path, "r", encoding="ascii") as handle:
+        return handle.read()
 
 
 def _parse_residues(tokens: list, modulus: int) -> list[int]:
@@ -77,6 +80,50 @@ def _parse_residues(tokens: list, modulus: int) -> list[int]:
     return tokens
 
 
+def _split_residues(text: str, modulus: int, length: int | None = None) -> list[int]:
+    # text.split() as residues, converted onto the end of a new buffer a
+    # slice of the text at a time.  A token that runs past a slice's end
+    # starts the next slice; one longer than the slice is read again in a
+    # slice twice as wide, so text without whitespace still reads in
+    # linear time.  Past length tokens, or after a bad one, the rest are
+    # only counted, so that a wrong count is still reported first.
+    buffer, count, problem, start, size = [], 0, None, 0, CHUNK
+    while start < len(text):
+        end = start + size
+        tokens = text[start:end].split()
+        if end < len(text) and not text[end - 1].isspace() and not text[end].isspace():
+            end -= len(tokens.pop())
+            if end == start:
+                size *= 2
+                continue
+        start, size = end, CHUNK
+        count += len(tokens)
+        if problem is None and (length is None or count <= length):
+            try:
+                buffer += _parse_residues(tokens, modulus)
+            except ValueError as exc:
+                problem = str(exc)
+    if length is not None and count != length:
+        raise ValueError(f"expected {length} values, got {count}")
+    if problem is not None:
+        raise ValueError(problem)
+    return buffer
+
+
+def _read_factors(path: str | None, modulus: int) -> tuple[list[int], list[int]]:
+    # two lines of residues, each dropped once it is split; a bad token in
+    # the first is reported before one in the second
+    lines = _read_text(path).splitlines()
+    if len(lines) != 2:
+        raise ValueError(f"expected 2 coefficient lines, got {len(lines)}")
+    lines.reverse()
+    f = _split_residues(lines.pop(), modulus)
+    g = _split_residues(lines.pop(), modulus)
+    if not f or not g:
+        raise ValueError("coefficient lines must be nonempty")
+    return f, g
+
+
 def _drain(values: list):
     # values in order, each dropped from the list as it is read
     values.reverse()
@@ -84,36 +131,45 @@ def _drain(values: list):
         yield values.pop()
 
 
-_RUN = 128  # values formatted per write
+_RUN = 32  # values formatted per write
 
 
-def _write_values(values, sep: str) -> None:
-    # sep.join(values) and a newline, a bounded run at a time, so the
-    # output text is never held whole
-    for start in range(0, len(values), _RUN):
-        end = sep if start + _RUN < len(values) else "\n"
-        sys.stdout.write(sep.join(map(str, values[start : start + _RUN])) + end)
+def _write_values(values: list, sep: str) -> None:
+    # sep.join(values) and a newline, a bounded run at a time, each run
+    # cut from the list once formatted: neither the output text nor the
+    # values already written are held
+    values.reverse()
+    while values:
+        run = values[: -_RUN - 1 : -1]
+        del values[-_RUN:]
+        sys.stdout.write(sep.join(map(str, run)) + (sep if values else "\n"))
 
 
 # tft, itft and mul check their input in order and report the first problem
 # as a usage error: a bad modulus or length, unreadable input (OSError, or
 # bytes that do not decode, a ValueError), a wrong count, a bad token, or a
-# product longer than the field's transform capacity.  tft and itft read
-# their text once and split it in bounded slices of the text onto the
-# buffer, so they hold the text but never its token strings (malformed
-# input far longer than --length is held whole); mul drops its text once
-# split, each token gives way to its value in the same list, and its
-# factors pass to the product one value at a time: the transform and the
-# output run with the buffers alone.
+# product longer than the field's transform capacity.  All three read their
+# text once and split it with _split_residues, CHUNK characters at a time,
+# onto new buffers, so they never hold more than one slice's token strings;
+# mul splits its text into two lines and drops each once it is read.  The
+# parse therefore holds the text (malformed input far longer than --length
+# is held whole) beside the buffers, and the factors pass to the product
+# one value at a time.  The output drops each run of _RUN values once it is
+# formatted.  Traced in bytes above the output (tools/cli_scratch.py),
+# parse, compute and output read 17,600, 18,400 and 17,400 for mul at
+# 256 x 256 and 125,600, 141,400 and 119,000 at 2048 x 2048: the compute
+# phase, the product's buffers, binds.  tft and itft read 143,800, 118,100
+# and 120,300 at l = 4096 and 2,260,000, 1,872,400 and 1,874,600 at 65536:
+# the parse, the text beside the buffer, binds.
 
 
 def cmd_transform(opts) -> int:
-    from ._reader import read_residues  # here, so that only tft and itft compile it
-
     try:
         field = PrimeField.from_modulus(opts["modulus"])
         plan = make_plan(field, opts["length"])
-        buffer = read_residues(opts["input"], opts["length"], field.modulus)
+        # decoded in one read, so a byte that does not decode is named at
+        # its position in the input
+        buffer = _split_residues(_read_text(opts["input"]), field.modulus, opts["length"])
     except (OSError, ValueError) as exc:
         return _usage_error(str(exc))
     if opts["command"] == "itft":
@@ -127,14 +183,7 @@ def cmd_transform(opts) -> int:
 def cmd_mul(opts) -> int:
     try:
         field = PrimeField.from_modulus(opts["modulus"])
-        lines = _read_text(opts["input"]).splitlines()
-        if len(lines) != 2:
-            raise ValueError(f"expected 2 coefficient lines, got {len(lines)}")
-        f = _parse_residues(lines[0].split(), field.modulus)
-        g = _parse_residues(lines[1].split(), field.modulus)
-        del lines
-        if not f or not g:
-            raise ValueError("coefficient lines must be nonempty")
+        f, g = _read_factors(opts["input"], field.modulus)
         product = tft_polymul(_drain(f), _drain(g), field)
     except (OSError, ValueError) as exc:
         return _usage_error(str(exc))

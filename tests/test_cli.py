@@ -12,8 +12,16 @@ from pathlib import Path
 import pytest
 
 import tftkit
-from tftkit._reader import CHUNK, read_residues
-from tftkit.cli import _RUN, CSV_HEADER, main, xorshift64star
+from tftkit.cli import (
+    _RUN,
+    CHUNK,
+    CSV_HEADER,
+    _read_factors,
+    _read_text,
+    _split_residues,
+    main,
+    xorshift64star,
+)
 from tftkit.instrumentation import OpCounters
 from tftkit.itft import itft_in_place
 from tftkit.polymul import tft_polymul
@@ -173,29 +181,42 @@ def _token_soup(rng):
     return argv, "".join(pieces)
 
 
-def _long_token_soup(rng):
-    # tft or itft input over one to three read chunks: residues with junk at
-    # one of three rates, and a --length that is mostly the token count
-    command = rng.choice(("tft", "itft"))
-    junk = rng.choice((0, 0.001, 0.05))
-    separators = _SEPARATORS if junk else tuple(sep for sep in _SEPARATORS if sep)
+def _long_text(rng, separators, junk):
+    # residues over one to three read chunks, with junk at the given rate
+    separators = separators if junk else tuple(sep for sep in separators if sep)
     pieces, size = [], rng.randrange(CHUNK + 1, 3 * CHUNK)
     while size > 0:
         piece = rng.choice(_JUNK) if rng.random() < junk else str(rng.randrange(998244353))
         pieces += (piece, rng.choice(separators))
         size -= len(pieces[-2]) + len(pieces[-1])
-    text = "".join(pieces)
+    return "".join(pieces)
+
+
+def _long_token_soup(rng):
+    # tft or itft input over one to three read chunks: residues with junk at
+    # one of three rates, and a --length that is mostly the token count
+    command = rng.choice(("tft", "itft"))
+    text = _long_text(rng, _SEPARATORS, rng.choice((0, 0.001, 0.05)))
     return [command, "--length", str(len(text.split()) + rng.choice((0, 0, 0, -1, 1)))], text
+
+
+def _long_mul_soup(rng):
+    # mul input of two lines, each over one to three read chunks, split by
+    # the separators that do not end a line, with junk at one of three rates
+    junk = rng.choice((0, 0.001, 0.05))
+    lines = [_long_text(rng, (" ", " ", "\t", "\xa0", ""), junk) for _ in range(2)]
+    return ["mul"], "\n".join(lines) + rng.choice(("", "\n"))
 
 
 def test_every_input_gets_a_documented_exit_code(monkeypatch, capsys):
     # random token soups for the commands that read residues, random option
     # soups for all five, and soups longer than one read chunk for tft and
-    # itft: each exits 0, 1 or 2 without an exception, and a usage error
-    # writes no data and one error line
+    # itft and lines longer than one for mul: each exits 0, 1 or 2 without
+    # an exception, and a usage error writes no data and one error line
     rng = random.Random(2026)
     cases = [_token_soup(rng) if case % 2 else (_option_soup(rng), "1 2 3") for case in range(5000)]
     cases += [_long_token_soup(rng) for _ in range(200)]
+    cases += [_long_mul_soup(rng) for _ in range(200)]
     for argv, text in cases:
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         code = main(argv)
@@ -330,35 +351,50 @@ def test_a_refused_token_is_echoed_in_one_short_line(tmp_path, monkeypatch, caps
             assert "... (1000000 characters)" in err, argv
 
 
-# tft and itft read their text once and split it in bounded slices of the
-# text, CHUNK characters at a time; the buffer is the whole text's tokens
-# wherever the slice ends fall (the text is held whole, malformed input far
-# longer than --length included)
+# tft, itft and mul read their text once and split it in bounded slices of
+# the text, CHUNK characters at a time; the buffer is the whole text's
+# tokens wherever the slice ends fall (the text is held whole, malformed
+# input far longer than --length included), and mul's factors are each
+# line's tokens wherever the slice ends fall in that line
 def _digits(n):
     # n characters of one-digit tokens, ending in a digit
     return "1 " * ((n - 1) // 2) + "1" * (2 - n % 2)
 
 
+def _stdins(text):
+    # a text stream, and bytes on stdin (a multibyte separator may then
+    # straddle a chunk end)
+    return io.StringIO(text), io.TextIOWrapper(io.BytesIO(text.encode()), "utf-8")
+
+
 def _assert_reads_as_split(text, monkeypatch, tmp_path):
-    # from a text stream, from bytes on stdin (a multibyte separator may
-    # then straddle a chunk end), and from an ASCII file
+    # from stdin and from an ASCII file; a text of one line is also read as
+    # both of mul's lines, each as its own str.split() would
     expected = [int(token) for token in text.split()]
-    for stdin in (io.StringIO(text), io.TextIOWrapper(io.BytesIO(text.encode()), "utf-8")):
+    mul = text.splitlines() == [text]
+    for stdin in _stdins(text):
         monkeypatch.setattr(sys, "stdin", stdin)
-        assert read_residues(None, len(expected), 998244353) == expected
+        assert _split_residues(_read_text(None), 998244353, len(expected)) == expected
+    for stdin in _stdins(f"{text}\n{text}\n") if mul else ():
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert _read_factors(None, 998244353) == (expected, expected)
     if text.isascii():
         src = tmp_path / "in.txt"
         src.write_text(text, encoding="ascii", newline="")
-        assert read_residues(str(src), len(expected), 998244353) == expected
+        assert _split_residues(_read_text(str(src)), 998244353, len(expected)) == expected
+        if mul:
+            src.write_text(f"{text}\n{text}", encoding="ascii", newline="")
+            assert _read_factors(str(src), 998244353) == (expected, expected)
 
 
 @pytest.mark.parametrize("offset", range(-9, 1))
 def test_a_token_across_a_chunk_end(monkeypatch, tmp_path, offset):
-    # a nine-digit token starting 9..0 characters before the first chunk's
-    # end, and the same two chunks later
+    # a nine-digit token, with and without leading zeros, starting 9..0
+    # characters before the first chunk's end, and the same two chunks later
     for chunks in (1, 3):
         head = _digits(chunks * CHUNK + offset - 1) + " "
-        _assert_reads_as_split(head + "123456789 " + _digits(CHUNK), monkeypatch, tmp_path)
+        for token in ("123456789", "000012345"):
+            _assert_reads_as_split(head + token + " " + _digits(CHUNK), monkeypatch, tmp_path)
 
 
 @pytest.mark.parametrize("offset", [-1, 0])
@@ -386,7 +422,10 @@ def test_a_token_longer_than_a_chunk(monkeypatch, tmp_path):
 def test_chunked_input_errors_keep_their_order(tmp_path, monkeypatch, capsys):
     # a wrong count before a bad token, wherever the token is; a bad token
     # in a later chunk; an unreadable file before both, with the byte's
-    # position in the whole file
+    # position in the whole file.  mul reports a bad token in its first
+    # line, here in the third chunk, before one in its second, here in the
+    # first, and a line without one, even an empty first line, lets the
+    # other's be reported
     tokens = ["7"] * (3 * CHUNK // 2)
     late = len(tokens) - 5  # in the third chunk
     ell = str(len(tokens))
@@ -399,6 +438,16 @@ def test_chunked_input_errors_keep_their_order(tmp_path, monkeypatch, capsys):
         for length, expected in ((ell, message), (str(len(tokens) + 1), f"expected {int(ell) + 1} values, got {ell}")):
             assert run_cli(["tft", "--length", length], text, monkeypatch) == 2
             assert capsys.readouterr() == ("", f"error: {expected}\n")
+    f = " ".join(tokens[:late] + ["x"] + tokens[late + 1 :])
+    g = " ".join(tokens[:3] + ["998244353"] + tokens[4:])
+    for text, expected in (
+        (f"{f}\n{g}\n", "not a decimal integer: 'x'"),
+        (f"{g}\n{f}\n", "998244353 is not a residue mod 998244353"),
+        (f"{' '.join(tokens)}\n{g}\n", "998244353 is not a residue mod 998244353"),
+        (f"\n{g}\n", "998244353 is not a residue mod 998244353"),
+    ):
+        assert run_cli(["mul"], text, monkeypatch) == 2
+        assert capsys.readouterr() == ("", f"error: {expected}\n")
     data = bytearray(" ".join(["x"] + tokens[1:]), "ascii")
     data[2 * late] = 0xFF
     src = tmp_path / "in.txt"
@@ -423,9 +472,10 @@ def test_a_wrong_length_is_reported_before_any_buffer_is_made(monkeypatch, capsy
 
 
 def test_text_without_whitespace_reads_in_linear_time(monkeypatch, capsys):
-    # a token that never ends is kept as pieces and joined once, so 2 MB of
-    # comma-separated values cost one pass (about 15 ms), not one per chunk
-    # (about 0.8 s when each chunk was joined to the text before it)
+    # a token that never ends is read again in a slice twice as wide each
+    # time it fills one, so 2 MB of comma-separated values cost about two
+    # passes (a few ms), not one per chunk (about 0.8 s when each chunk was
+    # joined to the text before it)
     text = ",".join(["7"] * 1_000_000)
     for stdin in (io.StringIO(text), io.TextIOWrapper(io.BytesIO(text.encode()), "utf-8")):
         monkeypatch.setattr(sys, "stdin", stdin)
@@ -462,11 +512,11 @@ def _residues(rng, p, n):
     return [rng.randrange(p) for _ in range(n)]
 
 
-# output lengths on either side of one and two write runs
-RUN_BOUNDARIES = [_RUN - 1, _RUN, _RUN + 1, 2 * _RUN + 1]
+# output lengths on either side of one, two, four and eight write runs
+RUN_BOUNDARIES = [n * _RUN + d for n in (1, 4) for d in (-1, 0, 1)] + [2 * _RUN + 1, 8 * _RUN + 1]
 
 
-@pytest.mark.parametrize("ell", sorted({1024, 2500, *RUN_BOUNDARIES}))
+@pytest.mark.parametrize("ell", sorted({1, 1024, 2500, *RUN_BOUNDARIES}))
 @pytest.mark.parametrize(
     "command, kernel", [("tft", tft_in_place), ("itft", itft_in_place)], ids=["tft", "itft"]
 )
@@ -483,11 +533,11 @@ def test_transform_output_across_write_runs(field, monkeypatch, capsys, command,
 
 @pytest.mark.parametrize(
     "sizes",
-    [(1024, 1024), (1024, 1025)] + [(ell // 2 + 1, ell - ell // 2) for ell in RUN_BOUNDARIES],
+    [(1024, 1024), (1024, 1025)] + [(ell // 2 + 1, ell - ell // 2) for ell in RUN_BOUNDARIES] + [(1, 1)],
 )
 def test_mul_output_across_write_runs(field, monkeypatch, capsys, sizes):
-    # products of 2047 and 2048 coefficients, and of the run boundaries'
-    # lengths, on one space-separated line
+    # products of 2047 and 2048 coefficients, of the run boundaries'
+    # lengths and of one coefficient, on one space-separated line
     rng = random.Random(sum(sizes))
     f, g = (_residues(rng, field.modulus, n) for n in sizes)
     text = " ".join(map(str, f)) + "\n" + " ".join(map(str, g)) + "\n"

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
+from brute_force import naive_dft
 from tftkit import bit_reverse
 from tftkit.instrumentation import CountingField
 from tftkit.itft import itft_in_place
-from tftkit.oracle import naive_dft
 from tftkit.tft import make_plan, tft_in_place
 
 

@@ -5,10 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from brute_force import naive_itft_solve
 from tftkit import itft
 from tftkit.instrumentation import AuditBuffer, CountingField, TallyRing
 from tftkit.itft import ascend_levels, itft_in_place
-from tftkit.oracle import naive_itft_solve
 from tftkit.ring import PrimeField
 from tftkit.tft import make_plan, tft_in_place
 from tftkit.twiddle import twiddle_inverse

@@ -1,14 +1,16 @@
 """The brute-force references themselves deserve a few checks: they are
 the ground truth everything else is compared against.  ``naive_tft``
 runs one numpy Horner loop, in uint64 below 2^32 and over Python ints
-(dtype=object) above; ``naive_dft`` computes with Python ints at every
-modulus, and a 64-bit modulus checks both against direct evaluation."""
+(dtype=object) above; ``naive_dft`` (in tests/brute_force.py, with
+``naive_itft_solve``) computes with Python ints at every modulus, and a
+64-bit modulus checks both against direct evaluation."""
 
 import random
 
 import pytest
 
-from tftkit.oracle import naive_dft, naive_itft_solve, naive_polymul, naive_tft, reference_tft
+from brute_force import naive_dft, naive_itft_solve
+from tftkit.oracle import naive_polymul, naive_tft, reference_tft
 from tftkit.ring import PrimeField
 from tftkit.tft import make_plan, tft_in_place
 

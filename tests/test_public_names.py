@@ -41,8 +41,6 @@ def test_public_names_are_pinned():
         "itft_in_place",
         "make_plan",
         "measure_transform",
-        "naive_dft",
-        "naive_itft_solve",
         "naive_polymul",
         "naive_tft",
         "operation_profile",

@@ -5,17 +5,19 @@ or the traced scratch of each of the kernels' eight pass functions.
 ``measure(call)`` is the one traced procedure of the scratch gates in
 tests/: it refills the interpreter's free lists, runs call() under
 tracemalloc and returns its result, its traced peak and the bytes it
-still holds.  ``run`` reads one command through it, in process: stdin
-holds seeded random residues as bytes, decoded as from a pipe, and
-stdout is in-memory text.  Each phase's peak is given in bytes above what
-the command leaves held (its output, kept in memory), so the largest is
-the gate's reading.  Parse runs until the compute call (the kernel, or
-tft_polymul for mul), compute until the first _write_values call, output
-to the end.  A selftest's start runs until its first family, and each
-family until the next one's call (the last to the end).  ``passes``
-runs each kernel's four passes in order on seeded residues, as the
-kernel does, each through ``measure``, and gives each pass's peak above
-what it leaves held.
+still holds.  ``traced_phases`` reads one command through it, in
+process: stdin holds seeded random residues as bytes, decoded as from a
+pipe, and stdout is in-memory text.  It gives each phase's absolute
+traced peak and the bytes the command leaves held (its output, kept in
+memory); ``run`` gives each phase's peak above those bytes, so the
+largest is the gate's reading.  The tool prints both, so a change in how
+the output is held shows apart from a change in the peak.  Parse runs
+until the compute call (the kernel, or tft_polymul for mul), compute
+until the first _write_values call, output to the end.  A selftest's
+start runs until its first family, and each family until the next one's
+call (the last to the end).  ``passes`` runs each kernel's four passes
+in order on seeded residues, as the kernel does, each through
+``measure``, and gives each pass's peak above what it leaves held.
 
 Usage: python tools/cli_scratch.py tft|itft L [SEED]
        python tools/cli_scratch.py mul N [SEED]     (two N-coefficient factors)
@@ -62,6 +64,13 @@ def measure(call):
 
 def run(command, n, seed, traced):
     """Each phase's name and traced peak, in bytes above the output."""
+    peaks, held = traced_phases(command, n, seed, traced)
+    return {name: value - held for name, value in peaks.items()}
+
+
+def traced_phases(command, n, seed, traced):
+    """Each phase's name and absolute traced peak, and the bytes the
+    command leaves held (its output)."""
     peaks = []
 
     def entered(fn):
@@ -105,7 +114,7 @@ def run(command, n, seed, traced):
             setattr(cli, name, fn)
     if code != 0:
         raise SystemExit(f"{command} exited {code}")
-    return dict(zip(names, (value - current for value in peaks + [peak])))
+    return dict(zip(names, peaks + [peak])), current
 
 
 def passes(ell, seed, traced):
@@ -136,17 +145,21 @@ def main(argv) -> None:
         if n < 2:
             raise SystemExit("kernel needs L >= 2: at L = 1 the kernels run no pass")
         passes(n, seed, traced=False)
-        phases = passes(n, seed, traced=True)
+        phases, absolute = passes(n, seed, traced=True), {}
         print(f"kernel passes at l = {n}, bytes above what each leaves held:")
     else:
         run(command, n, seed, traced=False)
-        phases = run(command, n, seed, traced=True)
+        absolute, held = traced_phases(command, n, seed, traced=True)
+        phases = {name: value - held for name, value in absolute.items()}
         shape = {"mul": f"{n} x {n}", "selftest": f"--max {n} --seed {seed}"}.get(command, f"l = {n}")
-        print(f"{command} at {shape}, bytes above the output:")
+        print(f"{command} at {shape}, bytes above the output and traced:")
     width = max(map(len, phases))
     for phase, value in phases.items():
-        print(f"  {phase:{width}} {value:>12,}")
+        traced = f" {absolute[phase]:>12,}" if absolute else ""
+        print(f"  {phase:{width}} {value:>12,}{traced}")
     print(f"  {'peak':{width}} {max(phases.values()):>12,}  ({max(phases, key=phases.get)})")
+    if absolute:
+        print(f"  {'held':{width}} {held:>12,}  (the output, at the end)")
 
 
 if __name__ == "__main__":
