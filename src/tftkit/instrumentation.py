@@ -22,7 +22,6 @@ from ._frozen import Frozen
 from .itft import itft_in_place
 from .ring import PrimeField
 from .tft import make_plan, tft_in_place
-from .twiddle import pair_stream
 
 __all__ = [
     "CSV_HEADER",
@@ -59,16 +58,25 @@ class TallyRing:
     tallies and never touches the buffer.  A pair run [lo, hi) states
     its per-entry cost through ``_entries`` (nothing when hi <= lo);
     members of equal cost and parameters are one method under several
-    names.  The radix-4 pair tallies its block 0 and then each run it
-    draws from ``pair_stream``.  So a whole kernel costs its O(m^2) ring
-    calls, whatever ell.  The scalar products ``mul`` (mul_other),
-    ``mul_root`` and ``mul_pow2`` compute their residue and count one
-    each.  ``root_power`` takes
-    builtin pow and adds to mul_root, in closed form, the
-    e.bit_length() + e.bit_count() - 2 products (bit_length - 1
-    squarings, bit_count - 1 multiplies) that ``pow_by_squaring`` makes
-    for e >= 1, none for e = 0; e < 0 raises ValueError.  A new instance
-    starts with every tally at zero; operator.index converts the modulus.
+    names.  The radix-4 pair tallies in closed form what drawing
+    ``pair_stream`` and walking its runs would: block 0 costs size
+    mul_root and 8*size add_sub, and the other q - 1 blocks, for q > 1,
+    8*size*(q - 1) add_sub and
+
+        (4*size + 3)*(q - 1) - r + (m - 1 - v) + (r - 1) + max(r - 2, 0)
+
+    mul_root, with r = popcount(q) and v the exponent of 2 in q: the
+    blocks' butterflies and twiddle products, the runs (-r), the
+    squarings (m - 1 - v), the step products (r - 1) and the scale
+    products (max(r - 2, 0)), as ``radix4`` details.  So a whole kernel
+    costs its O(m^2) ring calls, whatever ell.  The scalar products
+    ``mul`` (mul_other), ``mul_root`` and ``mul_pow2`` compute their
+    residue and count one each.  ``root_power`` takes builtin pow and
+    adds to mul_root, in closed form, the e.bit_length() + e.bit_count()
+    - 2 products (bit_length - 1 squarings, bit_count - 1 multiplies)
+    that ``pow_by_squaring`` makes for e >= 1, none for e = 0; e < 0
+    raises ValueError.  A new instance starts with every tally at zero;
+    operator.index converts the modulus.
     """
 
     __slots__ = ("modulus", "_tally")
@@ -129,18 +137,27 @@ class TallyRing:
     def radix4(self, buffer, size: int, iota: int, m: int, psi: int, q: int) -> None:
         """Block 0 costs size products by iota and 8*size additions, what
         its two folds and one radix-2 block with iota would.  The other
-        blocks are drawn from pair_stream(self, m, psi, q), whose powers
-        and products tally here as the field's inline walk would make
-        them; a run of n blocks costs per block 4*size butterflies and
-        the twiddle products b*b and b*iota, and the n - 1 products by
-        step inside the run."""
+        q - 1 blocks, when q > 1, cost what drawing
+        pair_stream(ring, m, psi, q) and walking its runs would, in
+        closed form with r = popcount(q) and v the exponent of 2 in q:
+
+            mul_root  (4*size + 3)*(q - 1) - r + (m - 1 - v)
+                      + (r - 1) + max(r - 2, 0)
+            add_sub   8*size*(q - 1)
+
+        Per block, 4*size butterflies, the twiddle products b*b and
+        b*iota and one product by step; less one per run (-r), whose
+        first factor is given; the squarings that carry the seed from
+        psi down to q's lowest digit (m - 1 - v); one step product per
+        run after the first (r - 1); and one scale product per run
+        after the second (max(r - 2, 0)).  psi is not read."""
         tally = self._tally
         tally[0] += size
         tally[2] += 8 * size
-        if q > 1:
-            for _, n, _, _, _ in pair_stream(self, m, psi, q):
-                tally[0] += (4 * size + 3) * n - 1
-                tally[2] += 8 * size * n
+        if q > 1:  # the formula above, -r + (r - 1) taken as -1
+            v = (q & -q).bit_length() - 1
+            tally[0] += (4 * size + 3) * (q - 1) + m - 2 - v + max(q.bit_count() - 2, 0)
+            tally[2] += 8 * size * (q - 1)
 
     inverse_butterflies = restore = double = butterflies
     park = recombine = axpy

@@ -18,7 +18,8 @@ Passes, mirroring the forward kernel in reverse, each a function of
    block 0, then the blocks of the pair stream seeded with psi^-1,
    whose runs of reciprocal twiddles the ring walks itself; a leftover
    half block and the unpaired top level go through ``fold`` and
-   ``inverse_butterflies``;
+   ``inverse_butterflies``, the leftover's twiddle a power of the same
+   psi^-1 by ``twiddle_forward``;
 2. ``branch_recombine``: descending rightmost-branch pass recombining
    head entries with the entries the forward kernel kept at their
    mirrors, 2^(m-1) below the missing slots (x <- x - a*y, and the
@@ -38,7 +39,8 @@ Pass 4 is ``fold_tail`` and three ``scale`` runs.
 
 from .ring import pow_by_squaring
 from .tft import TransformPlan, branch_level, checked_ring, fold_tail
-# pair_stream stays bound here for the benchmark's tracer, as in tft.py
+# pair_stream and twiddle_inverse stay bound here for the benchmark's
+# tracer, as pair_stream does in tft.py; no pass calls either
 from .twiddle import bit_reverse, pair_stream, twiddle_forward, twiddle_inverse  # noqa: F401
 
 __all__ = ["itft_in_place"]
@@ -64,20 +66,19 @@ def ascend_levels(plan: TransformPlan, buffer, ring) -> None:
     from the bottom, each pair one ``inverse_radix4`` call that takes
     block 0 by itself, then the unpaired top level; [[1,1],[a,-a]] needs
     no halving.  The reciprocal twiddles are those of the pair stream
-    seeded with psi^-1, built once when ell >= 8, exactly when the
-    bottom pair has a block past block 0; a leftover block's twiddle is
-    then a power of it too, and only ell = 6 and 7 take it from psi.
+    seeded with psi^-1, built once when ell >= 6, exactly when some
+    level pair has a block past block 0 (ell >= 8) or a leftover block
+    (ell = 6, 7); a leftover block's twiddle is a power of it too.
     iota^-1 = -iota = p - iota."""
     ell = plan.ell
     m = plan.m
     iota = plan.iota
-    psi_inv = ring.root_power(plan.psi, (1 << m) - 1) if ell >= 8 else None
+    psi_inv = ring.root_power(plan.psi, (1 << m) - 1) if ell >= 6 else None
     for k in range(1, m - 1, 2):
         size = 1 << (k - 1)
         q = ell >> (k + 1)
         if ell >> k & 1:
-            alpha = (twiddle_inverse(ring, m, plan.psi, 2 * q) if psi_inv is None
-                     else twiddle_forward(ring, m, psi_inv, 2 * q))
+            alpha = twiddle_forward(ring, m, psi_inv, 2 * q)
             ring.inverse_butterflies(buffer, 4 * q * size, (4 * q + 1) * size, size, alpha)
         ring.inverse_radix4(buffer, size, iota, m - 1, psi_inv, q)
     if m % 2 == 0:

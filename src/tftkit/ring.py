@@ -60,8 +60,9 @@ member: the radix-4 members here walk ``pair_stream``'s runs with
 builtin pow and products of their own, so no kernel reaches it; it is
 the product ``pair_stream`` takes.  The instrumentation module ships
 two rings that give each tag its own counter, one of which runs no
-block loop; their radix-4 members tally by drawing ``pair_stream`` over
-their own ``mul_root``, as a custom ring's may.  ``root_power`` may compute
+block loop; their radix-4 members tally in closed form what drawing
+``pair_stream`` over their own ``mul_root`` would (see ``TallyRing``),
+and a custom ring's may draw the stream itself.  ``root_power`` may compute
 x^e any way (here builtin pow), but it costs, and a counting ring
 counts, the products ``pow_by_squaring`` makes over ``mul_root``; the
 inverse kernel's one power of 2^-1 runs ``pow_by_squaring`` over

@@ -5,32 +5,35 @@ coefficient depends only on its block index: at every level, block i
 uses psi^bit_reverse(i, m-1).  The radix-4 step over levels (k, k-1)
 needs, for its block i, b = psi^bit_reverse(2i, m-1) =
 psi^bit_reverse(i, m-2): the level-k twiddle is b*b and the level-(k-1)
-ones are b and b*psi^(2^(m-2)).  The transform kernels consume them
-through two channels:
+ones are b and b*psi^(2^(m-2)).  What each name here is for:
 
 * ``pair_stream`` -- a generator of the factors
   ``psi^bit_reverse(i, m-1)`` for ``i = 1, ..., q-1`` as geometric runs,
   the specification of the radix-4 step's twiddles, which the kernels
-  hand to the ring as (m-1, psi, q).  ``PrimeField`` walks these runs
-  inline, with the exponents of ``_runs`` below, so no generator stays
-  alive through a sweep; the counting rings draw the generator itself
-  and tally each run, and a test holds the walk to it.  q is split
-  along its binary digits, one run per digit, and within a run the
-  factors form a geometric progression: a run
-  ``(i, n, b, step, bits)`` is n blocks from block i on, visited in the
-  bit-reversed order of their low ``bits`` bits, with factors b,
+  hand to the ring as (m-1, psi, q).  No code in the package draws it:
+  ``PrimeField`` walks these runs inline, with the exponents of
+  ``_runs`` below, so no generator stays alive through a sweep, and the
+  counting rings tally a drain in closed form; tests hold both to the
+  generator.  ``tft`` and ``itft`` keep the name bound for the
+  benchmark's tracer.  q is split along its binary digits, one run per
+  digit, and within a run the factors form a geometric progression: a
+  run ``(i, n, b, step, bits)`` is n blocks from block i on, visited in
+  the bit-reversed order of their low ``bits`` bits, with factors b,
   b*step, b*step^2, ...  The consumer makes the n - 1 products inside
   a run, the generator the others; a full drain costs at most
   ``q + 4m`` multiplications in all, and O(1) space.
 
-* ``twiddle_forward`` / ``twiddle_inverse`` -- the factor
-  ``psi^bit_reverse(q, m-1)`` of one block q and its reciprocal, one
-  ``root_power`` each, costed as square-and-multiply at O(m)
-  multiplications; the leftover block of a level pair takes these.  The
-  inverse uses the complementary positive exponent
-  ``2^m - bit_reverse(q, m-1)``, so no field inversion is needed.  The
-  rightmost-branch passes take the same powers with the exponent from
+* ``twiddle_forward`` -- the factor ``psi^bit_reverse(q, m-1)`` of one
+  block q, one ``root_power``, costed as square-and-multiply at O(m)
+  multiplications: the leftover block of a level pair takes it, in the
+  inverse kernel with psi^-1 in place of psi.  The rightmost-branch
+  passes take the same powers with the exponent from
   ``tft.branch_level``, which reads it off ell's bits.
+
+* ``twiddle_inverse`` -- the reciprocal factor, by the complementary
+  positive exponent ``2^m - bit_reverse(q, m-1)``, so no field
+  inversion is needed.  No kernel calls it; it stays as public API and
+  bound in ``itft`` for the benchmark's tracer.
 
 Every product here is a ``ring.mul_root`` and every power a
 ``ring.root_power``, which both rings take by builtin pow and a

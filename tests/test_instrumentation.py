@@ -258,6 +258,29 @@ def test_radix4_walks_the_pair_stream(field):
                     assert buf == want[name], (name, m, q, size)
 
 
+def test_radix4_tallies_the_drained_pair_stream(field):
+    # the tally ring's radix-4 members count in closed form what drawing
+    # pair_stream(ring, m, psi, q) over a fresh TallyRing tallies, plus
+    # (4*size + 3)*n - 1 products and 8*size*n additions per run of n
+    # blocks and block 0's size and 8*size: for every m <= 12 and every
+    # q in [2, 2^(m-1)], and for seeded q up to m = 23
+    rng = random.Random(17)
+    p = field.modulus
+    cases = [(m, q) for m in range(2, 13) for q in range(2, (1 << (m - 1)) + 1)]
+    cases += [(m, rng.randrange(2, (1 << (m - 1)) + 1)) for m in range(13, 24) for _ in range(40)]
+    for m, q in cases:
+        psi = rng.randrange(2, p)
+        drawn = TallyRing(p)
+        runs = [run[1] for run in pair_stream(drawn, m, psi, q)]
+        for size in (1, 2, 8):
+            mul_root = size + drawn.counters.mul_root + sum((4 * size + 3) * n - 1 for n in runs)
+            want = OpCounters(mul_root=mul_root, add_sub=8 * size * q)
+            for name in ("radix4", "inverse_radix4"):
+                ring = TallyRing(p)
+                getattr(ring, name)(None, size, 0, m, psi, q)
+                assert ring.counters == want, (name, m, q, size)
+
+
 def test_counted_ring_is_fresh(field):
     ring = CountingField(field.modulus)
     assert ring.modulus == field.modulus

@@ -11,7 +11,6 @@ from tftkit.instrumentation import AuditBuffer, CountingField, TallyRing
 from tftkit.itft import ascend_levels, itft_in_place
 from tftkit.ring import PrimeField
 from tftkit.tft import make_plan, tft_in_place
-from tftkit.twiddle import twiddle_inverse
 
 
 def test_hand_checked_values(f17):
@@ -97,40 +96,46 @@ def test_frozen_operation_counts(field):
 
 
 class _RootPowers(TallyRing):
-    """A TallyRing that records each root_power call's (x, e)."""
+    """A TallyRing that records each root_power call's (x, e) and the
+    psi of each inverse_radix4 call that reads it (q > 1)."""
 
-    __slots__ = ("powers",)
+    __slots__ = ("powers", "seeds")
 
     def __init__(self, modulus):
         super().__init__(modulus)
         self.powers = []
+        self.seeds = []
 
     def root_power(self, x, e):
         self.powers.append((x, e))
         return super().root_power(x, e)
 
+    def inverse_radix4(self, buffer, size, iota, m, psi, q):
+        if q > 1:
+            self.seeds.append(psi)
+        super().inverse_radix4(buffer, size, iota, m, psi, q)
+
 
 def test_psi_inverse_is_built_once_and_only_when_needed(field, monkeypatch):
     # ascend_levels builds psi^-1 once, before its loop, exactly when
-    # l >= 8 (the bottom level pair then has a block past block 0); below
-    # that only the leftover blocks of l = 6 and 7 take twiddle_inverse
-    inverse_at = set()
+    # l >= 6, and a later call then reads it: from l = 8 on the bottom
+    # level pair has a block past block 0, and at l = 6 and 7 the
+    # leftover block's twiddle is a power of it.  twiddle_inverse is a
+    # stub that fails, so no length reaches it, in this pass or the kernel
+    def unreachable(*args):
+        raise AssertionError(f"twiddle_inverse{args} was called")
+
+    monkeypatch.setattr(itft, "twiddle_inverse", unreachable)
     lengths = [*range(2, 1100), *((1 << k) + d for k in range(13, 18) for d in (-1, 0, 1, 5))]
     for ell in lengths:
         plan = make_plan(field, ell)
-
-        def recorded(ring, m, psi, q, ell=ell):
-            # on a ring of its own: at l = 6 the leftover twiddle is psi^7,
-            # which is psi^-1 but is not the pair stream's seed
-            inverse_at.add(ell)
-            return twiddle_inverse(TallyRing(ring.modulus), m, psi, q)
-
-        monkeypatch.setattr(itft, "twiddle_inverse", recorded)
+        psi_inv = pow(plan.psi, (1 << plan.m) - 1, field.modulus)
         ring = _RootPowers(field.modulus)
         ascend_levels(plan, [0] * ell, ring)
-        assert ring.powers.count((plan.psi, (1 << plan.m) - 1)) == (ell >= 8), ell
+        built = ring.powers.count((plan.psi, (1 << plan.m) - 1))
+        read = psi_inv in ring.seeds or any(x == psi_inv for x, _ in ring.powers)
+        assert (built, read) == (ell >= 6, ell >= 6), ell
         itft_in_place(plan, [0] * ell, TallyRing(field.modulus))
-    assert inverse_at == {6, 7}
 
 
 def test_stays_inside_the_buffer(field):
