@@ -4,21 +4,26 @@ Everything here is deliberately independent of the transform code: no
 shared exponentiation helpers or bit reversal, arithmetic through
 builtin pow and explicit remainders.  ``naive_tft`` builds its points
 by doubling, as bit_reverse(i + 2^(k-1), m) = bit_reverse(i, m) +
-2^(m-k) for i < 2^(k-1); ``reference_tft`` reverses the binary
-string.  All functions are pure and leave their inputs untouched.  They
-are slow by design; tests keep lengths small, except for
-``reference_tft``: an out-of-place radix-2 transform in O(ell log ell),
-which checks the kernels at lengths the O(ell^2) evaluation cannot
-reach.
+2^(m-k) for i < 2^(k-1); ``direct_values`` and ``reference_tft``
+reverse the binary string.  All functions are pure and leave their
+inputs untouched.  They are slow by design; tests keep lengths small,
+except for ``reference_tft``: an out-of-place radix-2 transform in
+O(ell log ell), which checks the kernels at lengths the O(ell^2)
+evaluation cannot reach.
 
-Only ``naive_tft`` uses numpy: one Horner loop over an array of
-evaluation points, in uint64 for moduli below 2^32 (products stay
-under 2^64 since (p-1)*p < 2^64) and over Python ints (dtype=object)
-above.  It imports numpy on its first call, so importing the package
-(and every CLI command that calls no oracle) does not pay for it.
+``direct_values`` yields naive_tft's outputs one at a time in pure
+Python, holding no list: the selftest's oracle family checks the
+kernel against it, so no CLI command needs numpy.  Only ``naive_tft``
+uses numpy, which comes with the ``test`` extra: one Horner loop over
+an array of evaluation points, in uint64 for moduli below 2^32
+(products stay under 2^64 since (p-1)*p < 2^64) and over Python ints
+(dtype=object) above.  It imports numpy on its first call, so importing
+the package does not pay for it.
 """
 
-__all__ = ["naive_tft", "naive_polymul", "reference_tft"]
+from itertools import chain, repeat
+
+__all__ = ["naive_tft", "direct_values", "naive_polymul", "reference_tft"]
 
 _NUMPY_LIMIT = 1 << 32
 
@@ -31,7 +36,9 @@ def naive_tft(field, psi: int, ell: int, a) -> list[int]:
     """Evaluate the polynomial with coefficients a at the ell points
     psi^bit_reverse(i, m), i < ell, by Horner's rule.
 
-    m = ceil(log2 ell); psi must have order exactly 2^m.
+    m = ceil(log2 ell); psi must have order exactly 2^m.  Needs numpy
+    (the ``test`` extra); ``direct_values`` gives the same outputs
+    without it.
     """
     p = field.modulus
     _check_point_generator(p, psi, ell, a)
@@ -50,6 +57,52 @@ def naive_tft(field, psi: int, ell: int, a) -> list[int]:
     for c in reversed(a):
         vals = (vals * pts + c % p) % p
     return [int(x) for x in vals]
+
+
+def direct_values(field, psi: int, ell: int, a):
+    """Yield naive_tft's outputs one at a time, in pure Python.
+
+    Points 2j and 2j+1 are x and -x, as psi^(2^(m-1)) = -1, and points
+    4j+2 and 4j+3 are ix and -ix, with i = psi^(2^(m-2)) a square root
+    of -1.  With A0..A3 the polynomials of a's coefficients at indices
+    0..3 mod 4, each taken at x^4, a group of four points is
+
+        f(+-x)  = (A0 + x^2 A2) +- x (A1 + x^2 A3)
+        f(+-ix) = (A0 - x^2 A2) +- ix (A1 - x^2 A3)
+
+    so one Horner pass, four coefficients a step from the end, gives a
+    group's values in ell/4 steps.  A group that ell cuts short yields
+    only its first points; an odd ell leaves its last point unpaired.
+    a may be any sequence of integers, an ``array`` included; it is
+    read, never copied.  Raises the ValueError of naive_tft when the
+    first value is asked for.
+    """
+    p = field.modulus
+    _check_point_generator(p, psi, ell, a)
+    m = (ell - 1).bit_length()
+    # i for m >= 2; below that a group has at most two points and i is unread
+    i = pow(psi, 1 << m >> 2, p)
+    for start in range(0, ell, 4):
+        x = pow(psi, _bitrev(start, m), p)
+        x2 = x * x % p
+        z = x2 * x2 % p
+        # zeros above the top coefficient make whole steps of four
+        coeffs = chain(repeat(0, -ell % 4), reversed(a))
+        a0 = a1 = a2 = a3 = 0
+        for c3, c2, c1, c0 in zip(coeffs, coeffs, coeffs, coeffs):
+            a3 = (a3 * z + c3) % p
+            a2 = (a2 * z + c2) % p
+            a1 = (a1 * z + c1) % p
+            a0 = (a0 * z + c0) % p
+        even, odd = a0 + x2 * a2, x * (a1 + x2 * a3)
+        yield (even + odd) % p
+        if start + 1 < ell:
+            yield (even - odd) % p
+        if start + 2 < ell:
+            even, odd = a0 - x2 * a2, i * x * (a1 - x2 * a3)
+            yield (even + odd) % p
+            if start + 3 < ell:
+                yield (even - odd) % p
 
 
 def reference_tft(field, psi: int, ell: int, a) -> list[int]:

@@ -16,6 +16,7 @@ from tftkit.cli import (
     _RUN,
     CHUNK,
     CSV_HEADER,
+    _draw,
     _read_factors,
     _read_text,
     _split_residues,
@@ -682,6 +683,42 @@ def test_selftest_reports_failures(monkeypatch, capsys):
     assert err.splitlines() == [f"oracle-equivalence: {oracle}", f"round-trip: {round_trip}"]
 
 
+def _last_entry_off_at(ell, real):
+    # a kernel that is off by one in its last entry at length ell only:
+    # the last point stands alone in its group of four when ell is 1 mod 4
+    def kernel(plan, buffer, ring=None):
+        real(plan, buffer, ring)
+        if plan.ell == ell:  # an index, not -1, which an AuditBuffer refuses
+            buffer[ell - 1] = (buffer[ell - 1] + 1) % plan.field.modulus
+
+    return kernel
+
+
+@pytest.mark.parametrize("ell", [37, 38, 39, 40])
+@pytest.mark.parametrize(
+    "name, family, detail",
+    [
+        ("tft_in_place", "oracle-equivalence", "forward transform disagrees with direct evaluation"),
+        ("itft_in_place", "round-trip", "inverse(forward) is not the identity"),
+    ],
+    ids=["forward", "inverse"],
+)
+def test_selftest_checks_every_entry(monkeypatch, capsys, ell, name, family, detail):
+    # each family compares all ell entries, the last point of a length
+    # included, and not only those a shorter sequence would reach; a
+    # forward fault breaks the round trip as well
+    monkeypatch.setattr(tftkit.cli, name, _last_entry_off_at(ell, getattr(tftkit.cli, name)))
+    code = main(["selftest", "--max", "40", "--seed", "5"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    failing = [line for line in out.splitlines()[1:] if not line.endswith(": ok")]
+    expected = [(family, f"length {ell}: {detail}")]
+    if name == "tft_in_place":
+        expected.append(("round-trip", f"length {ell}: inverse(forward) is not the identity"))
+    assert failing == [f"{family}: FAIL ({detail})" for family, detail in expected]
+    assert err.splitlines() == [f"{family}: {detail}" for family, detail in expected]
+
+
 def _reads_minus_one(real):
     # a plain list wraps -1, an AuditBuffer refuses it: only the audit fails
     def kernel(plan, buffer, ring=None):
@@ -748,6 +785,17 @@ def test_prng_stream_is_pinned():
     assert next(xorshift64star(1)) == 10474393251248582864
     # masked to 64 bits
     assert all(0 <= next(xorshift64star(s)) < 1 << 64 for s in range(50))
+
+
+def test_selftest_draws_are_packed():
+    # the values of the stream as a list of ints would hold them, packed
+    # in 4-byte items below 2^32, 8-byte below 2^64, and a list above
+    for modulus, code in ((998244353, "I"), ((1 << 64) - (1 << 32) + 1, "Q"), (5 * 2**75 + 1, None)):
+        values = xorshift64star(3)
+        expected = [next(values) % modulus for _ in range(9)]
+        drawn = _draw(xorshift64star(3), modulus, 9)
+        assert getattr(drawn, "typecode", None) == code
+        assert list(drawn) == expected
 
 
 def test_module_entry_point():
@@ -820,6 +868,14 @@ def test_import_leaves_numpy_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_selftest_leaves_numpy_unloaded():
+    # the selftest's oracle evaluates in pure Python, so no CLI command
+    # needs numpy; run with site, where numpy can be found if installed
+    code = "from tftkit.cli import main; rc = main(['selftest', '--max', '64']); print('numpy' in sys.modules, rc)"
+    out = _fresh_interpreter(code, flags=())
+    assert out.splitlines()[-1] == "False 0", out
+
+
 def _fresh_interpreter(code, stdin=None, flags=("-S",)):
     # -S keeps site hooks from preloading modules, so the child sees what
     # tftkit itself imports
@@ -880,6 +936,5 @@ from tftkit.instrumentation import measure_transform
 assert original is measure_transform
 print(len(calls))
 """
-    # with site, for the numpy the selftest's oracle needs; selftest
-    # measures both kinds at each length, counts the forward kind only
-    assert int(_fresh_interpreter(code, flags=())) == 2 * 4 + 4
+    # selftest measures both kinds at each length, counts the forward kind only
+    assert int(_fresh_interpreter(code)) == 2 * 4 + 4

@@ -1,16 +1,19 @@
 """The brute-force references themselves deserve a few checks: they are
 the ground truth everything else is compared against.  ``naive_tft``
 runs one numpy Horner loop, in uint64 below 2^32 and over Python ints
-(dtype=object) above; ``naive_dft`` (in tests/brute_force.py, with
+(dtype=object) above; ``direct_values``, which the selftest checks the
+kernel against, yields the same values in pure Python, four points a
+Horner pass; ``naive_dft`` (in tests/brute_force.py, with
 ``naive_itft_solve``) computes with Python ints at every modulus, and a
 64-bit modulus checks both against direct evaluation."""
 
 import random
+from array import array
 
 import pytest
 
 from brute_force import naive_dft, naive_itft_solve
-from tftkit.oracle import naive_polymul, naive_tft, reference_tft
+from tftkit.oracle import direct_values, naive_polymul, naive_tft, reference_tft
 from tftkit.ring import PrimeField
 from tftkit.tft import make_plan, tft_in_place
 
@@ -84,6 +87,48 @@ def test_tft_validation(f17):
         naive_tft(f17, 9, 0, [])
 
 
+def test_streamed_values_match_naive_tft(field, f17):
+    # every length to 129 on the default field and to 16 on F17, so each
+    # group of four points, whole or cut short by ell, meets naive_tft;
+    # and seeded lengths on Goldilocks, where the input packs in 8-byte
+    # items.  Each input is given as a list and packed in an array.
+    rng = random.Random(26)
+    big = PrimeField.from_modulus(BIG_P)
+    cases = ((field, "I", range(1, 130)), (f17, "I", range(1, 17)),
+             (big, "Q", sorted(rng.sample(range(1, 300), 12))))
+    for fld, code, lengths in cases:
+        p = fld.modulus
+        for ell in lengths:
+            psi = fld.root_of_order((ell - 1).bit_length())
+            a = [rng.randrange(p) for _ in range(ell)]
+            expected = naive_tft(fld, psi, ell, a)
+            assert list(direct_values(fld, psi, ell, a)) == expected, (p, ell)
+            packed = array(code, a)
+            assert list(direct_values(fld, psi, ell, packed)) == expected, (p, ell)
+            assert packed.tolist() == a
+
+
+def test_streamed_values_reduce_their_inputs(f17):
+    # unreduced and negative coefficients, in the top coefficients that
+    # start the accumulators too, as naive_tft takes them
+    for ell in range(1, 17):
+        psi = f17.root_of_order((ell - 1).bit_length())
+        a = [(-1) ** i * (17 * i + 5) for i in range(ell)]
+        assert list(direct_values(f17, psi, ell, a)) == naive_tft(f17, psi, ell, a), ell
+
+
+def test_streamed_values_refuse_what_naive_tft_refuses(f17):
+    # the same ValueError and message, raised when the first value is
+    # asked for
+    for psi, ell, a in ((9, 3, [1, 2]), (13, 5, [0] * 5), (9, 0, []), (13, 1, [3])):
+        with pytest.raises(ValueError) as naive:
+            naive_tft(f17, psi, ell, a)
+        values = direct_values(f17, psi, ell, a)
+        with pytest.raises(ValueError) as streamed:
+            next(values)
+        assert str(streamed.value) == str(naive.value), (psi, ell)
+
+
 def test_reference_matches_direct_evaluation(field):
     # the out-of-place reference checks the kernels far beyond naive_tft's
     # range; here it meets naive_tft on every length up to 129, and at a
@@ -132,6 +177,7 @@ def test_inputs_are_not_mutated(f17):
     b = list(a)
     naive_dft(f17, 13, a)
     naive_tft(f17, 13, 4, a)
+    list(direct_values(f17, 13, 4, a))
     naive_itft_solve(f17, 13, 4, a)
     naive_polymul(f17, a, a)
     reference_tft(f17, 13, 4, a)
