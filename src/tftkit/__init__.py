@@ -10,7 +10,7 @@ from .itft import itft_in_place
 from .polymul import operation_profile, tft_polymul
 from .ring import DEFAULT_MODULUS, PrimeField, pow_by_squaring
 from .tft import TransformPlan, make_plan, tft_in_place
-from .twiddle import bit_reverse, pair_stream, twiddle_forward, twiddle_inverse
+from .twiddle import bit_reverse
 
 __version__ = "0.1.0"
 
@@ -30,12 +30,9 @@ __all__ = [
     "naive_polymul",
     "naive_tft",
     "operation_profile",
-    "pair_stream",
     "pow_by_squaring",
     "tft_in_place",
     "tft_polymul",
-    "twiddle_forward",
-    "twiddle_inverse",
 ]
 
 # The instrumentation and the oracles are imported on first use of one of

@@ -19,7 +19,7 @@ import sys
 from operator import ne
 
 from .itft import itft_in_place
-from .polymul import tft_polymul
+from .polymul import array_code, tft_polymul
 from .ring import DEFAULT_MODULUS, PrimeField
 from .tft import make_plan, tft_in_place
 
@@ -244,10 +244,10 @@ def cmd_selftest(opts) -> int:
 
 def _draw(rng, modulus: int, ell: int):
     # ell residues from the stream, packed as tft_polymul packs the factor
-    # it is not transforming: 4-byte items below 2^32, 8-byte below 2^64,
-    # and a list of ints above
+    # it is not transforming: in an array of array_code(modulus) items, or
+    # a list of ints above 2^64
     values = (next(rng) % modulus for _ in range(ell))
-    code = "I" if modulus < 1 << 32 else "Q" if modulus < 1 << 64 else None
+    code = array_code(modulus)
     if code is None:
         return list(values)
     from array import array  # here, so that only a selftest loads it
@@ -325,8 +325,8 @@ _SELFTEST_FAMILIES = (
 # cached, so they are imported on first use: by _bind_checks when one of
 # those commands runs, or by a module attribute lookup (PEP 562) from outside.
 # naive_tft is not called here: the oracle family evaluates through
-# direct_values, which needs no numpy.  The name stays bound because
-# perfbench/spans.py rebinds it in this module, and
+# direct_values, of which naive_tft is only the list.  The name stays bound
+# because perfbench/spans.py rebinds it in this module, and
 # tests/test_public_names.py requires every name it rebinds to be bound,
 # until the benchmark is rekeyed.
 _CHECKS = dict.fromkeys(

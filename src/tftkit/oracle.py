@@ -2,30 +2,22 @@
 
 Everything here is deliberately independent of the transform code: no
 shared exponentiation helpers or bit reversal, arithmetic through
-builtin pow and explicit remainders.  ``naive_tft`` builds its points
-by doubling, as bit_reverse(i + 2^(k-1), m) = bit_reverse(i, m) +
-2^(m-k) for i < 2^(k-1); ``direct_values`` and ``reference_tft``
-reverse the binary string.  All functions are pure and leave their
-inputs untouched.  They are slow by design; tests keep lengths small,
-except for ``reference_tft``: an out-of-place radix-2 transform in
-O(ell log ell), which checks the kernels at lengths the O(ell^2)
-evaluation cannot reach.
+builtin pow and explicit remainders, bit reversal by reversing the
+binary string, pure Python throughout.  All functions are pure and
+leave their inputs untouched.  They are slow by design; tests keep
+lengths small, except for ``reference_tft``: an out-of-place radix-2
+transform in O(ell log ell), which checks the kernels at lengths the
+O(ell^2) evaluation cannot reach.
 
-``direct_values`` yields naive_tft's outputs one at a time in pure
-Python, holding no list: the selftest's oracle family checks the
-kernel against it, so no CLI command needs numpy.  Only ``naive_tft``
-uses numpy, which comes with the ``test`` extra: one Horner loop over
-an array of evaluation points, in uint64 for moduli below 2^32
-(products stay under 2^64 since (p-1)*p < 2^64) and over Python ints
-(dtype=object) above.  It imports numpy on its first call, so importing
-the package does not pay for it.
+``direct_values`` is the one direct evaluation: it yields the
+polynomial's values one at a time, holding no list, and the selftest's
+oracle family checks the kernel against it.  ``naive_tft`` collects
+those values in a list.
 """
 
 from itertools import chain, repeat
 
 __all__ = ["naive_tft", "direct_values", "naive_polymul", "reference_tft"]
-
-_NUMPY_LIMIT = 1 << 32
 
 
 def _bitrev(i: int, k: int) -> int:
@@ -34,33 +26,17 @@ def _bitrev(i: int, k: int) -> int:
 
 def naive_tft(field, psi: int, ell: int, a) -> list[int]:
     """Evaluate the polynomial with coefficients a at the ell points
-    psi^bit_reverse(i, m), i < ell, by Horner's rule.
+    psi^bit_reverse(i, m), i < ell: the values of ``direct_values``, in
+    a list.
 
-    m = ceil(log2 ell); psi must have order exactly 2^m.  Needs numpy
-    (the ``test`` extra); ``direct_values`` gives the same outputs
-    without it.
+    m = ceil(log2 ell); psi must have order exactly 2^m.
     """
-    p = field.modulus
-    _check_point_generator(p, psi, ell, a)
-    points = [1]
-    shift = (ell - 1).bit_length()
-    while len(points) < ell:
-        shift -= 1
-        factor = pow(psi, 1 << shift, p)
-        points += [x * factor % p for x in points[: ell - len(points)]]
-    import numpy as np
-
-    dtype = np.uint64 if p < _NUMPY_LIMIT else object
-    pts = np.array(points, dtype=dtype)
-    del points
-    vals = np.zeros(ell, dtype=dtype)
-    for c in reversed(a):
-        vals = (vals * pts + c % p) % p
-    return [int(x) for x in vals]
+    return list(direct_values(field, psi, ell, a))
 
 
 def direct_values(field, psi: int, ell: int, a):
-    """Yield naive_tft's outputs one at a time, in pure Python.
+    """Yield the polynomial's values at the points of naive_tft, one at
+    a time.
 
     Points 2j and 2j+1 are x and -x, as psi^(2^(m-1)) = -1, and points
     4j+2 and 4j+3 are ix and -ix, with i = psi^(2^(m-2)) a square root
@@ -73,9 +49,9 @@ def direct_values(field, psi: int, ell: int, a):
     so one Horner pass, four coefficients a step from the end, gives a
     group's values in ell/4 steps.  A group that ell cuts short yields
     only its first points; an odd ell leaves its last point unpaired.
-    a may be any sequence of integers, an ``array`` included; it is
-    read, never copied.  Raises the ValueError of naive_tft when the
-    first value is asked for.
+    a may be any sequence of Python ints, an ``array`` included; it is
+    read, never copied.  Raises ValueError for a bad length, psi or
+    count of values when the first value is asked for.
     """
     p = field.modulus
     _check_point_generator(p, psi, ell, a)

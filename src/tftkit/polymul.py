@@ -21,6 +21,13 @@ from .tft import make_plan, tft_in_place
 __all__ = ["tft_polymul", "operation_profile"]
 
 
+def array_code(p: int) -> str | None:
+    """The ``array`` type code whose items hold every residue mod p: "I"
+    (4 bytes) below 2^32, "Q" (8 bytes) below 2^64; None above, where
+    residues stay in a list of ints."""
+    return "I" if p < 1 << 32 else "Q" if p < 1 << 64 else None
+
+
 def tft_polymul(f, g, field, ring=None) -> list[int]:
     """Exact product coefficients, length len(f) + len(g) - 1.
 
@@ -54,7 +61,7 @@ def tft_polymul(f, g, field, ring=None) -> list[int]:
         raise ValueError("inputs must be nonempty")
     ell = len(fbuf) + len(gbuf) - 1
     plan = make_plan(field, ell)
-    code = "I" if p < 1 << 32 else "Q" if p < 1 << 64 else None
+    code = array_code(p)
     if code:
         from array import array  # here, so that only a product loads the extension
         gbuf = array(code, gbuf)

@@ -858,7 +858,7 @@ def test_console_script_help():
 
 
 def test_import_leaves_numpy_unloaded():
-    # numpy is most of the CLI's start-up time, and only the oracles use it
+    # numpy is most of the CLI's start-up time, and no module of the package uses it
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, tftkit.cli; print('numpy' in sys.modules)"],
         capture_output=True,

@@ -1,23 +1,29 @@
 """The brute-force references themselves deserve a few checks: they are
-the ground truth everything else is compared against.  ``naive_tft``
-runs one numpy Horner loop, in uint64 below 2^32 and over Python ints
-(dtype=object) above; ``direct_values``, which the selftest checks the
-kernel against, yields the same values in pure Python, four points a
-Horner pass; ``naive_dft`` (in tests/brute_force.py, with
-``naive_itft_solve``) computes with Python ints at every modulus, and a
-64-bit modulus checks both against direct evaluation."""
+the ground truth everything else is compared against.
+``direct_values``, which the selftest checks the kernel against, yields
+the direct evaluation in pure Python, four points a Horner pass, and
+``naive_tft`` collects it in a list; both are held to a plain Horner
+loop at each reversed power, one point at a time.  ``naive_dft`` (in
+tests/brute_force.py, with ``naive_itft_solve``) computes with Python
+ints at every modulus, and a 64-bit modulus checks both against direct
+evaluation.  A child interpreter with numpy blocked runs the oracles
+and the selftest, as no module of the package imports numpy."""
 
 import random
+import subprocess
+import sys
 from array import array
+from pathlib import Path
 
 import pytest
 
+import tftkit
 from brute_force import naive_dft, naive_itft_solve
 from tftkit.oracle import direct_values, naive_polymul, naive_tft, reference_tft
 from tftkit.ring import PrimeField
 from tftkit.tft import make_plan, tft_in_place
 
-# 2^64 - 2^32 + 1, two-adicity 32: runs naive_tft's loop over Python ints
+# 2^64 - 2^32 + 1, two-adicity 32: residues above 2^32, packed in 8-byte items
 BIG_P = 18446744069414584321
 
 
@@ -61,8 +67,9 @@ def _horner_at_reversed_powers(p, psi, ell, a):
     return out
 
 
-def test_tft_points_built_by_doubling_are_the_reversed_powers(field):
-    # naive_tft builds its points by doubling; here each one is its own pow
+def test_naive_tft_is_horner_at_the_reversed_powers(field):
+    # naive_tft takes a group of four points from one pow; here each point
+    # is its own pow and its own Horner loop
     rng = random.Random(24)
     for fld, lengths in ((field, range(1, 301)), (PrimeField.from_modulus(BIG_P), (1, 2, 5, 33, 100))):
         p = fld.modulus
@@ -87,9 +94,9 @@ def test_tft_validation(f17):
         naive_tft(f17, 9, 0, [])
 
 
-def test_streamed_values_match_naive_tft(field, f17):
+def test_streamed_values_match_horner_at_the_reversed_powers(field, f17):
     # every length to 129 on the default field and to 16 on F17, so each
-    # group of four points, whole or cut short by ell, meets naive_tft;
+    # group of four points, whole or cut short by ell, meets the plain loop;
     # and seeded lengths on Goldilocks, where the input packs in 8-byte
     # items.  Each input is given as a list and packed in an array.
     rng = random.Random(26)
@@ -101,7 +108,7 @@ def test_streamed_values_match_naive_tft(field, f17):
         for ell in lengths:
             psi = fld.root_of_order((ell - 1).bit_length())
             a = [rng.randrange(p) for _ in range(ell)]
-            expected = naive_tft(fld, psi, ell, a)
+            expected = _horner_at_reversed_powers(p, psi, ell, a)
             assert list(direct_values(fld, psi, ell, a)) == expected, (p, ell)
             packed = array(code, a)
             assert list(direct_values(fld, psi, ell, packed)) == expected, (p, ell)
@@ -110,29 +117,36 @@ def test_streamed_values_match_naive_tft(field, f17):
 
 def test_streamed_values_reduce_their_inputs(f17):
     # unreduced and negative coefficients, in the top coefficients that
-    # start the accumulators too, as naive_tft takes them
+    # start the accumulators too, as the plain loop takes them
     for ell in range(1, 17):
         psi = f17.root_of_order((ell - 1).bit_length())
         a = [(-1) ** i * (17 * i + 5) for i in range(ell)]
-        assert list(direct_values(f17, psi, ell, a)) == naive_tft(f17, psi, ell, a), ell
+        expected = _horner_at_reversed_powers(17, psi, ell, a)
+        assert list(direct_values(f17, psi, ell, a)) == expected, ell
 
 
 def test_streamed_values_refuse_what_naive_tft_refuses(f17):
-    # the same ValueError and message, raised when the first value is
-    # asked for
-    for psi, ell, a in ((9, 3, [1, 2]), (13, 5, [0] * 5), (9, 0, []), (13, 1, [3])):
+    # the same ValueError and message from both, the stream's raised when
+    # its first value is asked for
+    refusals = (
+        (9, 3, [1, 2], "expected 3 values, got 2"),
+        (13, 5, [0] * 5, "psi must have order 2^ceil(log2 ell)"),
+        (9, 0, [], "length must be at least 1"),
+        (13, 1, [3], "psi must be 1 for a length-1 transform"),
+    )
+    for psi, ell, a, message in refusals:
         with pytest.raises(ValueError) as naive:
             naive_tft(f17, psi, ell, a)
         values = direct_values(f17, psi, ell, a)
         with pytest.raises(ValueError) as streamed:
             next(values)
-        assert str(streamed.value) == str(naive.value), (psi, ell)
+        assert str(naive.value) == str(streamed.value) == message, (psi, ell)
 
 
 def test_reference_matches_direct_evaluation(field):
     # the out-of-place reference checks the kernels far beyond naive_tft's
     # range; here it meets naive_tft on every length up to 129, and at a
-    # modulus above 2^32, where naive_tft runs over Python ints
+    # modulus above 2^32
     rng = random.Random(25)
     big = PrimeField.from_modulus(BIG_P)
     for fld, lengths in ((field, range(1, 130)), (big, (1, 2, 3, 7, 33, 100))):
@@ -214,3 +228,27 @@ def test_residues_are_canonicalized(f17):
     # oracle inputs may be unreduced; outputs must be in [0, p)
     assert naive_tft(f17, 13, 4, [18, -1, 0, 0]) == naive_tft(f17, 13, 4, [1, 16, 0, 0])
     assert naive_polymul(f17, [18], [2]) == [2]
+
+
+def test_oracles_and_selftest_run_with_numpy_blocked():
+    # a None entry in sys.modules makes "import numpy" raise ImportError,
+    # so the child fails if any module it reaches imports numpy
+    src = str(Path(tftkit.__file__).resolve().parent.parent)
+    code = f"""
+import sys
+sys.modules["numpy"] = None
+sys.path.insert(0, {src!r})
+from tftkit import DEFAULT_MODULUS, PrimeField, naive_tft
+from tftkit.cli import main
+from tftkit.oracle import reference_tft
+for p in (DEFAULT_MODULUS, {BIG_P}):
+    fld = PrimeField.from_modulus(p)
+    for ell in (1, 2, 3, 5, 16, 33, 100):
+        psi = fld.root_of_order((ell - 1).bit_length())
+        a = [pow(3, i + 1, p) for i in range(ell)]
+        assert naive_tft(fld, psi, ell, a) == reference_tft(fld, psi, ell, a), (p, ell)
+sys.exit(main(["selftest", "--max", "16"]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "operation-bounds: ok", proc.stdout

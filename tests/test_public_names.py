@@ -44,12 +44,9 @@ def test_public_names_are_pinned():
         "naive_polymul",
         "naive_tft",
         "operation_profile",
-        "pair_stream",
         "pow_by_squaring",
         "tft_in_place",
         "tft_polymul",
-        "twiddle_forward",
-        "twiddle_inverse",
     ]
     for name in tftkit.__all__:
         assert hasattr(tftkit, name), name
