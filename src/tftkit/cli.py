@@ -237,9 +237,9 @@ def cmd_selftest(opts) -> int:
 # Each selftest family checks lengths 1..max_len, drawing its inputs from
 # the shared stream in turn, and returns the first failure's detail or None.
 # A length's input is drawn packed (_draw) and the kernels run on one list
-# copy of it, checked entry by entry against the input or against
-# direct_values, which evaluates it one point at a time; both are dropped
-# before the next length is drawn.
+# copy of it, checked entry by entry against the input, or overwritten by
+# direct_differences with its difference from the direct evaluation, which
+# must be all zeros; both are dropped before the next length is drawn.
 
 
 def _draw(rng, modulus: int, ell: int):
@@ -266,7 +266,7 @@ def _check_oracle(field, rng, max_len: int) -> str | None:
         data = _draw(rng, field.modulus, ell)
         buffer = list(data)
         tft_in_place(plan, buffer)
-        if _differs(buffer, ell, direct_values(field, plan.psi, ell, data)):
+        if any(direct_differences(field, plan.psi, ell, data, buffer)):
             return f"length {ell}: forward transform disagrees with direct evaluation"
         del data, buffer
     return None
@@ -324,14 +324,14 @@ _SELFTEST_FAMILIES = (
 # and oracle.py is a large share of the CLI's start-up when no bytecode is
 # cached, so they are imported on first use: by _bind_checks when one of
 # those commands runs, or by a module attribute lookup (PEP 562) from outside.
-# naive_tft is not called here: the oracle family evaluates through
-# direct_values, of which naive_tft is only the list.  The name stays bound
-# because perfbench/spans.py rebinds it in this module, and
+# naive_tft is not called here: the oracle family checks through
+# direct_differences, which naive_tft runs on a list of zeros.  The name
+# stays bound because perfbench/spans.py rebinds it in this module, and
 # tests/test_public_names.py requires every name it rebinds to be bound,
 # until the benchmark is rekeyed.
 _CHECKS = dict.fromkeys(
     ("CSV_HEADER", "AuditBuffer", "bound_check", "measure_transform"), "instrumentation"
-) | dict.fromkeys(("direct_values", "naive_tft"), "oracle")
+) | dict.fromkeys(("direct_differences", "naive_tft"), "oracle")
 
 
 def _bind_checks() -> None:

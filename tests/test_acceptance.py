@@ -412,9 +412,12 @@ def test_mul_parse_holds_no_more_than_its_compute(cli_phases):
 # bytes above the output; selftest read 9,800-9,850 at --max 64 while each
 # family kept the previous length's lists and the oracle family a third
 # copy of its input, 6,850-7,000 once they held one length's input and
-# one working copy, and 4,650-4,800 since that input is packed and the
-# oracle family evaluates it one value at a time (1.15 x the worst)
-SELFTEST_SCRATCH_LIMIT = 5_500
+# one working copy, 4,650-4,800 since that input is packed and the oracle
+# family evaluates it one value at a time (limit was 5,500), and
+# 3,918-3,949 since the oracle family overwrites the kernel's output with
+# its difference from the direct evaluation, holding no generator, so the
+# round trip bounds the selftest (1.15 x the worst)
+SELFTEST_SCRATCH_LIMIT = 4_540
 SELFTEST_SEEDS = (0, 11, 12, 2026)
 
 

@@ -1,12 +1,14 @@
 """The brute-force references themselves deserve a few checks: they are
 the ground truth everything else is compared against.
-``direct_values``, which the selftest checks the kernel against, yields
-the direct evaluation in pure Python, four points a Horner pass, and
-``naive_tft`` collects it in a list; both are held to a plain Horner
-loop at each reversed power, one point at a time.  ``naive_dft`` (in
-tests/brute_force.py, with ``naive_itft_solve``) computes with Python
-ints at every modulus, and a 64-bit modulus checks both against direct
-evaluation.  A child interpreter with numpy blocked runs the oracles
+``direct_differences`` is the direct evaluation in pure Python, four
+points a Horner pass, written into a list as each value minus the
+entry it replaces: ``naive_tft`` runs it on zeros, and the selftest's
+check runs it on the kernel's output and fails on any nonzero entry.
+Both are held to a plain Horner loop at each reversed power, one point
+at a time, and refuse coefficients that are not Python ints.
+``naive_dft`` (in tests/brute_force.py, with ``naive_itft_solve``)
+computes with Python ints at every modulus, and a 64-bit modulus checks
+both against direct evaluation.  A child interpreter with numpy blocked runs the oracles
 and the selftest, as no module of the package imports numpy."""
 
 import random
@@ -19,7 +21,7 @@ import pytest
 
 import tftkit
 from brute_force import naive_dft, naive_itft_solve
-from tftkit.oracle import direct_values, naive_polymul, naive_tft, reference_tft
+from tftkit.oracle import direct_differences, naive_polymul, naive_tft, reference_tft
 from tftkit.ring import PrimeField
 from tftkit.tft import make_plan, tft_in_place
 
@@ -67,18 +69,6 @@ def _horner_at_reversed_powers(p, psi, ell, a):
     return out
 
 
-def test_naive_tft_is_horner_at_the_reversed_powers(field):
-    # naive_tft takes a group of four points from one pow; here each point
-    # is its own pow and its own Horner loop
-    rng = random.Random(24)
-    for fld, lengths in ((field, range(1, 301)), (PrimeField.from_modulus(BIG_P), (1, 2, 5, 33, 100))):
-        p = fld.modulus
-        for ell in lengths:
-            psi = fld.root_of_order((ell - 1).bit_length())
-            a = [rng.randrange(p) for _ in range(ell)]
-            assert naive_tft(fld, psi, ell, a) == _horner_at_reversed_powers(p, psi, ell, a), ell
-
-
 def test_tft_length_one(f17):
     assert naive_tft(f17, 1, 1, [25]) == [8]
     with pytest.raises(ValueError):
@@ -94,14 +84,25 @@ def test_tft_validation(f17):
         naive_tft(f17, 9, 0, [])
 
 
+def _selftest_check_fails(fld, psi, ell, a, output) -> bool:
+    # cli._check_oracle's test of a kernel's output, on a copy of it
+    return any(direct_differences(fld, psi, ell, a, list(output)))
+
+
 def test_streamed_values_match_horner_at_the_reversed_powers(field, f17):
-    # every length to 129 on the default field and to 16 on F17, so each
-    # group of four points, whole or cut short by ell, meets the plain loop;
-    # and seeded lengths on Goldilocks, where the input packs in 8-byte
-    # items.  Each input is given as a list and packed in an array.
+    # naive_tft takes a group of four points from one pow; the plain loop
+    # takes each point from its own pow and its own Horner loop.  Every
+    # length to 300 on the default field and to 16 on F17, so each group of
+    # four points, whole or cut short by ell, meets the plain loop; and
+    # seeded lengths on Goldilocks, where the input packs in 8-byte items.
+    # Each input is given as a list, and to 129 on the default field and
+    # everywhere else also packed in an array.  To 129 on the default
+    # field, the selftest's check passes on the values and fails on them
+    # with one entry changed, at each index in turn (the lone last points
+    # of a short group included), the input as a list or packed in turn.
     rng = random.Random(26)
     big = PrimeField.from_modulus(BIG_P)
-    cases = ((field, "I", range(1, 130)), (f17, "I", range(1, 17)),
+    cases = ((field, "I", range(1, 301)), (f17, "I", range(1, 17)),
              (big, "Q", sorted(rng.sample(range(1, 300), 12))))
     for fld, code, lengths in cases:
         p = fld.modulus
@@ -109,10 +110,22 @@ def test_streamed_values_match_horner_at_the_reversed_powers(field, f17):
             psi = fld.root_of_order((ell - 1).bit_length())
             a = [rng.randrange(p) for _ in range(ell)]
             expected = _horner_at_reversed_powers(p, psi, ell, a)
-            assert list(direct_values(fld, psi, ell, a)) == expected, (p, ell)
+            assert naive_tft(fld, psi, ell, a) == expected, (p, ell)
+            if fld is field and ell > 129:
+                continue
             packed = array(code, a)
-            assert list(direct_values(fld, psi, ell, packed)) == expected, (p, ell)
+            assert naive_tft(fld, psi, ell, packed) == expected, (p, ell)
             assert packed.tolist() == a
+            if fld is not field:
+                continue
+            inputs = (a, packed)
+            for coeffs in inputs:
+                assert not _selftest_check_fails(fld, psi, ell, coeffs, expected), ell
+            for j in range(ell):
+                changed = list(expected)
+                changed[j] = (changed[j] + 1) % p
+                coeffs = inputs[(ell + j) % 2]
+                assert _selftest_check_fails(fld, psi, ell, coeffs, changed), (ell, j)
 
 
 def test_streamed_values_reduce_their_inputs(f17):
@@ -122,12 +135,13 @@ def test_streamed_values_reduce_their_inputs(f17):
         psi = f17.root_of_order((ell - 1).bit_length())
         a = [(-1) ** i * (17 * i + 5) for i in range(ell)]
         expected = _horner_at_reversed_powers(17, psi, ell, a)
-        assert list(direct_values(f17, psi, ell, a)) == expected, ell
+        assert naive_tft(f17, psi, ell, a) == expected, ell
+        assert direct_differences(f17, psi, ell, a, list(expected)) == [0] * ell, ell
 
 
 def test_streamed_values_refuse_what_naive_tft_refuses(f17):
-    # the same ValueError and message from both, the stream's raised when
-    # its first value is asked for
+    # the same ValueError and message from both, and from
+    # direct_differences when the list it overwrites is not ell long
     refusals = (
         (9, 3, [1, 2], "expected 3 values, got 2"),
         (13, 5, [0] * 5, "psi must have order 2^ceil(log2 ell)"),
@@ -137,10 +151,43 @@ def test_streamed_values_refuse_what_naive_tft_refuses(f17):
     for psi, ell, a, message in refusals:
         with pytest.raises(ValueError) as naive:
             naive_tft(f17, psi, ell, a)
-        values = direct_values(f17, psi, ell, a)
-        with pytest.raises(ValueError) as streamed:
-            next(values)
-        assert str(naive.value) == str(streamed.value) == message, (psi, ell)
+        with pytest.raises(ValueError) as direct:
+            direct_differences(f17, psi, ell, a, [0] * ell)
+        assert str(naive.value) == str(direct.value) == message, (psi, ell)
+    for out in ([0] * 3, [0] * 5):
+        with pytest.raises(ValueError, match=f"expected 4 outputs, got {len(out)}"):
+            direct_differences(f17, 13, 4, [1, 2, 3, 4], out)
+
+
+def test_oracles_refuse_coefficients_that_are_not_ints(field):
+    # numpy integers would compute in numpy's wrapping arithmetic: wrong
+    # values, with a RuntimeWarning for uint64 and none for int64; a float
+    # or a bool computes in its own.  Every oracle refuses them, while array
+    # items and unreduced or negative ints are read as the ints they are.
+    np = pytest.importorskip("numpy")
+    ell = 37
+    psi = field.root_of_order((ell - 1).bit_length())
+    a = [pow(3, i + 1, field.modulus) for i in range(ell)]
+    expected = naive_tft(field, psi, ell, a)
+    refused = {
+        "uint64": np.array(a, dtype=np.uint64),
+        "int64": np.array(a, dtype=np.int64),
+        "float": a[:-1] + [float(a[-1])],
+        "bool": [True] + a[1:],
+    }
+    for name, coeffs in refused.items():
+        for call in (
+            lambda: naive_tft(field, psi, ell, coeffs),
+            lambda: direct_differences(field, psi, ell, coeffs, list(expected)),
+            lambda: reference_tft(field, psi, ell, coeffs),
+        ):
+            with pytest.raises(TypeError, match=f"must be Python ints, got {name}"):
+                call()
+    unreduced = [c + (-1) ** i * 3 * field.modulus for i, c in enumerate(a)]
+    for coeffs in (array("I", a), unreduced):
+        assert naive_tft(field, psi, ell, coeffs) == expected
+        assert reference_tft(field, psi, ell, coeffs) == expected
+        assert not _selftest_check_fails(field, psi, ell, coeffs, expected)
 
 
 def test_reference_matches_direct_evaluation(field):
@@ -191,7 +238,7 @@ def test_inputs_are_not_mutated(f17):
     b = list(a)
     naive_dft(f17, 13, a)
     naive_tft(f17, 13, 4, a)
-    list(direct_values(f17, 13, 4, a))
+    direct_differences(f17, 13, 4, a, [0] * 4)
     naive_itft_solve(f17, 13, 4, a)
     naive_polymul(f17, a, a)
     reference_tft(f17, 13, 4, a)

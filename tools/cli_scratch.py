@@ -1,6 +1,7 @@
 """Print where the CLI's traced scratch peaks: the parse, compute and
 output phases of one tft, itft or mul run, or each family of a selftest;
-or the traced scratch of each of the kernels' eight pass functions.
+the phases of one in-process tft_polymul; or the traced scratch of each
+of the kernels' eight pass functions.
 
 ``measure(call)`` is the one traced procedure of the scratch gates in
 tests/: it refills the interpreter's free lists, runs call() under
@@ -15,13 +16,18 @@ the output is held shows apart from a change in the peak.  Parse runs
 until the compute call (the kernel, or tft_polymul for mul), compute
 until the first _write_values call, output to the end.  A selftest's
 start runs until its first family, and each family until the next one's
-call (the last to the end).  ``passes`` runs each kernel's four passes
+call (the last to the end).  A product (``product``, no CLI) splits at
+its kernel calls: read until f's transform, then f's transform, the
+packing until g's transform, g's transform, the pointwise product until
+the inverse, and the inverse to the end; the bytes it leaves held are
+the product's list.  ``passes`` runs each kernel's four passes
 in order on seeded residues, as the kernel does, each through
 ``measure``, and gives each pass's peak above what it leaves held.
 
 Usage: python tools/cli_scratch.py tft|itft L [SEED]
        python tools/cli_scratch.py mul N [SEED]     (two N-coefficient factors)
        python tools/cli_scratch.py selftest N [SEED]   (--max N --seed SEED)
+       python tools/cli_scratch.py product N [SEED]    (tft_polymul, N x N)
        python tools/cli_scratch.py kernel L [SEED]     (each pass, L >= 2)
 """
 
@@ -30,11 +36,12 @@ import random
 import sys
 import tracemalloc
 from contextlib import redirect_stdout
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tftkit import cli, itft, tft  # noqa: E402
+from tftkit import cli, itft, polymul, tft  # noqa: E402
 
 # the cli module global each command computes through
 COMPUTE = {"tft": "tft_in_place", "itft": "itft_in_place", "mul": "tft_polymul"}
@@ -73,18 +80,34 @@ def traced_phases(command, n, seed, traced):
     command leaves held (its output)."""
     peaks = []
 
-    def entered(fn):
-        # a phase ends where the next one's function is called
+    def mark():
+        if traced:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+
+    def entered(fn, returns=False):
+        # a phase ends where the next one's function is called, or where
+        # this one returns
         def call(*args):
-            if traced:
-                peaks.append(tracemalloc.get_traced_memory()[1])
-                tracemalloc.reset_peak()
-            return fn(*args)
+            mark()
+            result = fn(*args)
+            if returns:
+                mark()
+            return result
 
         return call
 
-    if command == "selftest":
-        argv, text = ["selftest", "--max", str(n), "--seed", str(seed)], ""
+    text = ""
+    if command == "product":
+        rng = random.Random(seed)
+        field = cli.PrimeField(cli.DEFAULT_MODULUS)
+        f, g = ([rng.randrange(field.modulus) for _ in range(n)] for _ in range(2))
+        module, call = polymul, partial(polymul.tft_polymul, f, g, field)
+        patches = {"tft_in_place": entered(polymul.tft_in_place, returns=True),
+                   "itft_in_place": entered(polymul.itft_in_place)}
+        names = ("read", "f transform", "packing", "g transform", "pointwise", "inverse")
+    elif command == "selftest":
+        argv = ["selftest", "--max", str(n), "--seed", str(seed)]
         families = cli._SELFTEST_FAMILIES
         patches = {"_SELFTEST_FAMILIES": tuple((name, entered(check)) for name, check in families)}
         names = ("start", *(name for name, _ in families))
@@ -100,20 +123,22 @@ def traced_phases(command, n, seed, traced):
             argv, text = [command, "--length", str(n)], line()
         patches = {name: entered(getattr(cli, name)) for name in (COMPUTE[command], "_write_values")}
         names = ("parse", "compute", "output")
-    saved = {name: getattr(cli, name) for name in patches}
+    if command != "product":
+        module, call = cli, partial(cli.main, argv)
+    saved = {name: getattr(module, name) for name in patches}
     stdin = sys.stdin
     sys.stdin = io.TextIOWrapper(io.BytesIO(text.encode()), "ascii")
     try:
         for name, value in patches.items():
-            setattr(cli, name, value)
+            setattr(module, name, value)
         with redirect_stdout(io.StringIO()):
-            code, peak, current = measure(lambda: cli.main(argv)) if traced else (cli.main(argv), 0, 0)
+            result, peak, current = measure(call) if traced else (call(), 0, 0)
     finally:
         sys.stdin = stdin
         for name, fn in saved.items():
-            setattr(cli, name, fn)
-    if code != 0:
-        raise SystemExit(f"{command} exited {code}")
+            setattr(module, name, fn)
+    if command != "product" and result != 0:
+        raise SystemExit(f"{command} exited {result}")
     return dict(zip(names, peaks + [peak])), current
 
 
@@ -136,7 +161,7 @@ def passes(ell, seed, traced):
 
 
 def main(argv) -> None:
-    if len(argv) not in (3, 4) or argv[1] not in (*COMPUTE, "selftest", "kernel"):
+    if len(argv) not in (3, 4) or argv[1] not in (*COMPUTE, "selftest", "product", "kernel"):
         raise SystemExit(__doc__.split("Usage: ")[1])
     command, n = argv[1], int(argv[2])
     seed = int(argv[3]) if len(argv) > 3 else 0
@@ -151,7 +176,8 @@ def main(argv) -> None:
         run(command, n, seed, traced=False)
         absolute, held = traced_phases(command, n, seed, traced=True)
         phases = {name: value - held for name, value in absolute.items()}
-        shape = {"mul": f"{n} x {n}", "selftest": f"--max {n} --seed {seed}"}.get(command, f"l = {n}")
+        shape = {"selftest": f"--max {n} --seed {seed}"}.get(
+            command, f"{n} x {n}" if command in ("mul", "product") else f"l = {n}")
         print(f"{command} at {shape}, bytes above the output and traced:")
     width = max(map(len, phases))
     for phase, value in phases.items():
