@@ -5,7 +5,8 @@ points a Horner pass, written into a list as each value minus the
 entry it replaces: ``naive_tft`` runs it on zeros, and the selftest's
 check runs it on the kernel's output and fails on any nonzero entry.
 Both are held to a plain Horner loop at each reversed power, one point
-at a time, and refuse coefficients that are not Python ints.
+at a time (list inputs in one test, packed inputs and the selftest's
+check in the next), and refuse coefficients that are not Python ints.
 ``naive_dft`` (in tests/brute_force.py, with ``naive_itft_solve``)
 computes with Python ints at every modulus, and a 64-bit modulus checks
 both against direct evaluation.  A child interpreter with numpy blocked runs the oracles
@@ -89,20 +90,35 @@ def _selftest_check_fails(fld, psi, ell, a, output) -> bool:
     return any(direct_differences(fld, psi, ell, a, list(output)))
 
 
+def test_naive_tft_is_horner_at_the_reversed_powers(field, f17):
+    # The list case.  naive_tft takes a group of four points from one pow;
+    # the plain loop takes each point from its own pow and its own Horner
+    # loop.  Every length to 300 on the default field and to 16 on F17, so
+    # each group of four points, whole or cut short by ell, meets the plain
+    # loop; and seeded lengths on Goldilocks, with residues above 2^32.
+    rng = random.Random(24)
+    big = PrimeField.from_modulus(BIG_P)
+    cases = ((field, range(1, 301)), (f17, range(1, 17)),
+             (big, sorted(rng.sample(range(1, 300), 12))))
+    for fld, lengths in cases:
+        p = fld.modulus
+        for ell in lengths:
+            psi = fld.root_of_order((ell - 1).bit_length())
+            a = [rng.randrange(p) for _ in range(ell)]
+            assert naive_tft(fld, psi, ell, a) == _horner_at_reversed_powers(p, psi, ell, a), (p, ell)
+
+
 def test_streamed_values_match_horner_at_the_reversed_powers(field, f17):
-    # naive_tft takes a group of four points from one pow; the plain loop
-    # takes each point from its own pow and its own Horner loop.  Every
-    # length to 300 on the default field and to 16 on F17, so each group of
-    # four points, whole or cut short by ell, meets the plain loop; and
-    # seeded lengths on Goldilocks, where the input packs in 8-byte items.
-    # Each input is given as a list, and to 129 on the default field and
-    # everywhere else also packed in an array.  To 129 on the default
-    # field, the selftest's check passes on the values and fails on them
-    # with one entry changed, at each index in turn (the lone last points
-    # of a short group included), the input as a list or packed in turn.
+    # The packed case and the selftest's check.  Each input packed in an
+    # array, to 129 on the default field, to 16 on F17 and at seeded
+    # lengths on Goldilocks, where it packs in 8-byte items.  To 129 on the
+    # default field, the selftest's check passes on the values and fails on
+    # them with one entry changed, at each index in turn (the lone last
+    # points of a short group included), the input as a list or packed in
+    # turn.
     rng = random.Random(26)
     big = PrimeField.from_modulus(BIG_P)
-    cases = ((field, "I", range(1, 301)), (f17, "I", range(1, 17)),
+    cases = ((field, "I", range(1, 130)), (f17, "I", range(1, 17)),
              (big, "Q", sorted(rng.sample(range(1, 300), 12))))
     for fld, code, lengths in cases:
         p = fld.modulus
@@ -110,9 +126,6 @@ def test_streamed_values_match_horner_at_the_reversed_powers(field, f17):
             psi = fld.root_of_order((ell - 1).bit_length())
             a = [rng.randrange(p) for _ in range(ell)]
             expected = _horner_at_reversed_powers(p, psi, ell, a)
-            assert naive_tft(fld, psi, ell, a) == expected, (p, ell)
-            if fld is field and ell > 129:
-                continue
             packed = array(code, a)
             assert naive_tft(fld, psi, ell, packed) == expected, (p, ell)
             assert packed.tolist() == a
