@@ -7,8 +7,8 @@ operation-count instrumentation, and a CLI round out the package.
 """
 
 from .itft import itft_in_place
-from .polymul import operation_profile, tft_polymul
-from .ring import DEFAULT_MODULUS, PrimeField, pow_by_squaring
+from .polymul import tft_polymul
+from .ring import DEFAULT_MODULUS, PrimeField
 from .tft import TransformPlan, make_plan, tft_in_place
 from .twiddle import bit_reverse
 
@@ -23,14 +23,11 @@ __all__ = [
     "PrimeField",
     "TransformPlan",
     "bit_reverse",
-    "bound_check",
     "itft_in_place",
     "make_plan",
     "measure_transform",
     "naive_polymul",
     "naive_tft",
-    "operation_profile",
-    "pow_by_squaring",
     "tft_in_place",
     "tft_polymul",
 ]
@@ -40,8 +37,7 @@ __all__ = [
 # transform and mul commands, does not pay to compile them; dir() lists
 # those names before then too.
 _LAZY = dict.fromkeys(
-    ("AuditBuffer", "BoundReport", "CountingField", "OpCounters", "bound_check",
-     "measure_transform"),
+    ("AuditBuffer", "BoundReport", "CountingField", "OpCounters", "measure_transform"),
     "instrumentation",
 ) | dict.fromkeys(("naive_polymul", "naive_tft"), "oracle")
 

@@ -19,7 +19,7 @@ import sys
 from operator import ne
 
 from .itft import itft_in_place
-from .polymul import array_code, tft_polymul
+from .polymul import pack, tft_polymul
 from .ring import DEFAULT_MODULUS, PrimeField
 from .tft import make_plan, tft_in_place
 
@@ -244,15 +244,8 @@ def cmd_selftest(opts) -> int:
 
 def _draw(rng, modulus: int, ell: int):
     # ell residues from the stream, packed as tft_polymul packs the factor
-    # it is not transforming: in an array of array_code(modulus) items, or
-    # a list of ints above 2^64
-    values = (next(rng) % modulus for _ in range(ell))
-    code = array_code(modulus)
-    if code is None:
-        return list(values)
-    from array import array  # here, so that only a selftest loads it
-
-    return array(code, values)
+    # it is not transforming
+    return pack((next(rng) % modulus for _ in range(ell)), modulus)
 
 
 def _differs(buffer, ell: int, values) -> bool:

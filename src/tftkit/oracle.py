@@ -5,10 +5,7 @@ shared exponentiation helpers or bit reversal, arithmetic through
 builtin pow and explicit remainders, bit reversal by reversing the
 binary string, pure Python throughout.  No function changes its
 inputs, but for the list direct_differences is given to overwrite.
-They are slow by design; tests keep lengths small, except for
-``reference_tft``: an out-of-place radix-2 transform in O(ell log ell),
-which checks the kernels at lengths the O(ell^2) evaluation cannot
-reach.
+They are slow by design; tests keep lengths small.
 
 ``direct_differences`` is the one direct evaluation: it overwrites each
 entry of a given list with the polynomial's value there minus that
@@ -19,11 +16,7 @@ passes it the kernel's output, which comes back all zeros exactly when
 every entry was the value.
 """
 
-__all__ = ["naive_tft", "direct_differences", "naive_polymul", "reference_tft"]
-
-
-def _bitrev(i: int, k: int) -> int:
-    return int(format(i, f"0{k}b")[::-1], 2)
+__all__ = ["naive_tft", "direct_differences", "naive_polymul"]
 
 
 def naive_tft(field, psi: int, ell: int, a) -> list[int]:
@@ -66,7 +59,7 @@ def direct_differences(field, psi: int, ell: int, a, out: list) -> list:
     m = (ell - 1).bit_length()
     # i for m >= 2; below that a group has at most two points and i is unread
     i = pow(psi, 1 << m >> 2, p)
-    digits = f"0{m}b"  # _bitrev's string reversal, its format made once
+    digits = f"0{m}b"  # bit reversal by string reversal, its format made once
     # the top step is the coefficients from low up, with zeros above a[ell - 1]
     low = ell & -4
     top0 = a[low] if low < ell else 0
@@ -94,32 +87,6 @@ def direct_differences(field, psi: int, ell: int, a, out: list) -> list:
             if start + 3 < ell:
                 out[start + 3] = (even - odd) % p - out[start + 3]
     return out
-
-
-def reference_tft(field, psi: int, ell: int, a) -> list[int]:
-    """The outputs of naive_tft, by an out-of-place radix-2 transform.
-
-    Zero-pads a to 2^m, m = ceil(log2 ell), and runs Cooley-Tukey levels
-    m-1..0 over only the blocks that start below ell: at level k, block
-    i holds [i*2^(k+1), (i+1)*2^(k+1)) and its twiddle is
-    psi^bit_reverse(i, m-1).  Entry j < ell of the result is then the
-    polynomial's value at psi^bit_reverse(j, m).  O(ell log ell)
-    products, in a new list of 2^m entries.
-    """
-    p = field.modulus
-    _check_point_generator(p, psi, ell, a)
-    m = (ell - 1).bit_length()
-    buf = [x % p for x in a] + [0] * ((1 << m) - ell)
-    for k in reversed(range(m)):
-        half = 1 << k
-        for i, lo in enumerate(range(0, ell, 2 * half)):
-            w = pow(psi, _bitrev(i, m - 1), p)
-            mid, hi = lo + half, lo + 2 * half
-            ys = [y * w % p for y in buf[mid:hi]]
-            xs = buf[lo:mid]
-            buf[lo:mid] = [(x + y) % p for x, y in zip(xs, ys)]
-            buf[mid:hi] = [(x - y) % p for x, y in zip(xs, ys)]
-    return buf[:ell]
 
 
 def naive_polymul(field, f, g) -> list[int]:

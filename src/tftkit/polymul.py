@@ -21,11 +21,15 @@ from .tft import make_plan, tft_in_place
 __all__ = ["tft_polymul", "operation_profile"]
 
 
-def array_code(p: int) -> str | None:
-    """The ``array`` type code whose items hold every residue mod p: "I"
-    (4 bytes) below 2^32, "Q" (8 bytes) below 2^64; None above, where
-    residues stay in a list of ints."""
-    return "I" if p < 1 << 32 else "Q" if p < 1 << 64 else None
+def pack(values, p: int):
+    """The residues mod p in values, packed: in an ``array`` of "I"
+    (4-byte) items below 2^32, of "Q" (8-byte) items below 2^64.  Above
+    that they stay in a list of ints: values itself when it is one."""
+    if p >= 1 << 64:
+        return values if type(values) is list else list(values)
+    from array import array  # here, so that only a product or a selftest loads it
+
+    return array("I" if p < 1 << 32 else "Q", values)
 
 
 def tft_polymul(f, g, field, ring=None) -> list[int]:
@@ -61,14 +65,10 @@ def tft_polymul(f, g, field, ring=None) -> list[int]:
         raise ValueError("inputs must be nonempty")
     ell = len(fbuf) + len(gbuf) - 1
     plan = make_plan(field, ell)
-    code = array_code(p)
-    if code:
-        from array import array  # here, so that only a product loads the extension
-        gbuf = array(code, gbuf)
+    gbuf = pack(gbuf, p)
     fbuf += [0] * (ell - len(fbuf))
     tft_in_place(plan, fbuf, ring)
-    if code:
-        fbuf = array(code, fbuf)
+    fbuf = pack(fbuf, p)
     gbuf = list(gbuf)
     gbuf += [0] * (ell - len(gbuf))
     tft_in_place(plan, gbuf, ring)

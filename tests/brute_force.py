@@ -1,10 +1,18 @@
-"""Brute-force transforms that only the tests use: the natural-order DFT
-that the power-of-two case is checked against, and the inverse of
-``naive_tft`` by Gaussian elimination.  Like ``tftkit.oracle``, they use
-no transform code, leave their inputs untouched and are slow by design.
+"""Brute-force references that only the tests use: the natural-order DFT
+that the power-of-two case is checked against, the inverse of
+``naive_tft`` by Gaussian elimination, ``reference_tft``, an
+out-of-place radix-2 transform in O(ell log ell) that checks the kernels
+at lengths the O(ell^2) evaluation cannot reach, and ``expand_runs``,
+the pairs a stream of twiddle runs stands for.  Like ``tftkit.oracle``,
+they use no transform code, leave their inputs untouched and are slow
+by design.
 """
 
-from tftkit.oracle import _bitrev, _check_point_generator
+from tftkit.oracle import _check_point_generator
+
+
+def _bitrev(i: int, k: int) -> int:
+    return int(format(i, f"0{k}b")[::-1], 2)
 
 
 def naive_dft(field, omega: int, a) -> list[int]:
@@ -55,3 +63,44 @@ def naive_itft_solve(field, psi: int, ell: int, values) -> list[int]:
                 f = rows[r][col]
                 rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[col])]
     return [rows[i][ell] for i in range(ell)]
+
+
+def reference_tft(field, psi: int, ell: int, a) -> list[int]:
+    """The outputs of naive_tft, by an out-of-place radix-2 transform.
+
+    Zero-pads a to 2^m, m = ceil(log2 ell), and runs Cooley-Tukey levels
+    m-1..0 over only the blocks that start below ell: at level k, block
+    i holds [i*2^(k+1), (i+1)*2^(k+1)) and its twiddle is
+    psi^bit_reverse(i, m-1).  Entry j < ell of the result is then the
+    polynomial's value at psi^bit_reverse(j, m).  O(ell log ell)
+    products, in a new list of 2^m entries.
+    """
+    p = field.modulus
+    _check_point_generator(p, psi, ell, a)
+    m = (ell - 1).bit_length()
+    buf = [x % p for x in a] + [0] * ((1 << m) - ell)
+    for k in reversed(range(m)):
+        half = 1 << k
+        for i, lo in enumerate(range(0, ell, 2 * half)):
+            w = pow(psi, _bitrev(i, m - 1), p)
+            mid, hi = lo + half, lo + 2 * half
+            ys = [y * w % p for y in buf[mid:hi]]
+            xs = buf[lo:mid]
+            buf[lo:mid] = [(x + y) % p for x, y in zip(xs, ys)]
+            buf[mid:hi] = [(x - y) % p for x, y in zip(xs, ys)]
+    return buf[:ell]
+
+
+def expand_runs(mul, runs):
+    """The pairs (i, twiddle) of runs (i, n, b, step, bits), as
+    ``tftkit.twiddle.pair_stream`` yields them: the n blocks from i on
+    whose low bits count bit_reverse(j, bits) upward from the j of i,
+    with twiddles b, mul(b, step), ..."""
+    for i, n, b, step, bits in runs:
+        low = i & ((1 << bits) - 1)
+        j = _bitrev(low, bits)
+        assert j + n <= 1 << bits, (i, n, bits)
+        for t in range(n):
+            if t:
+                b = mul(b, step)
+            yield i - low + _bitrev(j + t, bits), b

@@ -22,6 +22,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from brute_force import expand_runs, reference_tft
 from tftkit import bit_reverse
 from tftkit.cli import main
 from tftkit.instrumentation import (
@@ -31,7 +32,7 @@ from tftkit.instrumentation import (
     measure_transform,
 )
 from tftkit.itft import itft_in_place
-from tftkit.oracle import naive_polymul, naive_tft, reference_tft
+from tftkit.oracle import naive_polymul, naive_tft
 from tftkit.polymul import operation_profile, tft_polymul
 from tftkit.ring import DEFAULT_MODULUS, PrimeField
 from tftkit.tft import make_plan, tft_in_place
@@ -295,6 +296,32 @@ def test_each_pass_scratch_is_bounded(cli_scratch):
     )
 
 
+def test_pass_scratch_runs_the_passes_in_kernel_order(field, cli_scratch, monkeypatch):
+    # the tool runs each pass on the state the passes before it left, so
+    # its PASSES must list them in the order the kernels call them; every
+    # pass name is rebound to a recorder in its kernel's module, and at
+    # l=5000 all eight passes run
+    called = []
+    for module, names in cli_scratch["PASSES"].items():
+        for name in names:
+            def record(*args, _name=f"{module.__name__}.{name}", _call=getattr(module, name)):
+                called.append(_name)
+                return _call(*args)
+
+            monkeypatch.setattr(module, name, record)
+    plan = make_plan(field, 5000)
+    buf = [0] * 5000
+    tft_in_place(plan, buf)
+    itft_in_place(plan, buf)
+    listed = [f"{module.__name__}.{name}" for module, names in cli_scratch["PASSES"].items()
+              for name in names]
+    _verdict(
+        called == listed,
+        "pass order",
+        f"at l=5000 the kernels call {called}; tools/cli_scratch.py lists {listed}",
+    )
+
+
 # bytes above the output; the product read 6,132 (64 x 64) and 83,116
 # (1024 x 1024) while it held both transformed factors as lists of ints,
 # and 1,632 and 12,644 once the factor out of its transform waited packed
@@ -552,18 +579,6 @@ def test_transforms_stay_inside_the_buffer(field):
     )
 
 
-def _expand_runs(mul, runs):
-    # run (i, n, b, step, bits): n blocks from i on, the low bits of each
-    # the bit reversal of one more than the last's, twiddles b*step^t
-    for i, n, b, step, bits in runs:
-        low = i & ((1 << bits) - 1)
-        j = bit_reverse(low, bits)
-        for t in range(n):
-            if t:
-                b = mul(b, step)
-            yield i - low + bit_reverse(j + t, bits), b
-
-
 def test_pair_generator_matches_brute_force(field):
     p = field.modulus
     omega = field.generator_root
@@ -573,7 +588,7 @@ def test_pair_generator_matches_brute_force(field):
         psi = field.root_of_order(m)
         for q in range(1, (1 << (m - 1)) + 1):
             ring = CountingField(field.modulus)
-            got = list(_expand_runs(ring.mul_root, pair_stream(ring, m, psi, q)))
+            got = list(expand_runs(ring.mul_root, pair_stream(ring, m, psi, q)))
             if len(got) != q - 1:
                 _verdict(False, "pair generator", f"{len(got)} pairs at m={m}, q={q}")
             got = set(got)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from brute_force import expand_runs
 from tftkit.cli import CSV_HEADER
 from tftkit.instrumentation import (
     AuditBuffer,
@@ -241,13 +242,7 @@ def test_radix4_walks_the_pair_stream(field):
     for m in range(2, 9):
         psi = field.root_of_order(m + 1)
         for q in range(2, (1 << (m - 1)) + 1):
-            blocks = []
-            for i, n, b, step, bits in pair_stream(field, m, psi, q):
-                low = i & ((1 << bits) - 1)
-                j = bit_reverse(low, bits)
-                for t in range(n):
-                    blocks.append((i - low + bit_reverse(j + t, bits), b))
-                    b = b * step % p
+            blocks = list(expand_runs(field.mul_root, pair_stream(field, m, psi, q)))
             assert sorted(i for i, _ in blocks) == list(range(1, q)), (m, q)
             for size in (1, 2):
                 data = [rng.randrange(p) for _ in range(4 * size * q)]

@@ -7,10 +7,11 @@ check runs it on the kernel's output and fails on any nonzero entry.
 Both are held to a plain Horner loop at each reversed power, one point
 at a time (list inputs in one test, packed inputs and the selftest's
 check in the next), and refuse coefficients that are not Python ints.
-``naive_dft`` (in tests/brute_force.py, with ``naive_itft_solve``)
-computes with Python ints at every modulus, and a 64-bit modulus checks
-both against direct evaluation.  A child interpreter with numpy blocked runs the oracles
-and the selftest, as no module of the package imports numpy."""
+``naive_dft`` (in tests/brute_force.py, with ``naive_itft_solve`` and
+``reference_tft``) computes with Python ints at every modulus, and a
+64-bit modulus checks the references against direct evaluation.  A
+child interpreter with numpy blocked runs the oracles and the selftest,
+as no module of the package imports numpy."""
 
 import random
 import subprocess
@@ -21,8 +22,8 @@ from pathlib import Path
 import pytest
 
 import tftkit
-from brute_force import naive_dft, naive_itft_solve
-from tftkit.oracle import direct_differences, naive_polymul, naive_tft, reference_tft
+from brute_force import naive_dft, naive_itft_solve, reference_tft
+from tftkit.oracle import direct_differences, naive_polymul, naive_tft
 from tftkit.ring import PrimeField
 from tftkit.tft import make_plan, tft_in_place
 
@@ -294,13 +295,14 @@ def test_oracles_and_selftest_run_with_numpy_blocked():
     # a None entry in sys.modules makes "import numpy" raise ImportError,
     # so the child fails if any module it reaches imports numpy
     src = str(Path(tftkit.__file__).resolve().parent.parent)
+    tests = str(Path(__file__).resolve().parent)
     code = f"""
 import sys
 sys.modules["numpy"] = None
-sys.path.insert(0, {src!r})
+sys.path[:0] = [{src!r}, {tests!r}]
+from brute_force import reference_tft
 from tftkit import DEFAULT_MODULUS, PrimeField, naive_tft
 from tftkit.cli import main
-from tftkit.oracle import reference_tft
 for p in (DEFAULT_MODULUS, {BIG_P}):
     fld = PrimeField.from_modulus(p)
     for ell in (1, 2, 3, 5, 16, 33, 100):

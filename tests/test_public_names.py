@@ -4,11 +4,13 @@
 ``tftkit.polymul.make_plan`` in each module that calls them.  A home
 name that goes makes the traced run fail; a caller module that stops
 holding the original is skipped without an error, so its layer would
-vanish from the traces.  These tests catch both in the tier-1 suite.
+vanish from the traces.  These tests catch both in the tier-1 suite,
+and hold the README's count of the public names to ``tftkit.__all__``.
 """
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,19 +39,21 @@ def test_public_names_are_pinned():
         "PrimeField",
         "TransformPlan",
         "bit_reverse",
-        "bound_check",
         "itft_in_place",
         "make_plan",
         "measure_transform",
         "naive_polymul",
         "naive_tft",
-        "operation_profile",
-        "pow_by_squaring",
         "tft_in_place",
         "tft_polymul",
     ]
     for name in tftkit.__all__:
         assert hasattr(tftkit, name), name
+
+
+def test_readme_states_the_public_name_count():
+    stated = re.findall(r"`tftkit\.__all__`\s+has\s+(\d+)\s+names", (ROOT / "README.md").read_text())
+    assert stated and all(int(count) == len(tftkit.__all__) for count in stated), stated
 
 
 def test_traced_names_are_bound_in_every_caller():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from brute_force import expand_runs
 from tftkit.instrumentation import AuditBuffer, CountingField, TallyRing
 from tftkit.itft import branch_finish, branch_recombine, itft_in_place, scale_and_close
 from tftkit.oracle import naive_polymul, naive_tft
@@ -226,13 +227,9 @@ class NoIdentityGuard:
     def _check(self, name, iota, m, psi, q):
         # at q = 1 the member sweeps block 0 alone and reads no twiddle
         p = self.modulus
-        for run in pair_stream(self, m, psi, q) if q > 1 else ():
-            _, n, b, step, _ = run
-            for t in range(n):
-                if t:
-                    b = self.mul_root(b, step)
-                assert 1 not in (b, b * b % p, b * iota % p, (p - b) * iota % p), (run, t)
-            self.radix4_blocks[name] += n
+        for i, b in expand_runs(self.mul_root, pair_stream(self, m, psi, q) if q > 1 else ()):
+            assert 1 not in (b, b * b % p, b * iota % p, (p - b) * iota % p), (i, b)
+            self.radix4_blocks[name] += 1
 
 
 def test_never_multiplies_by_one(field):

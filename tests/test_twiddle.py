@@ -5,22 +5,19 @@ The generator's contract: runs whose expansion is the pairs
 q + 4m multiplications for a full drain (the expansion's included),
 O(1) state.  Consumers may not rely on the order, but it is pinned
 here: runs along the binary digits of q, bit-reversed inside each run.
-The runs are expanded from their definition, block indices by
-bit_reverse and twiddles through the ring's mul_root, and the
-brute-force comparisons recompute every factor from scratch with
-builtin pow, for psi of order 2^m and of order 2^(m+1), the root the
-radix-4 step passes with m-1 in place of m.
+The runs are expanded from their definition (brute_force.expand_runs),
+block indices by bit_reverse and twiddles through the ring's mul_root,
+and the brute-force comparisons recompute every factor from scratch
+with builtin pow, for psi of order 2^m and of order 2^(m+1), the root
+the radix-4 step passes with m-1 in place of m.
 """
 
 import pytest
 
+from brute_force import _bitrev, expand_runs
 from tftkit.instrumentation import CountingField
 from tftkit.ring import pow_by_squaring
 from tftkit.twiddle import pair_stream, twiddle_forward, twiddle_inverse
-
-
-def _bitrev(i, k):
-    return int(format(i, f"0{k}b")[::-1], 2) if k else 0
 
 
 def brute_pairs(p, psi, m, q):
@@ -42,24 +39,10 @@ def ordered_brute_pairs(p, psi, m, q):
     return out
 
 
-def expand(mul, runs):
-    """The pairs (i, twiddle) of runs (i, n, b, step, bits): the n blocks
-    from i on whose low bits count bit_reverse(j, bits) upward from the
-    j of i, with twiddles b, mul(b, step), ..."""
-    for i, n, b, step, bits in runs:
-        low = i & ((1 << bits) - 1)
-        j = _bitrev(low, bits)
-        assert j + n <= 1 << bits, (i, n, bits)
-        for t in range(n):
-            if t:
-                b = mul(b, step)
-            yield i - low + _bitrev(j + t, bits), b
-
-
 def test_small_field_drain_order(f17):
     # m=3, psi of order 8, q=4: one run of three blocks, bit-reversed
     assert list(pair_stream(f17, 3, 9, 4)) == [(2, 3, 9, 9, 2)]
-    assert list(expand(f17.mul_root, pair_stream(f17, 3, 9, 4))) == [(2, 9), (1, 13), (3, 15)]
+    assert list(expand_runs(f17.mul_root, pair_stream(f17, 3, 9, 4))) == [(2, 9), (1, 13), (3, 15)]
 
 
 def test_q_one_yields_nothing(f17):
@@ -73,7 +56,7 @@ def test_matches_brute_force(field):
         for order in (m, m + 1):
             psi = field.root_of_order(order)
             for q in range(1, (1 << (m - 1)) + 1):
-                got = set(expand(field.mul_root, pair_stream(field, m, psi, q)))
+                got = set(expand_runs(field.mul_root, pair_stream(field, m, psi, q)))
                 assert got == brute_pairs(p, psi, m, q), (m, order, q)
 
 
@@ -84,7 +67,7 @@ def test_matches_ordered_reference(field):
             psi = field.root_of_order(order)
             for q in range(1, (1 << (m - 1)) + 1):
                 want = ordered_brute_pairs(p, psi, m, q)
-                got = list(expand(field.mul_root, pair_stream(field, m, psi, q)))
+                got = list(expand_runs(field.mul_root, pair_stream(field, m, psi, q)))
                 assert got == want, (m, order, q)
 
 
@@ -93,7 +76,7 @@ def test_drain_multiplication_budget(field):
         psi = field.root_of_order(m)
         for q in range(1, (1 << (m - 1)) + 1):
             ring = CountingField(field.modulus)
-            n = sum(1 for _ in expand(ring.mul_root, pair_stream(ring, m, psi, q)))
+            n = sum(1 for _ in expand_runs(ring.mul_root, pair_stream(ring, m, psi, q)))
             assert n == q - 1
             c = ring.counters
             assert c.mul_root <= q + 4 * m, (m, q, c.mul_root)
@@ -105,7 +88,7 @@ def test_never_multiplies_by_the_identity(field):
         psi = field.root_of_order(m)
         for q in range(1, (1 << (m - 1)) + 1):
             ring = _NoIdentityProducts(field)
-            for _ in expand(ring.mul_root, pair_stream(ring, m, psi, q)):
+            for _ in expand_runs(ring.mul_root, pair_stream(ring, m, psi, q)):
                 pass
 
 
