@@ -11,17 +11,22 @@ class Frozen:
     A subclass lists its fields in ``__slots__``; its constructor takes
     the class's inputs (its signature rejects a bad call), derives the
     other fields and passes every field value to ``Frozen.__init__`` in
-    slot order.  Afterwards assignment and deletion raise
-    AttributeError.  Equality, hashing, the repr and pickling go by the
-    field values in slot order, as they do for a frozen dataclass;
-    unpickling restores the fields without rerunning the derivation.
+    slot order, which it stores through the slots' own setters.
+    Afterwards assignment and deletion raise AttributeError.  Equality,
+    hashing, the repr and pickling go by the field values in slot order,
+    as they do for a frozen dataclass; unpickling restores the fields
+    without rerunning the derivation.
     """
 
     __slots__ = ()
 
+    def __init_subclass__(cls) -> None:
+        # each field's slot descriptor, whose __set__ bypasses __setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     def __init__(self, *values) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, values, strict=True):
+            setter(self, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -55,8 +55,8 @@ class TallyRing:
     running its block operations.
 
     Each block member adds its cost, read off its arguments, to four
-    tallies and never touches the buffer.  A pair run [lo, hi) states
-    its per-entry cost through ``_entries`` (nothing when hi <= lo);
+    tallies and never touches the buffer.  A pair run [lo, hi) adds its
+    per-entry cost times hi - lo inline (nothing when hi <= lo);
     members of equal cost and parameters are one method under several
     names.  The radix-4 pair tallies in closed form what drawing
     ``pair_stream`` and walking its runs would: block 0 costs size
@@ -114,25 +114,25 @@ class TallyRing:
 
     # --- block operations: the cost model of ring.py, per entry ---
 
-    def _entries(self, lo: int, hi: int, roots: int, adds: int, pow2: int = 0) -> None:
-        n = hi - lo
-        if n > 0:
-            tally = self._tally
-            tally[0] += roots * n
-            tally[1] += pow2 * n
-            tally[2] += adds * n
-
     def fold(self, buffer, lo: int, hi: int, dist: int) -> None:
-        self._entries(lo, hi, 0, 2)
+        if hi > lo:
+            self._tally[2] += 2 * (hi - lo)
 
     def butterflies(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        self._entries(lo, hi, 1, 2)
+        if hi > lo:
+            tally = self._tally
+            tally[0] += hi - lo
+            tally[2] += 2 * (hi - lo)
 
     def axpy(self, buffer, lo: int, hi: int, dist: int, alpha: int) -> None:
-        self._entries(lo, hi, 1, 1)
+        if hi > lo:
+            tally = self._tally
+            tally[0] += hi - lo
+            tally[2] += hi - lo
 
     def scale(self, buffer, lo: int, hi: int, c: int) -> None:
-        self._entries(lo, hi, 0, 0, 1)
+        if hi > lo:
+            self._tally[1] += hi - lo
 
     def radix4(self, buffer, size: int, iota: int, m: int, psi: int, q: int) -> None:
         """Block 0 costs size products by iota and 8*size additions, what
@@ -230,53 +230,59 @@ class _Length:
 class AuditBuffer:
     """Array wrapper proving a kernel stayed inside its own slice.
 
-    Records the lowest and highest index touched (both None until the
-    first access, then set together); any read or write outside
-    [0, len), or with a non-integer index, sets ``oob`` and raises
-    IndexError.  Each access does this inline, in one frame.
+    Records the lowest and highest index touched, ``lo`` and ``hi``
+    (both None until the first access, then set together); any read or
+    write outside [0, len), or with an index whose type is not exactly
+    int, sets ``oob`` and raises IndexError.  So a bool index, which a
+    list would take as 0 or 1, is refused with slices and floats.  Each
+    access does this inline, in one frame: a type test, a range test
+    against the length stored at construction, and one comparison with
+    each extreme, which start as sentinels beyond every index.
     Iteration reads the wrapped list unrecorded; it serves the kernels'
     entry-type check, and the passes only index.
     """
 
-    __slots__ = ("inner", "lo", "hi", "oob")
+    __slots__ = ("inner", "_len", "_lo", "_hi", "oob")
 
     def __init__(self, data) -> None:
         self.inner = list(data)
-        self.lo = None
-        self.hi = None
+        self._len = self._lo = len(self.inner)  # above every index, as -1 is below
+        self._hi = -1
         self.oob = False
 
+    @property
+    def lo(self):
+        return None if self._hi < 0 else self._lo
+
+    @property
+    def hi(self):
+        return None if self._hi < 0 else self._hi
+
     def __len__(self) -> int:
-        return len(self.inner)
+        return self._len
 
     def __iter__(self):
         return iter(self.inner)
 
     def __getitem__(self, index) -> int:
-        inner = self.inner
-        if not isinstance(index, int) or not 0 <= index < len(inner):
+        if type(index) is not int or not 0 <= index < self._len:
             self.oob = True
-            raise IndexError(f"audited access at {index!r} outside [0, {len(inner)})")
-        if self.lo is None:
-            self.lo = self.hi = index
-        elif index < self.lo:
-            self.lo = index
-        elif index > self.hi:
-            self.hi = index
-        return inner[index]
+            raise IndexError(f"audited access at {index!r} outside [0, {self._len})")
+        if index < self._lo:
+            self._lo = index
+        if index > self._hi:
+            self._hi = index
+        return self.inner[index]
 
     def __setitem__(self, index, value) -> None:
-        inner = self.inner
-        if not isinstance(index, int) or not 0 <= index < len(inner):
+        if type(index) is not int or not 0 <= index < self._len:
             self.oob = True
-            raise IndexError(f"audited access at {index!r} outside [0, {len(inner)})")
-        if self.lo is None:
-            self.lo = self.hi = index
-        elif index < self.lo:
-            self.lo = index
-        elif index > self.hi:
-            self.hi = index
-        inner[index] = value
+            raise IndexError(f"audited access at {index!r} outside [0, {self._len})")
+        if index < self._lo:
+            self._lo = index
+        if index > self._hi:
+            self._hi = index
+        self.inner[index] = value
 
 
 # Column names for BoundReport.csv_row, in order.

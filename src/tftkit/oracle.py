@@ -9,8 +9,8 @@ They are slow by design; tests keep lengths small.
 
 ``direct_differences`` is the one direct evaluation: it overwrites each
 entry of a given list with the polynomial's value there minus that
-entry, a group of four points at a time, holding no generator, iterator
-chain or per-group container.  ``naive_tft`` passes it a list of zeros,
+entry, a coset of eight points at a time, holding no generator, iterator
+chain or per-coset container.  ``naive_tft`` passes it a list of zeros,
 so the list comes back holding the values; the selftest's oracle family
 passes it the kernel's output, which comes back all zeros exactly when
 every entry was the value.
@@ -36,16 +36,22 @@ def direct_differences(field, psi: int, ell: int, a, out: list) -> list:
     reduced, so out comes back all zeros exactly when it held the values
     themselves, as canonical residues.
 
-    Points 2j and 2j+1 are x and -x, as psi^(2^(m-1)) = -1, and points
-    4j+2 and 4j+3 are ix and -ix, with i = psi^(2^(m-2)) a square root
-    of -1.  With A0..A3 the polynomials of a's coefficients at indices
-    0..3 mod 4, each taken at x^4, a group of four points is
+    Points 8j..8j+7 are the coset x{1, -1, i, -i, w, -w, iw, -iw}, with
+    x = psi^bit_reverse(8j, m), i = psi^(2^(m-2)) a square root of -1
+    and w = psi^(2^(m-3)) one of i.  With A0..A7 the polynomials of a's
+    coefficients at indices 0..7 mod 8, each taken at x^8, and
 
-        f(+-x)  = (A0 + x^2 A2) +- x (A1 + x^2 A3)
-        f(+-ix) = (A0 - x^2 A2) +- ix (A1 - x^2 A3)
+        E_r = A_r + x^4 A_(r+4),  D_r = A_r - x^4 A_(r+4)  (r < 4),
 
-    so one Horner pass, four coefficients a step from the end, gives a
-    group's values in ell/4 steps.  A group that ell cuts short sets
+    the coset is two groups of four, the second at y = wx, y^2 = i x^2:
+
+        f(+-x)  = (E0 + x^2 E2) +- x (E1 + x^2 E3)
+        f(+-ix) = (E0 - x^2 E2) +- ix (E1 - x^2 E3)
+        f(+-y)  = (D0 + y^2 D2) +- y (D1 + y^2 D3)
+        f(+-iy) = (D0 - y^2 D2) +- iy (D1 - y^2 D3)
+
+    so one Horner pass, eight coefficients a step from the end, gives a
+    coset's values in ell/8 steps.  A coset that ell cuts short sets
     only its first points; an odd ell leaves its last point unpaired.
     a may be any sequence of Python ints, an ``array`` included; it is
     read by index, never copied.  Raises ValueError for a bad length or
@@ -57,35 +63,73 @@ def direct_differences(field, psi: int, ell: int, a, out: list) -> list:
     if len(out) != ell:
         raise ValueError(f"expected {ell} outputs, got {len(out)}")
     m = (ell - 1).bit_length()
-    # i for m >= 2; below that a group has at most two points and i is unread
+    # i for m >= 2; below that a coset has at most two points and i is
+    # unread.  w is made where a coset's second group needs it, and the
+    # bit-reversal format per coset: every int or str held through the
+    # loop adds to the peak of the selftest's oracle family
     i = pow(psi, 1 << m >> 2, p)
-    digits = f"0{m}b"  # bit reversal by string reversal, its format made once
     # the top step is the coefficients from low up, with zeros above a[ell - 1]
-    low = ell & -4
-    top0 = a[low] if low < ell else 0
-    top1 = a[low + 1] if low + 1 < ell else 0
-    top2 = a[low + 2] if low + 2 < ell else 0
-    for start in range(0, ell, 4):
-        x = pow(psi, int(format(start, digits)[::-1], 2), p)
-        x2 = x * x % p
-        z = x2 * x2 % p
-        a0, a1, a2, a3 = top0, top1, top2, 0
+    low = ell & -8
+    top = ell - low
+    for start in range(0, ell, 8):
+        x = pow(psi, int(format(start, f"0{m}b")[::-1], 2), p)
+        # z is the power of x a stage multiplies by: x^8 in the Horner
+        # pass, x^4 in the fold to two groups, x^2 in each group
+        z = pow(x, 8, p)
+        a0 = a[low] if top else 0
+        a1 = a[low + 1] if top > 1 else 0
+        a2 = a[low + 2] if top > 2 else 0
+        a3 = a[low + 3] if top > 3 else 0
+        a4 = a[low + 4] if top > 4 else 0
+        a5 = a[low + 5] if top > 5 else 0
+        a6 = a[low + 6] if top > 6 else 0
+        a7 = 0
         k = low
         while k:  # indexes a step's lowest coefficient, no iterator made
-            k -= 4
+            k -= 8
+            a7 = (a7 * z + a[k + 7]) % p
+            a6 = (a6 * z + a[k + 6]) % p
+            a5 = (a5 * z + a[k + 5]) % p
+            a4 = (a4 * z + a[k + 4]) % p
             a3 = (a3 * z + a[k + 3]) % p
             a2 = (a2 * z + a[k + 2]) % p
             a1 = (a1 * z + a[k + 1]) % p
             a0 = (a0 * z + a[k]) % p
-        even, odd = a0 + x2 * a2, x * (a1 + x2 * a3)
+        # a0..a3 become E_r, reduced, and a4..a7 D_r, each through the
+        # product x^4 A_(r+4) stored in a_(r+4): no int beyond the eight
+        z = pow(x, 4, p)
+        a4 = z * a4 % p
+        a0, a4 = (a0 + a4) % p, a0 - a4
+        a5 = z * a5 % p
+        a1, a5 = (a1 + a5) % p, a1 - a5
+        a6 = z * a6 % p
+        a2, a6 = (a2 + a6) % p, a2 - a6
+        a7 = z * a7 % p
+        a3, a7 = (a3 + a7) % p, a3 - a7
+        z = x * x % p
+        even, odd = a0 + z * a2, x * (a1 + z * a3)
         out[start] = (even + odd) % p - out[start]
         if start + 1 < ell:
             out[start + 1] = (even - odd) % p - out[start + 1]
-        if start + 2 < ell:
-            even, odd = a0 - x2 * a2, i * x * (a1 - x2 * a3)
+        if start + 2 < ell:  # ix reduced first, so its product is one digit shorter
+            even, odd = a0 - z * a2, i * x % p * (a1 - z * a3)
             out[start + 2] = (even + odd) % p - out[start + 2]
             if start + 3 < ell:
                 out[start + 3] = (even - odd) % p - out[start + 3]
+        if start + 4 < ell:
+            x = pow(psi, 1 << m >> 3, p) * x % p  # y = wx, whose square is i x^2
+            z = i * z % p
+            a0, a1 = a4, a5  # D_r, so the group reads as the first and E_r is freed
+            a2, a3 = a6, a7
+            even, odd = a0 + z * a2, x * (a1 + z * a3)
+            out[start + 4] = (even + odd) % p - out[start + 4]
+            if start + 5 < ell:
+                out[start + 5] = (even - odd) % p - out[start + 5]
+            if start + 6 < ell:
+                even, odd = a0 - z * a2, i * x % p * (a1 - z * a3)
+                out[start + 6] = (even + odd) % p - out[start + 6]
+                if start + 7 < ell:
+                    out[start + 7] = (even - odd) % p - out[start + 7]
     return out
 
 

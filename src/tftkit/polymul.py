@@ -18,7 +18,7 @@ from operator import index
 from .itft import itft_in_place
 from .tft import make_plan, tft_in_place
 
-__all__ = ["tft_polymul", "operation_profile"]
+__all__ = ["tft_polymul"]
 
 
 def pack(values, p: int):
@@ -79,25 +79,3 @@ def tft_polymul(f, g, field, ring=None) -> list[int]:
     itft_in_place(plan, gbuf, ring)
     return gbuf
 
-
-def operation_profile(field, lengths) -> dict[int, int]:
-    """Total operation count of a balanced product per output length.
-
-    For each requested output length ell, multiplies factors of
-    ceil((ell+1)/2) and floor((ell+1)/2) coefficients under a tally ring
-    and records the sum of all four counter classes.  Counts are
-    input-independent, and the tally ring counts each block operation
-    without running it, so zero coefficients measure the real cost.
-    """
-    from .instrumentation import TallyRing
-
-    profile: dict[int, int] = {}
-    for ell in lengths:
-        if ell < 1:
-            raise ValueError("output lengths must be at least 1")
-        size_f = (ell + 2) // 2
-        size_g = ell + 1 - size_f
-        ring = TallyRing(field.modulus)
-        tft_polymul([0] * size_f, [0] * size_g, field, ring)
-        profile[ell] = ring.counters.total
-    return profile

@@ -65,7 +65,7 @@ class TransformPlan(Frozen):
     v     -- largest v with 2^v dividing ell
     psi   -- element of order 2^m (the evaluation-point generator)
     half  -- inverse of 2, used only by the inverse transform
-    iota  -- field.root_of_order(2), which is psi^(2^(m-2)) whenever
+    iota  -- field.root_of_order(2), computed as psi^(2^(m-2)) whenever
              m >= 2: the twiddle ratio inside a radix-4 block; None when
              the field's two-adicity is below 2 (then m <= 1)
     """
@@ -85,8 +85,12 @@ class TransformPlan(Frozen):
         v = (ell & -ell).bit_length() - 1
         # (p + 1) / 2 is the inverse of 2 for odd p, without an exponentiation
         half = (field.modulus + 1) // 2
-        iota = field.root_of_order(2) if field.two_adicity >= 2 else None
-        super().__init__(field, ell, m, v, field.root_of_order(m), half, iota)
+        psi = field.root_of_order(m)
+        if m >= 2:  # root_of_order(2) in m - 2 squarings, not two_adicity - 2
+            iota = pow(psi, 1 << (m - 2), field.modulus)
+        else:
+            iota = field.root_of_order(2) if field.two_adicity >= 2 else None
+        super().__init__(field, ell, m, v, psi, half, iota)
 
 
 make_plan = TransformPlan

@@ -23,6 +23,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from brute_force import expand_runs, reference_tft
+from test_polymul import operation_profile
 from tftkit import bit_reverse
 from tftkit.cli import main
 from tftkit.instrumentation import (
@@ -32,8 +33,8 @@ from tftkit.instrumentation import (
     measure_transform,
 )
 from tftkit.itft import itft_in_place
-from tftkit.oracle import naive_polymul, naive_tft
-from tftkit.polymul import operation_profile, tft_polymul
+from tftkit.oracle import direct_differences, naive_polymul, naive_tft
+from tftkit.polymul import pack, tft_polymul
 from tftkit.ring import DEFAULT_MODULUS, PrimeField
 from tftkit.tft import make_plan, tft_in_place
 from tftkit.twiddle import pair_stream
@@ -469,6 +470,38 @@ def test_selftest_scratch_is_bounded(cli_scratch):
         "selftest scratch",
         f"--max 64 at seeds {SELFTEST_SEEDS}: {readings} B above the output "
         f"(limit {SELFTEST_SCRATCH_LIMIT} B) ({elapsed:.1f}s)",
+    )
+
+
+# bytes; the selftest's oracle check, direct_differences on a packed input
+# and the kernel's output, read 696 (l = 63) over l = 1..64 while it
+# evaluated groups of four points, and 604 (l = 64) with cosets of eight,
+# which hold eight accumulators but neither w nor the bit-reversal format
+# through the loop; it may not hold more than the groups of four did,
+# which keeps the oracle's live ints from raising the selftest's peak
+ORACLE_SCRATCH_LIMIT = 696
+
+
+def test_oracle_scratch_is_bounded(field, cli_scratch):
+    measure = cli_scratch["measure"]
+    rng = random.Random(SEED + 9)
+    p = field.modulus
+    worst = (0, None)
+    for ell in range(1, 65):
+        plan = make_plan(field, ell)
+        data = pack([rng.randrange(p) for _ in range(ell)], p)
+        buf = list(data)
+        tft_in_place(plan, buf)
+        direct_differences(field, plan.psi, ell, data, list(buf))  # first use untraced
+        diffs, peak, current = measure(lambda: direct_differences(field, plan.psi, ell, data, buf))
+        assert not any(diffs), ell
+        worst = max(worst, (peak - current, ell))
+    aux, ell = worst
+    _verdict(
+        aux <= ORACLE_SCRATCH_LIMIT,
+        "oracle scratch",
+        f"direct_differences on the kernel's output, l = 1..64: worst {aux} B above "
+        f"what it leaves held (l={ell}; limit {ORACLE_SCRATCH_LIMIT} B)",
     )
 
 

@@ -308,6 +308,20 @@ def test_audit_buffer_flags_escapes():
     assert buf.oob
 
 
+def test_audit_buffer_refuses_a_bool_index():
+    # a list reads True as index 1; the audit takes only an index whose
+    # type is int, so a bool is flagged as a float or a slice is
+    for index in (False, True):
+        buf = AuditBuffer([1, 2, 3])
+        with pytest.raises(IndexError):
+            buf[index]
+        assert buf.oob and buf.lo is None and buf.hi is None
+        buf = AuditBuffer([1, 2, 3])
+        with pytest.raises(IndexError):
+            buf[index] = 5
+        assert buf.oob and buf.inner == [1, 2, 3]
+
+
 def test_bound_report_verdict():
     ok = OpCounters(mul_root=1, mul_pow2=0, add_sub=8, mul_other=0)
     rep = bound_check(4, ok, "forward")

@@ -92,11 +92,12 @@ def _selftest_check_fails(fld, psi, ell, a, output) -> bool:
 
 
 def test_naive_tft_is_horner_at_the_reversed_powers(field, f17):
-    # The list case.  naive_tft takes a group of four points from one pow;
-    # the plain loop takes each point from its own pow and its own Horner
-    # loop.  Every length to 300 on the default field and to 16 on F17, so
-    # each group of four points, whole or cut short by ell, meets the plain
-    # loop; and seeded lengths on Goldilocks, with residues above 2^32.
+    # The list case.  naive_tft takes a coset of eight points from one
+    # Horner pass; the plain loop takes each point from its own pow and its
+    # own Horner loop.  Every length to 300 on the default field and to 16
+    # on F17, so each coset of eight points, whole or cut short by ell,
+    # meets the plain loop; and seeded lengths on Goldilocks, with residues
+    # above 2^32.
     rng = random.Random(24)
     big = PrimeField.from_modulus(BIG_P)
     cases = ((field, range(1, 301)), (f17, range(1, 17)),
@@ -115,7 +116,7 @@ def test_streamed_values_match_horner_at_the_reversed_powers(field, f17):
     # lengths on Goldilocks, where it packs in 8-byte items.  To 129 on the
     # default field, the selftest's check passes on the values and fails on
     # them with one entry changed, at each index in turn (the lone last
-    # points of a short group included), the input as a list or packed in
+    # points of a short coset included), the input as a list or packed in
     # turn.
     rng = random.Random(26)
     big = PrimeField.from_modulus(BIG_P)

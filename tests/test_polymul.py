@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tftkit.instrumentation import CountingField
+from tftkit.instrumentation import CountingField, TallyRing
 from tftkit.oracle import naive_polymul
-from tftkit.polymul import operation_profile, tft_polymul
+from tftkit.polymul import tft_polymul
 from tftkit.ring import DEFAULT_MODULUS, PrimeField
 from tftkit.tft import make_plan, tft_in_place
 
@@ -186,6 +186,27 @@ def test_counted_run_reports_all_classes(field):
     c = ring.counters
     assert c.add_sub > 0 and c.mul_root > 0 and c.mul_pow2 > 0
     assert c.mul_other == 6  # one pointwise product per output coefficient
+
+
+def operation_profile(field, lengths) -> dict[int, int]:
+    """Total operation count of a balanced product per output length.
+
+    For each requested output length ell, multiplies factors of
+    ceil((ell+1)/2) and floor((ell+1)/2) coefficients under a tally ring
+    and records the sum of all four counter classes.  Counts are
+    input-independent, and the tally ring counts each block operation
+    without running it, so zero coefficients measure the real cost.
+    """
+    profile: dict[int, int] = {}
+    for ell in lengths:
+        if ell < 1:
+            raise ValueError("output lengths must be at least 1")
+        size_f = (ell + 2) // 2
+        size_g = ell + 1 - size_f
+        ring = TallyRing(field.modulus)
+        tft_polymul([0] * size_f, [0] * size_g, field, ring)
+        profile[ell] = ring.counters.total
+    return profile
 
 
 def test_operation_profile_shape(field):

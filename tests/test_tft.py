@@ -75,6 +75,18 @@ def test_plan_half_inverts_two(f17, field):
         assert 2 * make_plan(fld, 3).half % fld.modulus == 1
 
 
+def test_plan_iota_is_the_fields_root_of_order_four(f17, field):
+    # the plan computes iota as psi^(2^(m-2)) from m = 2 up, and takes the
+    # field's root below that; a field of two-adicity 1 has none
+    for fld in (f17, field, PrimeField((1 << 64) - (1 << 32) + 1), PrimeField(5 * 2**75 + 1)):
+        iota = fld.root_of_order(2)
+        assert make_plan(fld, 1).iota == make_plan(fld, 2).iota == iota
+        for m in range(2, fld.two_adicity + 1):
+            for ell in {(1 << (m - 1)) + 1, 1 << m}:
+                assert make_plan(fld, ell).iota == iota, (fld.modulus, ell)
+    assert make_plan(PrimeField(7), 2).iota is None
+
+
 def test_hand_checked_values(f17):
     plan = make_plan(f17, 3)
     buf = [1, 2, 3]
